@@ -9,8 +9,10 @@ subset, with the global tolerance for zero tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -51,11 +53,12 @@ __all__ = [
 class DiscreteDistribution:
     """Exact distribution over a finite product of named domains.
 
-    Only cells with positive probability are stored; probabilities are
-    ``Fraction`` instances summing to exactly 1.
+    Only cells with positive probability are stored, in the read-only
+    mapping ``probs``; probabilities are ``Fraction`` instances summing to
+    exactly 1.
     """
 
-    __slots__ = ("vars", "domains", "probs")
+    __slots__ = ("vars", "domains", "probs", "_counts")
 
     def __init__(self, vars, domains: Mapping[str, FiniteDomain], probs: Mapping[tuple, Fraction]):
         self.vars = tuple(vars)
@@ -71,7 +74,8 @@ class DiscreteDistribution:
                 total += p
         if total != 1:
             raise ScmError(f"distribution not normalized: sums to {total}")
-        self.probs = cleaned
+        self.probs = MappingProxyType(cleaned)
+        self._counts = None
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteDistribution):
@@ -83,6 +87,31 @@ class DiscreteDistribution:
 
     def __repr__(self):
         return f"DiscreteDistribution(vars={self.vars!r}, {len(self.probs)} cells)"
+
+    def counts(self) -> tuple:
+        """The law as exact integers: ``(den, n)`` with ``n[cell] == p * den``.
+
+        ``den`` is the lcm of the cell denominators; ``n`` has one axis per
+        variable, indexed in domain order.  Its dtype is ``int64`` while
+        ``den * den < 2**62``, so sums of cells and products of two such sums
+        cannot overflow, and ``object`` (Python ints) beyond.  Computed once
+        and cached; the array is read-only.
+        """
+        if self._counts is None:
+            den = math.lcm(*(p.denominator for p in self.probs.values()))
+            index = [{v: i for i, v in enumerate(self.domains[x].values)} for x in self.vars]
+            n = np.zeros(
+                tuple(len(ix) for ix in index),
+                dtype=np.int64 if den * den < 2**62 else object,
+            )
+            for cell, p in self.probs.items():
+                pos = tuple(ix.get(v) for ix, v in zip(index, cell))
+                if len(cell) != len(index) or None in pos:
+                    raise ScmError(f"cell {cell!r} is not in the domains of {self.vars!r}")
+                n[pos] = p.numerator * (den // p.denominator)
+            n.setflags(write=False)
+            self._counts = (den, n)
+        return self._counts
 
     def prob(self, assignment: Mapping[str, object]) -> Fraction:
         """Probability of a (possibly partial) assignment."""
@@ -285,15 +314,25 @@ def _dependency_components(m: FiniteScm, subset: tuple):
 
 
 def _component_solutions(m, comp, assign):
-    mechs = [(o, m.mechanisms[o]) for o in comp]
-    out = []
-    for combo in itertools.product(*(m.endogenous[o].values for o in comp)):
-        assign.update(zip(comp, combo))
-        if all(assign[o] == mech(assign) for o, mech in mechs):
-            out.append(combo)
-    for o in comp:
-        del assign[o]
-    return out
+    """Local solutions of the component ``comp`` given the values in
+    ``assign`` of its mechanisms' arguments outside it.  Memoized per model
+    and per distinct input, which is sound because models are frozen."""
+    memo = m._cache.setdefault("component_solutions", {})
+    if comp not in memo:
+        inputs = tuple(dict.fromkeys(a for o in comp for a in m.mechanisms[o].args if a not in comp))
+        memo[comp] = (inputs, {})
+    inputs, solved = memo[comp]
+    key = tuple(assign[a] for a in inputs)
+    if key not in solved:
+        local = dict(zip(inputs, key))
+        mechs = [(o, m.mechanisms[o]) for o in comp]
+        out = []
+        for combo in itertools.product(*(m.endogenous[o].values for o in comp)):
+            local.update(zip(comp, combo))
+            if all(local[o] == mech(local) for o, mech in mechs):
+                out.append(combo)
+        solved[key] = tuple(out)
+    return solved[key]
 
 
 def _fibers(m: FiniteScm, subset: tuple, base_assign: dict, first_only=False):

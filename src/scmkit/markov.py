@@ -1,15 +1,16 @@
 """Conditional-independence testing on exact distributions and verification
 of the (general) directed global Markov property against the functional graph.
 
-Conditional independence of finite distributions is an exact factorization
-check in rationals; Gaussian distributions use vanishing partial covariance.
+Conditional independence of finite distributions is an exact cross-product
+check on integer counts; Gaussian distributions use vanishing partial
+correlation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .analysis import (
     uniquely_solvable_wrt,
 )
 from .config import tolerance
-from .errors import ScmError, SolvabilityError
+from .errors import ScmError, SolvabilityError, UnknownNameError
 from .graph import d_separated, sigma_separated
 from .scm import functional_graph
 
@@ -35,52 +36,51 @@ def _disjoint(a, b, s):
 
 
 def _finite_ci(dist: DiscreteDistribution, a, b, s) -> bool:
-    joint = dist.marginal(a + b + s)
-    na, nb = len(a), len(b)
-    pac = {}
-    pbc = {}
-    psc = {}
-    pabc = {}
-    for cell, p in joint.probs.items():
-        av, bv, sv = cell[:na], cell[na : na + nb], cell[na + nb :]
-        pac[(av, sv)] = pac.get((av, sv), Fraction(0)) + p
-        pbc[(bv, sv)] = pbc.get((bv, sv), Fraction(0)) + p
-        psc[sv] = psc.get(sv, Fraction(0)) + p
-        pabc[(av, bv, sv)] = pabc.get((av, bv, sv), Fraction(0)) + p
-    for sv, ps in psc.items():
-        for (av, sv1), pa in pac.items():
-            if sv1 != sv:
-                continue
-            for (bv, sv2), pb in pbc.items():
-                if sv2 != sv:
-                    continue
-                if pabc.get((av, bv, sv), Fraction(0)) * ps != pa * pb:
-                    return False
-    return True
+    """Exact test on the integer counts n = p * den of the joint law: A is
+    independent of B given S iff n(a, b, s) * n(s) == n(a, s) * n(b, s) for
+    every cell, which holds trivially where n(s) == 0."""
+    _, joint = dist.counts()
+    axes = [dist.vars.index(v) for v in a + b + s]
+    rest = [i for i in range(joint.ndim) if i not in axes]
+    table = joint.transpose(axes + rest).sum(axis=tuple(range(len(axes), joint.ndim)))
+    size = [math.prod(table.shape[:len(a)]), math.prod(table.shape[len(a):len(a) + len(b)])]
+    n_abs = table.reshape(size + [-1])
+    n_as = n_abs.sum(axis=1, keepdims=True)
+    n_bs = n_abs.sum(axis=0, keepdims=True)
+    n_s = n_as.sum(axis=0, keepdims=True)
+    return bool(np.array_equal(n_abs * n_s, n_as * n_bs))
 
 
 def _gaussian_ci(dist: GaussianDistribution, a, b, s, tol) -> bool:
-    ia = [dist.vars.index(v) for v in a]
-    ib = [dist.vars.index(v) for v in b]
+    """Vanishing partial correlation.  The covariance is first rescaled to
+    unit variances, so the verdict does not depend on the units of any
+    variable; a variable left with at most ``tol`` of its variance after
+    conditioning on S is a function of S and independent of everything."""
+    u = [dist.vars.index(v) for v in a + b]
     i_s = [dist.vars.index(v) for v in s]
-    cov = dist.cov
+    sd = np.sqrt(np.diag(dist.cov))
+    sd = np.where(sd > 0, sd, 1.0)
+    corr = dist.cov / np.outer(sd, sd)
+    partial = corr[np.ix_(u, u)]
     if i_s:
-        sss = cov[np.ix_(i_s, i_s)]
-        inv = np.linalg.pinv(sss)
-        partial = cov[np.ix_(ia, ib)] - cov[np.ix_(ia, i_s)] @ inv @ cov[np.ix_(i_s, ib)]
-    else:
-        partial = cov[np.ix_(ia, ib)]
-    return bool(np.all(np.abs(partial) <= tol))
+        partial = partial - corr[np.ix_(u, i_s)] @ np.linalg.pinv(corr[np.ix_(i_s, i_s)]) @ corr[np.ix_(i_s, u)]
+    var = np.diag(partial)
+    sd = np.sqrt(np.where(var > tol, var, np.inf))
+    rho = partial / np.outer(sd, sd)
+    return bool(np.all(np.abs(rho[: len(a), len(a):]) <= tol))
 
 
 def conditional_independent(dist, a, b, s=()) -> bool:
     """Exact conditional independence A independent of B given S."""
     a, b, s = _disjoint(a, b, s)
+    if not isinstance(dist, (DiscreteDistribution, GaussianDistribution)):
+        raise ScmError(f"not a distribution: {dist!r}")
+    unknown = set(a + b + s) - set(dist.vars)
+    if unknown:
+        raise UnknownNameError(f"unknown coordinates {sorted(unknown)}")
     if isinstance(dist, DiscreteDistribution):
         return _finite_ci(dist, a, b, s)
-    if isinstance(dist, GaussianDistribution):
-        return _gaussian_ci(dist, a, b, s, tolerance())
-    raise ScmError(f"not a distribution: {dist!r}")
+    return _gaussian_ci(dist, a, b, s, tolerance())
 
 
 @dataclass
@@ -152,6 +152,13 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
 
     By default A and B range over singletons, which suffices at desk scale;
     ``full_subsets=True`` enumerates all disjoint subset pairs (exponential).
+
+    Finite models: the observational law is tabulated once as an integer
+    tensor (``DiscreteDistribution.counts``), and each statement is an exact
+    integer cross-product test on sums of it, with no tolerance.  The
+    precondition scan and the distribution share one brute-force solve per
+    component and distinct component input, cached on the model; the cache
+    is sound because models are frozen.
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")

@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -74,7 +75,7 @@ class TabularMechanism:
         self.args = tuple(args)
         if len(set(self.args)) != len(self.args):
             raise ScmError(f"duplicate mechanism arguments: {self.args!r}")
-        self.table = {tuple(k): v for k, v in table.items()}
+        self.table = MappingProxyType({tuple(k): v for k, v in table.items()})
 
     def __call__(self, assignment: Mapping[str, object]):
         key = tuple(assignment[a] for a in self.args)
@@ -109,11 +110,12 @@ class FiniteScm:
     """An SCM over finite domains with exact rational exogenous probabilities."""
 
     def __init__(self, endogenous, exogenous, measure, mechanisms, expressions=None):
-        self.endogenous = dict(endogenous)
-        self.exogenous = dict(exogenous)
-        self.measure = {j: dict(t) for j, t in measure.items()}
-        self.mechanisms = dict(mechanisms)
-        self.expressions = dict(expressions) if expressions else {}
+        # read-only views: the per-model caches in ``_cache`` rely on it
+        self.endogenous = MappingProxyType(dict(endogenous))
+        self.exogenous = MappingProxyType(dict(exogenous))
+        self.measure = MappingProxyType({j: MappingProxyType(dict(t)) for j, t in measure.items()})
+        self.mechanisms = MappingProxyType(dict(mechanisms))
+        self.expressions = MappingProxyType(dict(expressions or {}))
         overlap = set(self.endogenous) & set(self.exogenous)
         if overlap:
             raise ScmError(f"endogenous and exogenous names overlap: {sorted(overlap)}")
@@ -418,10 +420,10 @@ def validate(m) -> ValidationReport:
 
 # --- relation-level machinery for finite SCMs ----------------------------
 
-def _relation_coords(m: FiniteScm, k: str, mechs=None):
+def _relation_coords(m: FiniteScm, k: str):
     """Coordinates the fixed-point relation of ``k`` can possibly involve:
     declared arguments plus ``k`` itself."""
-    mech = (mechs or m.mechanisms)[k]
+    mech = m.mechanisms[k]
     coords = list(mech.args)
     if k not in coords:
         coords.append(k)
@@ -438,11 +440,11 @@ def _relation_holds(mech: TabularMechanism, k: str, assign: dict) -> bool:
     return assign[k] == mech(assign)
 
 
-def _depends_on(m: FiniteScm, k: str, v: str, mechs=None) -> bool:
+def _depends_on(m: FiniteScm, k: str, v: str) -> bool:
     """Does the fixed-point relation of ``k`` genuinely depend on coordinate
     ``v``?  Exogenous coordinates are quantified over their support only."""
-    mech = (mechs or m.mechanisms)[k]
-    coords = _relation_coords(m, k, mechs)
+    mech = m.mechanisms[k]
+    coords = _relation_coords(m, k)
     if v == k:
         # self-dependence: some section over x_k is not a singleton
         others = [c for c in coords if c != k]

@@ -37,6 +37,13 @@ def tab(model_domains, args, fn):
     return TabularMechanism.from_function(args, model_domains, fn)
 
 
+def postab(model_domains, args, fn):
+    """Like ``tab``, with ``fn`` taking the arguments by position."""
+    return TabularMechanism(
+        args, {combo: fn(*combo) for combo in itertools.product(*(model_domains[a].values for a in args))}
+    )
+
+
 def cyc(domain: FiniteDomain):
     """Fixed-point-free successor on a domain (cyclic shift by one)."""
     vals = domain.values
@@ -416,6 +423,76 @@ def cycle4_scm() -> FiniteScm:
         "X2": tab(domains, ("X1", "E2"), lambda X1, E2: gate(X1, E2)),
         "X3": tab(domains, ("X2", "E3"), lambda X2, E3: gate(X2, E3)),
         "X4": tab(domains, ("X3", "E4"), lambda X3, E4: gate(X3, E4)),
+    }
+    return FiniteScm(endo, exo, measure, mechanisms)
+
+
+def ladder_scm(pairs=3) -> FiniteScm:
+    """Chained binary 2-cycles A_i <-> B_i, pair i reading pair i-1.  The
+    ternary gate U_i cuts A_i's link to B_i unless U_i == 0 and B_i's link to
+    A_i unless U_i == 1, so every pair is uniquely solvable."""
+    binary = fd(0, 1)
+    endo = {f"{x}{i}": binary for i in range(1, pairs + 1) for x in "AB"}
+    exo = {}
+    measure = {}
+    for i in range(1, pairs + 1):
+        exo[f"U{i}"] = fd(0, 1, 2)
+        exo[f"V{i}"] = binary
+        measure[f"U{i}"] = {0: F(1, 6), 1: F(1, 3), 2: F(1, 2)}
+        measure[f"V{i}"] = {0: F(1, 3), 1: F(2, 3)}
+    domains = {**endo, **exo}
+    mechanisms = {}
+    for i in range(1, pairs + 1):
+        a, b, u, v = f"A{i}", f"B{i}", f"U{i}", f"V{i}"
+        if i == 1:
+            mechanisms[a] = postab(domains, (b, u, v), lambda B, U, V: B if U == 0 else int(V != 0))
+            mechanisms[b] = postab(domains, (a, u, v), lambda A, U, V: A if U == 1 else int(V == 1))
+        else:
+            pa, pb = f"A{i - 1}", f"B{i - 1}"
+            mechanisms[a] = postab(domains, (b, u, v, pa), lambda B, U, V, P: B if U == 0 else int(V != P))
+            mechanisms[b] = postab(domains, (a, u, v, pb), lambda A, U, V, P: A if U == 1 else int(V == P))
+    return FiniteScm(endo, exo, measure, mechanisms)
+
+
+def ternary_ring_scm(n=4) -> FiniteScm:
+    """One ternary feedback loop X1 -> ... -> Xn -> X1.  With E_i == 1 link i
+    applies h = [1, 2, 2]; any other value cuts it to a constant.  The loop
+    composition of h has the single fixed point 2, so every fiber is a
+    singleton.  E1 and E2 are ternary, the rest binary."""
+    dom = fd(0, 1, 2)
+    endo = {f"X{i}": dom for i in range(1, n + 1)}
+    exo = {f"E{i}": (dom if i <= 2 else fd(0, 1)) for i in range(1, n + 1)}
+    measure = {
+        j: ({0: F(1, 6), 1: F(1, 3), 2: F(1, 2)} if len(d) == 3 else {0: F(1, 3), 1: F(2, 3)})
+        for j, d in exo.items()
+    }
+    domains = {**endo, **exo}
+    h = (1, 2, 2)
+    mechanisms = {
+        f"X{i}": postab(domains, (f"X{n if i == 1 else i - 1}", f"E{i}"),
+                        lambda P, E, c=i % 3: h[P] if E == 1 else (c if E == 0 else 0))
+        for i in range(1, n + 1)
+    }
+    return FiniteScm(endo, exo, measure, mechanisms)
+
+
+def big_denominator_scm() -> FiniteScm:
+    """X = E1, Y = X xor E2, Z = Y and E3, with probabilities whose common
+    denominator 3**20 * 7**12 * 2**8 exceeds 2**31, so the squared
+    denominator does not fit an int64."""
+    binary = fd(0, 1)
+    endo = {"X": binary, "Y": binary, "Z": binary}
+    exo = {"E1": binary, "E2": binary, "E3": binary}
+    measure = {
+        "E1": {0: F(1, 3**20), 1: 1 - F(1, 3**20)},
+        "E2": {0: F(2, 7**12), 1: 1 - F(2, 7**12)},
+        "E3": {0: F(1, 2**8), 1: 1 - F(1, 2**8)},
+    }
+    domains = {**endo, **exo}
+    mechanisms = {
+        "X": tab(domains, ("E1",), lambda E1: E1),
+        "Y": tab(domains, ("X", "E2"), lambda X, E2: X ^ E2),
+        "Z": tab(domains, ("Y", "E3"), lambda Y, E3: Y & E3),
     }
     return FiniteScm(endo, exo, measure, mechanisms)
 

@@ -1,23 +1,71 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import model_zoo as zoo
 from scmkit import (
     DiscreteDistribution,
     FiniteDomain,
+    GaussianBlock,
     GaussianDistribution,
+    LinearScm,
     ScmError,
     SolvabilityError,
+    UnknownNameError,
     conditional_independent,
     d_separated,
+    fiber,
     functional_graph,
+    observational_distribution,
     sigma_separated,
     verify_markov,
 )
+from scmkit.analysis import _fibers, _support_assignments
 
 F = Fraction
+
+
+def fraction_ci(dist, a, b, s):
+    """Reference oracle: the factorization check on ``Fraction`` marginals."""
+    joint = dist.marginal(a + b + s)
+    na, nb = len(a), len(b)
+    pac = {}
+    pbc = {}
+    psc = {}
+    pabc = {}
+    for cell, p in joint.probs.items():
+        av, bv, sv = cell[:na], cell[na : na + nb], cell[na + nb :]
+        pac[(av, sv)] = pac.get((av, sv), F(0)) + p
+        pbc[(bv, sv)] = pbc.get((bv, sv), F(0)) + p
+        psc[sv] = psc.get(sv, F(0)) + p
+        pabc[(av, bv, sv)] = pabc.get((av, bv, sv), F(0)) + p
+    for sv, ps in psc.items():
+        for (av, sv1), pa in pac.items():
+            if sv1 != sv:
+                continue
+            for (bv, sv2), pb in pbc.items():
+                if sv2 != sv:
+                    continue
+                if pabc.get((av, bv, sv), F(0)) * ps != pa * pb:
+                    return False
+    return True
+
+
+def check_against_oracles(m, report):
+    """Every CI verdict of ``report`` equals the ``Fraction`` oracle's, and the
+    memoized component solver equals the exhaustive fiber at every support
+    point.  Returns the verdict counts (independent, dependent)."""
+    dist = observational_distribution(m)
+    verdicts = [0, 0]
+    for e in report.entries:
+        assert fraction_ci(dist, e.a, e.b, e.s) == e.independent, (e.a, e.b, e.s)
+        verdicts[not e.independent] += 1
+    endo = m.endogenous_names
+    for e_assign, _ in _support_assignments(m, m.exogenous_names):
+        assert sorted(_fibers(m, endo, e_assign)) == sorted(fiber(m, endo, e_assign)), e_assign
+    return verdicts
 
 
 def product_distribution():
@@ -47,9 +95,30 @@ class TestConditionalIndependence:
         assert conditional_independent(dist, ["X1"], ["X3"], ["X2"])
         assert not conditional_independent(dist, ["X1"], ["X3"])
 
+    def test_counts_are_the_law_times_the_common_denominator(self):
+        dom = FiniteDomain((0, 1, 2))
+        dist = DiscreteDistribution(("A", "B"), {"A": dom, "B": dom},
+                                    {(0, 2): F(1, 6), (2, 1): F(1, 4), (1, 1): F(7, 12)})
+        den, n = dist.counts()
+        assert den == 12 and n.dtype == np.int64
+        assert n.tolist() == [[0, 0, 2], [0, 7, 0], [0, 3, 0]]
+        assert dist.counts() is dist.counts()
+        with pytest.raises(TypeError):
+            dist.probs[(0, 0)] = F(0)
+
+    def test_counts_reject_a_cell_outside_the_domain(self):
+        dom = FiniteDomain((0, 1))
+        dist = DiscreteDistribution(("A",), {"A": dom}, {(0,): F(1, 2), (5,): F(1, 2)})
+        with pytest.raises(ScmError):
+            dist.counts()
+
     def test_overlap_rejected(self):
         with pytest.raises(ScmError):
             conditional_independent(product_distribution(), ["A"], ["A"])
+
+    def test_unknown_coordinate_rejected(self):
+        with pytest.raises(UnknownNameError):
+            conditional_independent(product_distribution(), ["A"], ["Q"])
 
     def test_gaussian_partial_covariance(self):
         cov = [[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]]
@@ -57,6 +126,20 @@ class TestConditionalIndependence:
         # cov(A,C) = 0.25 = 0.5 * 0.5: conditioning on B removes it
         assert conditional_independent(dist, ["A"], ["C"], ["B"])
         assert not conditional_independent(dist, ["A"], ["C"])
+
+    def test_gaussian_verdicts_do_not_depend_on_the_noise_scale(self):
+        # X = E1, Y = X + E2, Z = Y + E3: X and Y are correlated (0.71) at any
+        # noise variance; X and Z are independent given Y
+        def verdicts(var):
+            blocks = tuple(GaussianBlock(n, (n,), [0.0], [[var]]) for n in ("E1", "E2", "E3"))
+            m = LinearScm(("X", "Y", "Z"), blocks, [[0, 0, 0], [1, 0, 0], [0, 1, 0]], np.eye(3))
+            return [(e.a, e.b, e.s, e.separated, e.independent) for e in verify_markov(m, kind="d").entries]
+
+        small, unit, large = verdicts(1e-10), verdicts(1.0), verdicts(1e10)
+        assert small == unit == large
+        found = {(a, b, s): ci for a, b, s, _, ci in unit}
+        assert found[(("X",), ("Y",), ())] is False
+        assert found[(("X",), ("Z",), ("Y",))] is True
 
 
 class TestVerifyMarkov:
@@ -135,5 +218,17 @@ class TestVerifyMarkov:
                 continue
             report = verify_markov(m, kind="sigma", max_conditioning=2)
             assert report.ok, (m, report.violations)
+            check_against_oracles(m, report)
             accepted += 1
         assert accepted == 25
+
+    @pytest.mark.parametrize("build", [zoo.cycle4_scm, zoo.ladder_scm, zoo.ternary_ring_scm,
+                                       zoo.big_denominator_scm])
+    def test_integer_ci_matches_fraction_oracle(self, build):
+        m = build()
+        report = verify_markov(m, kind="sigma", max_conditioning=2)
+        assert report.ok
+        independent, dependent = check_against_oracles(m, report)
+        assert independent and dependent
+        wide = build is zoo.big_denominator_scm
+        assert (observational_distribution(m).counts()[1].dtype == object) == wide

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from scmkit import (
     functional_graph,
     functional_parents,
     mechanisms_equivalent,
+    parse,
     validate,
 )
 
@@ -204,6 +206,24 @@ class TestGraphs:
     def test_equivalent_models_same_graph(self):
         m1, m2 = zoo.equivalence_pair()
         assert augmented_graph(m1) == augmented_graph(m2)
+
+    def test_models_are_frozen_so_cached_graphs_stay_valid(self):
+        m = parse((Path(__file__).parent / "corpus" / "ex_chain.scm").read_text())
+        assert ("X2", "X3") in functional_graph(m).directed
+        with pytest.raises(TypeError):
+            m.mechanisms["X3"] = TabularMechanism.constant(0)
+        for mapping in (m.endogenous, m.exogenous, m.expressions, m.mechanisms["X3"].table):
+            with pytest.raises(TypeError):
+                mapping["X9"] = 0
+        m2 = zoo.equivalence_pair()[0]
+        with pytest.raises(TypeError):
+            m2.measure["E"][0] = F(1)
+        with pytest.raises(TypeError):
+            m2.measure["E2"] = {}
+        # replace() still builds the changed model, with its own caches
+        changed = m.replace(mechanisms={**m.mechanisms, "X3": TabularMechanism.constant(0)})
+        assert ("X2", "X3") not in functional_graph(changed).directed
+        assert ("X2", "X3") in functional_graph(m).directed
 
     def test_functional_graph_directed_part_is_induced(self):
         m = zoo.augmented_example()
