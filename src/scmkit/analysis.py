@@ -2,8 +2,12 @@
 
 Finite SCMs: all quantifiers over exogenous values range over the support of
 the product measure; everything is computed in exact rational arithmetic.
-Linear SCMs: solvability reduces to linear algebra on I - B restricted to the
-subset, with the global tolerance for zero tests.
+One pass over the support solves the whole model per noise value; the
+distribution and the selector polytope both read their fibers from it.
+Linear SCMs: every verdict comes from one core, the block ``I - B_OO`` of the
+subset and its inverse, with the global tolerance for the singularity test.
+``solve_map`` is the one linear solve: the observational distribution,
+interventional equivalence and marginalization are read off its matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +30,16 @@ from .errors import (
     UnknownNameError,
 )
 from .graph import MixedGraph, enumerate_loops
-from .scm import FiniteScm, FiniteDomain, LinearScm, functional_parents
+from .scm import (
+    FiniteScm,
+    FiniteDomain,
+    LinearScm,
+    _zero_variance_coords,
+    _zero_variance_level,
+    augmented_graph,
+    functional_graph,
+    functional_parents,
+)
 
 __all__ = [
     "DiscreteDistribution",
@@ -387,10 +400,22 @@ def _support_assignments(m: FiniteScm, exo_names):
         yield dict(zip(exo_names, combo)), p
 
 
+def _support_fibers(m: FiniteScm):
+    """Yield ``(e, p, fiber)`` for each noise assignment ``e`` in the support:
+    its probability ``p`` and the solutions of the whole model; raises
+    NotSolvable at the first empty fiber."""
+    endo = m.endogenous_names
+    for e_assign, p in _support_assignments(m, m.exogenous_names):
+        sols = _fibers(m, endo, e_assign)
+        if not sols:
+            raise NotSolvable(endo, {"e": e_assign})
+        yield e_assign, p, sols
+
+
 def fiber(m: FiniteScm, subset, e: Mapping[str, object], ctx: Mapping[str, object] = None) -> frozenset:
     """The set of solutions x_subset of the structural equations of ``subset``
     for fixed exogenous values ``e`` and context ``ctx`` on the remaining
-    endogenous variables, by exhaustive enumeration.
+    endogenous variables, solved per strongly connected component.
 
     Tuples follow the endogenous declaration order restricted to ``subset``.
     """
@@ -408,12 +433,7 @@ def fiber(m: FiniteScm, subset, e: Mapping[str, object], ctx: Mapping[str, objec
     needed_ctx = set(_relevant_ctx(m, subset)) - set(assign)
     if needed_ctx:
         raise ScmError(f"missing context values for {sorted(needed_ctx)}")
-    out = []
-    for combo in itertools.product(*(m.endogenous[o].values for o in subset)):
-        assign.update(zip(subset, combo))
-        if all(assign[o] == m.mechanisms[o](assign) for o in subset):
-            out.append(combo)
-    return frozenset(out)
+    return frozenset(_fibers(m, subset, assign))
 
 
 # --- solvability ------------------------------------------------------------
@@ -438,45 +458,48 @@ def _finite_scan(m: FiniteScm, subset, need_unique: bool):
     return SolvabilityResult(True, subset)
 
 
-def _linear_support_directions(m: LinearScm, tol):
-    """Columns spanning the support directions of the noise, block by block."""
-    cols = []
+def _linear_subsystem(m: LinearScm, subset):
+    """The subsystem on ``subset`` as ``(subset, idx, rest, block, inv)``:
+    its names, the indices of its variables and of all others, the block
+    ``I - B_OO`` and its inverse.  ``inv`` is ``None`` when the block is
+    singular, i.e. its smallest singular value is at most the tolerance times
+    max(1, the largest)."""
+    subset = _subset_names(m, subset)
+    idx = [m.endo_index(o) for o in subset]
+    rest = [i for i, n in enumerate(m.endogenous_names) if n not in subset]
+    block = np.eye(len(idx)) - m.B[np.ix_(idx, idx)]
+    s = np.linalg.svd(block, compute_uv=False)
+    singular = s.size and s.min() <= tolerance() * max(1.0, s.max())
+    return subset, idx, rest, block, None if singular else np.linalg.inv(block)
+
+
+def _linear_support_directions(m: LinearScm):
+    """Columns spanning the support directions of the noise, block by block:
+    the eigenvectors of each block covariance whose eigenvalue is not zero."""
+    coords = m.coord_names
+    cols = [np.zeros((len(coords), 0))]
     for b in m.blocks:
-        if not len(b.coords):
-            continue
         w, v = np.linalg.eigh((b.cov + b.cov.T) / 2)
-        keep = v[:, w > tol * max(1.0, w.max(initial=0.0))]
-        block = np.zeros((len(m.coord_names), keep.shape[1]))
-        coords = m.coord_names
-        rows = [coords.index(c) for c in b.coords]
-        block[rows, :] = keep
-        cols.append(block)
-    if not cols:
-        return np.zeros((len(m.coord_names), 0))
+        block = np.zeros((len(coords), len(b.coords)))
+        block[[coords.index(c) for c in b.coords], :] = v
+        cols.append(block[:, w > _zero_variance_level(b.cov)])
     return np.hstack(cols)
 
 
-def _linear_solvable(m: LinearScm, subset, tol=None):
-    tol = tolerance(tol)
-    subset = tuple(n for n in m.endogenous_names if n in set([subset] if isinstance(subset, str) else subset))
-    idx = [m.endo_index(o) for o in subset]
-    rest = [i for i, n in enumerate(m.endogenous_names) if n not in set(subset)]
-    A = np.eye(len(idx)) - m.B[np.ix_(idx, idx)]
-    if len(idx) == 0:
-        return SolvabilityResult(True, subset)
-    smin = np.linalg.svd(A, compute_uv=False)
-    if smin.size and smin.min() > tol * max(1.0, smin.max()):
+def _linear_solvable(m: LinearScm, subset):
+    tol = tolerance()
+    subset, idx, rest, A, inv = _linear_subsystem(m, subset)
+    if inv is not None:
         return SolvabilityResult(True, subset)
     # singular restriction: the system is consistent for almost every noise
     # value and every context iff the possible right-hand sides stay in the
     # column space of A
-    variances = m.coord_variances()
-    if np.any(variances <= tol):
+    if np.any(_zero_variance_coords(m)):
         raise ScmError(
             "linear solvability with singular I - B_OO requires all noise "
             "coordinates to have positive variance"
         )
-    S = _linear_support_directions(m, tol)
+    S = _linear_support_directions(m)
     rhs_cols = [m.B[np.ix_(idx, rest)], m.Gamma[idx, :] @ S]
     offset = (m.Gamma[idx, :] @ m.noise_mean() + m.c[idx]).reshape(-1, 1)
     stacked = np.hstack([c for c in rhs_cols if c.size] + [offset])
@@ -505,24 +528,16 @@ def uniquely_solvable_wrt(m, subset) -> SolvabilityResult:
     if isinstance(m, FiniteScm):
         return _finite_scan(m, subset, need_unique=True)
     if isinstance(m, LinearScm):
-        tol = tolerance()
-        subset_t = tuple(n for n in m.endogenous_names if n in set([subset] if isinstance(subset, str) else subset))
-        idx = [m.endo_index(o) for o in subset_t]
-        A = np.eye(len(idx)) - m.B[np.ix_(idx, idx)]
-        if len(idx) == 0:
-            return SolvabilityResult(True, subset_t)
-        s = np.linalg.svd(A, compute_uv=False)
-        if s.min() > tol * max(1.0, s.max()):
-            return SolvabilityResult(True, subset_t)
-        return SolvabilityResult(False, subset_t, witness={"singular": "I - B_OO"})
+        subset, _, _, _, inv = _linear_subsystem(m, subset)
+        if inv is not None:
+            return SolvabilityResult(True, subset)
+        return SolvabilityResult(False, subset, witness={"singular": "I - B_OO"})
     raise ScmError(f"not an SCM: {m!r}")
 
 
 def structurally_uniquely_solvable(m) -> bool:
     """Uniquely solvable with respect to every singleton; equivalently the
     augmented graph has no self-loops (both are computed and cross-checked)."""
-    from .scm import augmented_graph
-
     by_singletons = all(bool(uniquely_solvable_wrt(m, [i])) for i in m.endogenous_names)
     no_self_loops = all((i, i) not in augmented_graph(m).directed for i in m.endogenous_names)
     if by_singletons != no_self_loops:  # pragma: no cover - consistency guard
@@ -533,8 +548,6 @@ def structurally_uniquely_solvable(m) -> bool:
 def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:
     """Uniquely solvable with respect to every subset, decided through the
     loops of the functional graph only."""
-    from .scm import functional_graph
-
     g = functional_graph(m)
     if len(g.nodes) > max_nodes:
         raise ScmError(f"uniquely_solvable_all_subsets bound exceeded ({len(g.nodes)} > {max_nodes})")
@@ -562,18 +575,12 @@ def solve_map(m, subset) -> SolveMap:
     """The mapping g assigning to each input of the subsystem its unique
     solution; requires unique solvability with respect to ``subset``."""
     if isinstance(m, LinearScm):
-        res = uniquely_solvable_wrt(m, subset)
-        if not res:
-            raise NotUniquelySolvable(res.subset, res.witness)
-        subset_t = res.subset if isinstance(res.subset, tuple) else tuple(res.subset)
-        subset_t = tuple(n for n in m.endogenous_names if n in set(subset_t))
-        idx = [m.endo_index(o) for o in subset_t]
-        rest_names = tuple(n for n in m.endogenous_names if n not in set(subset_t))
-        rest = [m.endo_index(o) for o in rest_names]
-        inv = np.linalg.inv(np.eye(len(idx)) - m.B[np.ix_(idx, idx)])
+        subset_t, idx, rest, _, inv = _linear_subsystem(m, subset)
+        if inv is None:
+            raise NotUniquelySolvable(subset_t, {"singular": "I - B_OO"})
         return SolveMap(
             targets=subset_t,
-            endo_args=rest_names,
+            endo_args=tuple(m.endogenous_names[i] for i in rest),
             exo_args=m.coord_names,
             A=inv @ m.B[np.ix_(idx, rest)],
             G=inv @ m.Gamma[idx, :],
@@ -624,30 +631,23 @@ def observational_distribution(m):
     closed-form Gaussian for linear SCMs."""
     if isinstance(m, FiniteScm):
         endo = m.endogenous_names
-        exo = m.exogenous_names
         probs = {}
-        for e_assign, p in _support_assignments(m, exo):
-            sols = _fibers(m, endo, e_assign)
-            if len(sols) == 0:
-                raise NotSolvable(endo, {"e": e_assign})
+        for e_assign, p, sols in _support_fibers(m):
             if len(sols) > 1:
                 raise NotUniquelySolvable(endo, {"e": e_assign, "fiber": tuple(sols)})
             cell = sols[0]
             probs[cell] = probs.get(cell, Fraction(0)) + p
         return DiscreteDistribution(endo, m.endogenous, probs)
     if isinstance(m, LinearScm):
-        tol = tolerance()
-        n = len(m.endogenous)
-        A = np.eye(n) - m.B
-        s = np.linalg.svd(A, compute_uv=False) if n else np.array([1.0])
-        if s.min() <= tol * max(1.0, s.max()):
+        try:
+            sm = solve_map(m, m.endogenous_names)
+        except NotUniquelySolvable:
             res = _linear_solvable(m, m.endogenous_names)
             if not res:
-                raise NotSolvable(m.endogenous_names, res.witness)
-            raise NotUniquelySolvable(m.endogenous_names, {"singular": "I - B"})
-        inv = np.linalg.inv(A)
-        mean = inv @ (m.Gamma @ m.noise_mean() + m.c)
-        cov = inv @ m.Gamma @ m.noise_cov() @ m.Gamma.T @ inv.T
+                raise NotSolvable(m.endogenous_names, res.witness) from None
+            raise NotUniquelySolvable(m.endogenous_names, {"singular": "I - B"}) from None
+        mean = sm.G @ m.noise_mean() + sm.d
+        cov = sm.G @ m.noise_cov() @ sm.G.T
         return GaussianDistribution(m.endogenous_names, mean, cov)
     raise ScmError(f"not an SCM: {m!r}")
 
@@ -660,10 +660,7 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
     endo = m.endogenous_names
     points = []
     count = 1
-    for e_assign, p in _support_assignments(m, m.exogenous_names):
-        sols = _fibers(m, endo, e_assign)
-        if not sols:
-            raise NotSolvable(endo, {"e": e_assign})
+    for _, p, sols in _support_fibers(m):
         points.append((p, sols))
         count *= len(sols)
         if count > max_selectors:

@@ -19,13 +19,14 @@ from .analysis import (
     DiscreteDistribution,
     observational_distribution,
     observational_polytope,
+    solve_map,
     structurally_uniquely_solvable,
-    uniquely_solvable_wrt,
 )
 from .config import tolerance
 from .errors import (
     DomainMismatchError,
     NotSolvable,
+    NotUniquelySolvable,
     ScmError,
     SolvabilityError,
     UnsupportedModelError,
@@ -162,11 +163,7 @@ def _achievable_marginals(m: FiniteScm, margin):
         poly = observational_polytope(m)
     except NotSolvable:
         return ()
-    seen = {}
-    for v in poly.vertices:
-        proj = v.marginal(margin)
-        seen[frozenset(proj.probs.items())] = proj
-    return tuple(seen.values())
+    return tuple(dict.fromkeys(v.marginal(margin) for v in poly.vertices))
 
 
 def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
@@ -175,17 +172,6 @@ def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
     equivalent to each other."""
     margin = _margin_names(m1, m2, margin)
     if isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm):
-        u1 = uniquely_solvable_wrt(m1, m1.endogenous_names)
-        u2 = uniquely_solvable_wrt(m2, m2.endogenous_names)
-        if u1 and u2:
-            d1 = observational_distribution(m1).marginal(margin)
-            d2 = observational_distribution(m2).marginal(margin)
-            if d1 == d2:
-                return EquivalenceReport("observational", margin, True)
-            return EquivalenceReport(
-                "observational", margin, False,
-                witness={"left": d1.to_json_obj(), "right": d2.to_json_obj()},
-            )
         vs1 = _achievable_marginals(m1, margin)
         vs2 = _achievable_marginals(m2, margin)
         if not vs1 and not vs2:
@@ -196,6 +182,14 @@ def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
                 witness={"left": "no solution" if not vs1 else "solvable",
                          "right": "no solution" if not vs2 else "solvable"},
             )
+        if len(vs1) == len(vs2) == 1:
+            (d1,), (d2,) = vs1, vs2
+            if d1 == d2:
+                return EquivalenceReport("observational", margin, True)
+            return EquivalenceReport(
+                "observational", margin, False,
+                witness={"left": d1.to_json_obj(), "right": d2.to_json_obj()},
+            )
         if _hulls_equal(vs1, vs2):
             return EquivalenceReport("observational", margin, True)
         return EquivalenceReport(
@@ -204,16 +198,14 @@ def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
                      "right": [v.to_json_obj() for v in vs2]},
         )
     if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
-        tol = tolerance()
-        u1 = uniquely_solvable_wrt(m1, m1.endogenous_names)
-        u2 = uniquely_solvable_wrt(m2, m2.endogenous_names)
-        if not (u1 and u2):
+        try:
+            d1 = observational_distribution(m1).marginal(margin)
+            d2 = observational_distribution(m2).marginal(margin)
+        except SolvabilityError:
             raise UnsupportedModelError(
                 "linear observational equivalence needs both models uniquely solvable"
-            )
-        d1 = observational_distribution(m1).marginal(margin)
-        d2 = observational_distribution(m2).marginal(margin)
-        if d1.close_to(d2, tol):
+            ) from None
+        if d1.close_to(d2):
             return EquivalenceReport("observational", margin, True)
         return EquivalenceReport(
             "observational", margin, False,
@@ -230,20 +222,20 @@ def _intervention_patterns(margin):
             yield subset
 
 
-def _linear_closed_form(m: LinearScm, targets, tol):
-    """Closed-form (mean offset, per-target mean columns, covariance) of the
-    intervened model with symbolic intervention values on ``targets``."""
-    mi = intervene(m, {t: 0.0 for t in targets})
-    n = len(mi.endogenous)
-    A = np.eye(n) - mi.B
-    s = np.linalg.svd(A, compute_uv=False) if n else np.array([1.0])
-    if s.min() <= tol * max(1.0, s.max()):
+def _linear_do_law(m: LinearScm, targets, margin):
+    """The law of the margin outside ``targets`` under do(targets = t), read
+    off the solve map of the other variables: ``(A, mean, cov)`` with mean
+    ``A t + mean`` and covariance ``cov``, columns of ``A`` in the order of
+    ``targets``; ``None`` when that subsystem is singular.  The targets
+    themselves equal the intervention values in every model."""
+    try:
+        sm = solve_map(m, [v for v in m.endogenous_names if v not in targets])
+    except NotUniquelySolvable:
         return None
-    inv = np.linalg.inv(A)
-    mean0 = inv @ (mi.Gamma @ mi.noise_mean() + mi.c)
-    cols = {t: inv[:, mi.endo_index(t)] for t in targets}
-    cov = inv @ mi.Gamma @ mi.noise_cov() @ mi.Gamma.T @ inv.T
-    return mean0, cols, cov
+    rows = [sm.targets.index(v) for v in margin if v not in targets]
+    cols = [sm.endo_args.index(t) for t in targets]
+    G = sm.G[rows, :]
+    return sm.A[np.ix_(rows, cols)], G @ m.noise_mean() + sm.d[rows], G @ m.noise_cov() @ G.T
 
 
 def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) -> EquivalenceReport:
@@ -269,11 +261,9 @@ def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
         return EquivalenceReport("interventional", margin, True)
     if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
         tol = tolerance()
-        i1 = {v: m1.endo_index(v) for v in margin}
-        i2 = {v: m2.endo_index(v) for v in margin}
         for targets in _intervention_patterns(margin):
-            f1 = _linear_closed_form(m1, targets, tol)
-            f2 = _linear_closed_form(m2, targets, tol)
+            f1 = _linear_do_law(m1, targets, margin)
+            f2 = _linear_do_law(m2, targets, margin)
             if f1 is None and f2 is None:
                 raise UnsupportedModelError(
                     "both intervened linear models are non-uniquely-solvable; comparison unsupported"
@@ -285,18 +275,7 @@ def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
                              "left": "singular" if f1 is None else "unique",
                              "right": "singular" if f2 is None else "unique"},
                 )
-            mean1, cols1, cov1 = f1
-            mean2, cols2, cov2 = f2
-            rows1 = [i1[v] for v in margin]
-            rows2 = [i2[v] for v in margin]
-            same = (
-                np.allclose(mean1[rows1], mean2[rows2], atol=tol)
-                and np.allclose(cov1[np.ix_(rows1, rows1)], cov2[np.ix_(rows2, rows2)], atol=tol)
-                and all(
-                    np.allclose(cols1[t][rows1], cols2[t][rows2], atol=tol) for t in targets
-                )
-            )
-            if not same:
+            if not all(np.allclose(a, b, atol=tol) for a, b in zip(f1, f2)):
                 return EquivalenceReport(
                     "interventional", margin, False,
                     witness={"intervention_targets": list(targets)},
@@ -404,13 +383,13 @@ def direct_causal_graph_wrt(m, context) -> MixedGraph:
     """Direct causal graph after marginalizing everything outside ``context``."""
     context = set([context]) if isinstance(context, str) else set(context)
     latent = [v for v in m.endogenous_names if v not in context]
-    res = uniquely_solvable_wrt(m, latent)
-    if not res:
+    try:
+        marg = marginalize(m, latent)
+    except NotUniquelySolvable as exc:
         raise SolvabilityError(
-            latent, res.witness,
+            latent, exc.witness,
             f"model is not uniquely solvable w.r.t. the non-context variables {sorted(latent)}",
-        )
-    marg = marginalize(m, latent)
+        ) from None
     if not structurally_uniquely_solvable(marg):
         raise ScmError("the marginal model has self-loops; no direct causal graph w.r.t. this context")
     return direct_causal_graph(marg)

@@ -62,7 +62,17 @@ class FiniteDomain:
         return self.values[0]
 
 
-class TabularMechanism:
+class _Frozen:
+    """Attribute assignment raises once an instance exists; ``__init__`` sets
+    its fields with ``object.__setattr__``.  The per-model caches rely on it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; use replace() or a new instance")
+
+
+class TabularMechanism(_Frozen):
     """A total lookup table from argument tuples to one output value.
 
     ``args`` names the argument indices (endogenous and exogenous) in the
@@ -72,10 +82,11 @@ class TabularMechanism:
     __slots__ = ("args", "table")
 
     def __init__(self, args, table: Mapping[tuple, object]):
-        self.args = tuple(args)
-        if len(set(self.args)) != len(self.args):
-            raise ScmError(f"duplicate mechanism arguments: {self.args!r}")
-        self.table = MappingProxyType({tuple(k): v for k, v in table.items()})
+        args = tuple(args)
+        if len(set(args)) != len(args):
+            raise ScmError(f"duplicate mechanism arguments: {args!r}")
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "table", MappingProxyType({tuple(k): v for k, v in table.items()}))
 
     def __call__(self, assignment: Mapping[str, object]):
         key = tuple(assignment[a] for a in self.args)
@@ -83,6 +94,10 @@ class TabularMechanism:
             return self.table[key]
         except KeyError:
             raise ScmError(f"mechanism table has no entry for {dict(zip(self.args, key))!r}") from None
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the slots are closed to setattr
+        return TabularMechanism, (self.args, dict(self.table))
 
     def __eq__(self, other):
         if not isinstance(other, TabularMechanism):
@@ -106,20 +121,21 @@ class TabularMechanism:
         return cls(args, table)
 
 
-class FiniteScm:
+class FiniteScm(_Frozen):
     """An SCM over finite domains with exact rational exogenous probabilities."""
 
     def __init__(self, endogenous, exogenous, measure, mechanisms, expressions=None):
         # read-only views: the per-model caches in ``_cache`` rely on it
-        self.endogenous = MappingProxyType(dict(endogenous))
-        self.exogenous = MappingProxyType(dict(exogenous))
-        self.measure = MappingProxyType({j: MappingProxyType(dict(t)) for j, t in measure.items()})
-        self.mechanisms = MappingProxyType(dict(mechanisms))
-        self.expressions = MappingProxyType(dict(expressions or {}))
+        object.__setattr__(self, "endogenous", MappingProxyType(dict(endogenous)))
+        object.__setattr__(self, "exogenous", MappingProxyType(dict(exogenous)))
+        measure = {j: MappingProxyType(dict(t)) for j, t in measure.items()}
+        object.__setattr__(self, "measure", MappingProxyType(measure))
+        object.__setattr__(self, "mechanisms", MappingProxyType(dict(mechanisms)))
+        object.__setattr__(self, "expressions", MappingProxyType(dict(expressions or {})))
         overlap = set(self.endogenous) & set(self.exogenous)
         if overlap:
             raise ScmError(f"endogenous and exogenous names overlap: {sorted(overlap)}")
-        self._cache = {}
+        object.__setattr__(self, "_cache", {})
 
     @property
     def endogenous_names(self) -> tuple:
@@ -212,7 +228,7 @@ class GaussianBlock:
         object.__setattr__(self, "cov", cov)
 
 
-class LinearScm:
+class LinearScm(_Frozen):
     """A linear SCM x = B x + Gamma e + c with Gaussian exogenous blocks.
 
     Intercepts ``c`` extend the textbook definition so that the family is
@@ -220,8 +236,8 @@ class LinearScm:
     """
 
     def __init__(self, endogenous, blocks, B, Gamma, c=None):
-        self.endogenous = tuple(endogenous)
-        self.blocks = tuple(blocks)
+        object.__setattr__(self, "endogenous", tuple(endogenous))
+        object.__setattr__(self, "blocks", tuple(blocks))
         n = len(self.endogenous)
         m = sum(len(b.coords) for b in self.blocks)
 
@@ -230,12 +246,12 @@ class LinearScm:
             # misshapen input is kept as-is so validate() can report it
             return a.reshape(shape) if a.size == np.prod(shape) else a
 
-        self.B = shaped(B, (n, n))
-        self.Gamma = shaped(Gamma, (n, m))
-        self.c = np.zeros(n) if c is None else shaped(c, (n,))
+        object.__setattr__(self, "B", shaped(B, (n, n)))
+        object.__setattr__(self, "Gamma", shaped(Gamma, (n, m)))
+        object.__setattr__(self, "c", np.zeros(n) if c is None else shaped(c, (n,)))
         for a in (self.B, self.Gamma, self.c):
             a.setflags(write=False)
-        self._cache = {}
+        object.__setattr__(self, "_cache", {})
 
     @property
     def endogenous_names(self) -> tuple:
@@ -273,9 +289,6 @@ class LinearScm:
             out[pos : pos + k, pos : pos + k] = b.cov
             pos += k
         return out
-
-    def coord_variances(self) -> np.ndarray:
-        return np.diag(self.noise_cov()).copy()
 
     def replace(self, **kwargs) -> "LinearScm":
         base = dict(endogenous=self.endogenous, blocks=self.blocks, B=self.B, Gamma=self.Gamma, c=self.c)
@@ -377,8 +390,8 @@ def _validate_finite(m: FiniteScm) -> list:
     return problems
 
 
-def _validate_linear(m: LinearScm, tol=None) -> list:
-    tol = tolerance(tol)
+def _validate_linear(m: LinearScm) -> list:
+    tol = tolerance()
     problems = []
     n = len(m.endogenous)
     coords = m.coord_names
@@ -486,8 +499,23 @@ def _finite_parents(m: FiniteScm, k: str) -> frozenset:
     return cache[k]
 
 
-def _linear_parents(m: LinearScm, k: str, tol=None) -> frozenset:
-    tol = tolerance(tol)
+def _zero_variance_level(cov) -> float:
+    """Variances and eigenvalues of a noise block at or below this level count
+    as zero: the tolerance times the block's largest eigenvalue, so the
+    verdict does not depend on the scale of the noise.  An all-zero block has
+    level 0, and all its coordinates count as zero."""
+    top = np.linalg.eigvalsh((cov + cov.T) / 2).max(initial=0.0)
+    return tolerance() * max(top, 0.0)
+
+
+def _zero_variance_coords(m: LinearScm) -> np.ndarray:
+    """Per noise coordinate, in ``coord_names`` order: is its variance zero?"""
+    zero = [np.diag(b.cov) <= _zero_variance_level(b.cov) for b in m.blocks]
+    return np.concatenate(zero) if zero else np.zeros(0, dtype=bool)
+
+
+def _linear_parents(m: LinearScm, k: str) -> frozenset:
+    tol = tolerance()
     if k not in m.endogenous:
         raise UnknownNameError(f"unknown endogenous index {k!r}")
     cache = m._cache.setdefault("parents", {})
@@ -505,12 +533,12 @@ def _linear_parents(m: LinearScm, k: str, tol=None) -> frozenset:
             continue
         if abs(m.B[ki, j] * scale) > tol:
             parents.add(name)
-    variances = m.coord_variances()
+    zero = _zero_variance_coords(m)
     coords = m.coord_names
     for b in m.blocks:
         for c in b.coords:
             ci = coords.index(c)
-            if abs(m.Gamma[ki, ci] * scale) > tol and variances[ci] > tol:
+            if abs(m.Gamma[ki, ci] * scale) > tol and not zero[ci]:
                 parents.add(b.name)
                 break
     cache[k] = frozenset(parents)
@@ -669,19 +697,17 @@ def _canonicalize_finite(m: FiniteScm) -> FiniteScm:
     return FiniteScm(m.endogenous, m.exogenous, m.measure, mechanisms, expressions)
 
 
-def _canonicalize_linear(m: LinearScm, tol=None) -> LinearScm:
-    tol = tolerance(tol)
+def _canonicalize_linear(m: LinearScm) -> LinearScm:
+    tol = tolerance()
     B = m.B.copy()
     Gamma = m.Gamma.copy()
     c = m.c.copy()
-    variances = m.coord_variances()
     mean = m.noise_mean()
     # a zero-variance coordinate is a.s. constant: fold its contribution into
     # the intercept so the coefficient can be dropped
-    for ci in range(len(variances)):
-        if variances[ci] <= tol:
-            c += Gamma[:, ci] * mean[ci]
-            Gamma[:, ci] = 0.0
+    for ci in np.flatnonzero(_zero_variance_coords(m)):
+        c += Gamma[:, ci] * mean[ci]
+        Gamma[:, ci] = 0.0
     for ki in range(len(m.endogenous)):
         bkk = B[ki, ki]
         if abs(bkk - 1.0) <= tol:

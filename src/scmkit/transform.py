@@ -95,9 +95,6 @@ def marginalize(m, latent):
     NotUniquelySolvable with a witness otherwise.
     """
     latent = set([latent]) if isinstance(latent, str) else set(latent)
-    unknown = latent - set(m.endogenous_names)
-    if unknown:
-        raise UnknownNameError(f"unknown endogenous index(es): {sorted(unknown)}")
     if not latent:
         return m.replace()
     if isinstance(m, FiniteScm):
@@ -124,16 +121,14 @@ def marginalize(m, latent):
         expressions = {i: x for i, x in m.expressions.items() if i in keep and mechanisms[i] is m.mechanisms[i]}
         return FiniteScm(endogenous, m.exogenous, m.measure, mechanisms, expressions)
     if isinstance(m, LinearScm):
-        sm = solve_map(m, latent)  # checks invertibility of I - B_LL
-        keep = [i for i in m.endogenous_names if i not in latent]
-        oi = [m.endo_index(i) for i in keep]
+        sm = solve_map(m, latent)
+        oi = [m.endo_index(i) for i in sm.endo_args]
         li = [m.endo_index(i) for i in sm.targets]
-        inv = np.linalg.inv(np.eye(len(li)) - m.B[np.ix_(li, li)])
         bol = m.B[np.ix_(oi, li)]
-        B = m.B[np.ix_(oi, oi)] + bol @ inv @ m.B[np.ix_(li, oi)]
-        Gamma = bol @ inv @ m.Gamma[li, :] + m.Gamma[oi, :]
-        c = m.c[oi] + bol @ inv @ m.c[li]
-        return LinearScm(tuple(keep), m.blocks, B, Gamma, c)
+        B = m.B[np.ix_(oi, oi)] + bol @ sm.A
+        Gamma = m.Gamma[oi, :] + bol @ sm.G
+        c = m.c[oi] + bol @ sm.d
+        return LinearScm(sm.endo_args, m.blocks, B, Gamma, c)
     raise ScmError(f"not an SCM: {m!r}")
 
 

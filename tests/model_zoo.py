@@ -497,6 +497,20 @@ def big_denominator_scm() -> FiniteScm:
     return FiniteScm(endo, exo, measure, mechanisms)
 
 
+# --- exhaustive oracles --------------------------------------------------------
+
+def exhaustive_fiber(m, subset, assign):
+    """Reference oracle: scan the full product of the subset domains."""
+    subset = tuple(n for n in m.endogenous_names if n in set(subset))
+    out = []
+    for combo in itertools.product(*(m.endogenous[o].values for o in subset)):
+        full = dict(assign)
+        full.update(zip(subset, combo))
+        if all(full[o] == m.mechanisms[o](full) for o in subset):
+            out.append(combo)
+    return sorted(out)
+
+
 # --- random model generation ---------------------------------------------------
 
 def random_finite_scm(rng: random.Random, max_endo=4, max_exo=2, max_card=3,
@@ -529,6 +543,43 @@ def random_finite_scm(rng: random.Random, max_endo=4, max_exo=2, max_card=3,
             table[combo] = rng.choice(codomain)
         mechanisms[i] = TabularMechanism(args, table)
     return FiniteScm(endo, exo, measure, mechanisms)
+
+
+def random_linear_scm(rng: random.Random, singular_cycle: bool) -> tuple:
+    """A linear model on 3-5 variables for the linear battery, and the one
+    pair ``(i, j)`` whose 2-cycle is the model's only cycle.
+
+    B is strictly lower triangular except for the upper entry B[i, j] with
+    j = i + 1, and one other variable carries a self-loop coefficient that is
+    neither 0 nor 1.  The only cycle of the coefficient graph is i <-> j, so
+    det(I - B_OO) = prod_{k in O} (1 - B[k, k]) * (1 - B[i, j] B[j, i]) if O
+    holds both i and j, and the same product without the last factor
+    otherwise.  With ``singular_cycle`` that factor is 0: a subset is singular
+    exactly when it holds both.  The noise is one correlated two-coordinate
+    block and one single coordinate, all with positive variance.
+    """
+    n = rng.randint(3, 5)
+    names = tuple(f"X{k}" for k in range(n))
+    B = [[0.0] * n for _ in range(n)]
+    for r in range(n):
+        for col in range(r):
+            if rng.random() < 0.6:
+                B[r][col] = rng.choice([-1.5, -1.0, -0.5, 0.5, 1.0, 2.0])
+    i = rng.randrange(n - 1)
+    j = i + 1
+    B[i][j] = rng.choice([-2.0, -0.5, 0.5, 2.0])
+    B[j][i] = 1.0 / B[i][j] if singular_cycle else rng.choice([-1.0, 0.25, 1.5])
+    k = rng.choice([v for v in range(n) if v not in (i, j)])
+    B[k][k] = rng.choice([-1.0, 0.5, 2.0])
+    rho = rng.choice([-0.6, 0.3, 0.8])
+    scale = rng.choice([0.5, 1.0, 3.0])
+    blocks = (
+        GaussianBlock("W", ("W1", "W2"), [0.5, -1.0], [[scale, rho * scale], [rho * scale, scale]]),
+        GaussianBlock("E", ("E",), [2.0], [[rng.choice([0.25, 1.0, 4.0])]]),
+    )
+    Gamma = [[rng.choice([0.0, 0.0, 1.0, -0.5, 2.0]) for _ in range(3)] for _ in range(n)]
+    c = [rng.choice([0.0, 1.0, -2.0]) for _ in range(n)]
+    return LinearScm(names, blocks, B, Gamma, c), (names[i], names[j])
 
 
 def random_interventions(rng: random.Random, m: FiniteScm, count=1):

@@ -10,17 +10,25 @@ from scmkit import (
     EvidenceError,
     FiniteDomain,
     FiniteScm,
+    GaussianBlock,
     GaussianDistribution,
     LinearScm,
     NotSolvable,
     NotUniquelySolvable,
     ScmError,
+    SolvabilityError,
     TabularMechanism,
+    UnknownNameError,
+    UnsupportedModelError,
+    augmented_graph,
+    canonicalize,
     counterfactual_distribution,
     fiber,
     gaussian_condition,
     intervene,
     interventional_distribution,
+    interventionally_equivalent,
+    marginalize,
     observational_distribution,
     observational_polytope,
     solvable_wrt,
@@ -32,18 +40,6 @@ from scmkit import (
 from scmkit.analysis import _fibers
 
 F = Fraction
-
-
-def exhaustive_fiber(m, subset, assign):
-    """Reference oracle: scan the full product of the subset domains."""
-    subset = tuple(n for n in m.endogenous_names if n in set(subset))
-    out = []
-    for combo in itertools.product(*(m.endogenous[o].values for o in subset)):
-        full = dict(assign)
-        full.update(zip(subset, combo))
-        if all(full[o] == m.mechanisms[o](full) for o in subset):
-            out.append(combo)
-    return sorted(out)
 
 
 class TestFiber:
@@ -86,7 +82,9 @@ class TestFiber:
                    for i in names if i not in subset}
             assign = {**exo_assign, **ctx}
             subset_sorted = tuple(n for n in m.endogenous_names if n in subset)
-            assert sorted(_fibers(m, subset_sorted, assign)) == exhaustive_fiber(m, subset, assign)
+            oracle = zoo.exhaustive_fiber(m, subset, assign)
+            assert sorted(_fibers(m, subset_sorted, assign)) == oracle
+            assert fiber(m, subset, exo_assign, ctx) == frozenset(oracle)
 
 
 class TestSolvability:
@@ -107,6 +105,28 @@ class TestSolvability:
         assert dets[0] == pytest.approx(1.0, abs=1e-12)
         assert dets[1] == pytest.approx(0.0, abs=1e-12)
         assert abs(dets[2]) > 1e-9
+
+    @pytest.mark.parametrize("check", [uniquely_solvable_wrt, solvable_wrt, solve_map])
+    def test_linear_path_rejects_unknown_names(self, check):
+        with pytest.raises(UnknownNameError):
+            check(zoo.interventions_linear(), ["nope"])
+
+    def test_noise_scale_changes_neither_graph_nor_solvability(self):
+        # zero variance is judged relative to the noise block, so a model and
+        # its rescaled copy get the same parents and the same verdicts
+        answers = []
+        for var in (1e-10, 1.0, 1e10):
+            blocks = tuple(GaussianBlock(e, (e,), [0.0], [[var]]) for e in ("E1", "E2"))
+            chain = LinearScm(("X", "Y"), blocks, [[0, 0], [1, 0]], [[1, 0], [0, 1]])
+            cycle = LinearScm(("X", "Y"), blocks, [[0, 1], [1, 0]], [[1, 0], [0, 1]])
+            answers.append((
+                augmented_graph(chain),
+                bool(solvable_wrt(cycle, ["X", "Y"])),
+                bool(uniquely_solvable_wrt(cycle, ["X", "Y"])),
+            ))
+        assert answers[0] == answers[1] == answers[2]
+        assert answers[1][0].directed == {("E1", "X"), ("E2", "Y"), ("X", "Y")}
+        assert answers[1][1:] == (False, False)
 
     def test_solvability_properties_example(self):
         m = zoo.solvability_props()
@@ -311,6 +331,84 @@ class TestSolveMap:
                     + sm_lin.d[0]
                 )
                 assert got == lin_value
+
+
+def _solve_oracle(m, subset):
+    """(A, G, d) of the solve map of ``subset`` by np.linalg.solve."""
+    idx = [m.endogenous.index(o) for o in subset]
+    rest = [k for k in range(len(m.endogenous)) if k not in idx]
+    rhs = np.hstack([m.B[np.ix_(idx, rest)], m.Gamma[idx, :], m.c[idx].reshape(-1, 1)])
+    sol = np.linalg.solve(np.eye(len(idx)) - m.B[np.ix_(idx, idx)], rhs)
+    return sol[:, : len(rest)], sol[:, len(rest) : -1], sol[:, -1]
+
+
+class TestLinearBattery:
+    """Seeded linear models on 3-5 variables, each with a self-loop
+    coefficient, a 2-cycle (singular in every other model) and a correlated
+    two-coordinate noise block; see ``zoo.random_linear_scm``."""
+
+    @pytest.fixture(scope="class")
+    def battery(self):
+        rng = random.Random(41)
+        return [(*zoo.random_linear_scm(rng, k % 2 == 0), k % 2 == 0) for k in range(12)]
+
+    def test_solve_map_matches_solve_oracle_on_every_subset(self, battery):
+        for m, cycle, singular_cycle in battery:
+            for r in range(len(m.endogenous) + 1):
+                for subset in itertools.combinations(m.endogenous, r):
+                    singular = singular_cycle and set(cycle) <= set(subset)
+                    assert bool(uniquely_solvable_wrt(m, subset)) != singular
+                    if singular:
+                        with pytest.raises(NotUniquelySolvable):
+                            solve_map(m, subset)
+                        continue
+                    sm = solve_map(m, subset)
+                    assert sm.targets == subset
+                    assert sm.endo_args == tuple(v for v in m.endogenous if v not in subset)
+                    for got, want in zip((sm.A, sm.G, sm.d), _solve_oracle(m, subset)):
+                        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_observational_distribution_solves_the_moment_equations(self, battery):
+        for m, _, singular in battery:
+            if singular:
+                with pytest.raises(SolvabilityError):
+                    observational_distribution(m)
+                continue
+            dist = observational_distribution(m)
+            lhs = np.eye(len(m.endogenous)) - m.B
+            np.testing.assert_allclose(
+                lhs @ dist.mean, m.Gamma @ m.noise_mean() + m.c, rtol=1e-9, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                lhs @ dist.cov @ lhs.T, m.Gamma @ m.noise_cov() @ m.Gamma.T, rtol=1e-9, atol=1e-9
+            )
+
+    def test_marginalization_keeps_the_law_and_the_interventions(self, battery):
+        for m, _, singular in battery:
+            if singular:
+                continue
+            full = observational_distribution(m)
+            for r in range(1, len(m.endogenous)):
+                for latent in itertools.combinations(m.endogenous, r):
+                    rest = tuple(v for v in m.endogenous if v not in latent)
+                    marg = marginalize(m, latent)
+                    assert marg.endogenous == rest
+                    assert observational_distribution(marg).close_to(full.marginal(rest))
+                    assert interventionally_equivalent(m, marg, rest).verdict
+
+    def test_interventional_equivalence_of_the_canonical_form(self, battery):
+        rng = random.Random(43)
+        for m, _, singular in battery:
+            names = m.endogenous
+            if singular:
+                with pytest.raises(UnsupportedModelError):
+                    interventionally_equivalent(m, canonicalize(m), names)
+                continue
+            assert interventionally_equivalent(m, canonicalize(m), names).verdict
+            r, col = rng.sample(range(len(names)), 2)
+            B = m.B.copy()
+            B[r, col] += 0.25
+            assert not interventionally_equivalent(m, m.replace(B=B), names).verdict
 
 
 class TestObservationalDistribution:

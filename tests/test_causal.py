@@ -47,6 +47,15 @@ class TestObservationalEquivalence:
         assert not rep.verdict
         assert rep.witness["right"] == "no solution"
 
+    def test_unique_laws_are_compared_directly(self):
+        # uniquely solvable on both sides: one law each, and the witness is
+        # the pair of laws, not two vertex lists
+        m, other = zoo.direct_cause_example(), zoo.direct_cause_example(F(1, 3))
+        rep = observationally_equivalent(m, other, m.endogenous_names)
+        assert not rep.verdict
+        assert rep.witness["left"]["vars"] == list(m.endogenous_names)
+        assert rep.witness["left"]["probs"] != rep.witness["right"]["probs"]
+
     def test_polytope_hull_comparison(self):
         # a fair mixture over two fixed points is reachable from either side
         m = zoo.intervention_unique()

@@ -16,7 +16,6 @@ from scmkit import (
     UnknownNameError,
     conditional_independent,
     d_separated,
-    fiber,
     functional_graph,
     observational_distribution,
     sigma_separated,
@@ -64,7 +63,7 @@ def check_against_oracles(m, report):
         verdicts[not e.independent] += 1
     endo = m.endogenous_names
     for e_assign, _ in _support_assignments(m, m.exogenous_names):
-        assert sorted(_fibers(m, endo, e_assign)) == sorted(fiber(m, endo, e_assign)), e_assign
+        assert sorted(_fibers(m, endo, e_assign)) == zoo.exhaustive_fiber(m, endo, e_assign), e_assign
     return verdicts
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -224,6 +226,27 @@ class TestGraphs:
         changed = m.replace(mechanisms={**m.mechanisms, "X3": TabularMechanism.constant(0)})
         assert ("X2", "X3") not in functional_graph(changed).directed
         assert ("X2", "X3") in functional_graph(m).directed
+
+    def test_attributes_cannot_be_rebound(self):
+        corpus = Path(__file__).parent / "corpus"
+        m = parse((corpus / "ex_chain.scm").read_text())
+        lm = parse((corpus / "ex_lingauss.scm").read_text())
+        assert ("X2", "X3") in functional_graph(m).directed
+        assert ("X2", "X1") in functional_graph(lm).directed
+        rebindings = [
+            (m, "mechanisms", {**m.mechanisms, "X3": TabularMechanism.constant(0)}),
+            (m, "_cache", {}),
+            (lm, "B", lm.B * 0),
+            (lm, "_cache", {}),
+            (m.mechanisms["X3"], "table", {(0,): 0, (1,): 0}),
+        ]
+        for obj, name, value in rebindings:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+        assert ("X2", "X3") in functional_graph(m).directed
+        assert ("X2", "X1") in functional_graph(lm).directed
+        mech = m.mechanisms["X3"]
+        assert copy.copy(mech) == pickle.loads(pickle.dumps(mech)) == mech
 
     def test_functional_graph_directed_part_is_induced(self):
         m = zoo.augmented_example()
