@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from .config import REGULARIZATION_CONDITION, tolerance
+from .config import REGULARIZATION_CONDITION, np, tolerance
 from .errors import (
     EvidenceError,
     NotSolvable,
@@ -89,6 +87,10 @@ class DiscreteDistribution:
             raise ScmError(f"distribution not normalized: sums to {total}")
         self.probs = MappingProxyType(cleaned)
         self._counts = None
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; ``probs`` is a read-only view
+        return DiscreteDistribution, (self.vars, self.domains, dict(self.probs))
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteDistribution):
@@ -229,7 +231,6 @@ class SelectorPolytope:
 
     vars: tuple
     vertices: tuple
-    fibers: dict = field(repr=False, default_factory=dict)
 
     @property
     def unique(self) -> bool:
@@ -667,7 +668,6 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
             raise ScmError(f"selector polytope overflow: more than {max_selectors} candidate selectors")
     vertices = []
     seen = set()
-    fibers = {i: tuple(sols) for i, (_, sols) in enumerate(points)}
     for choice in itertools.product(*(sols for _, sols in points)):
         probs = {}
         for (p, _), cell in zip(points, choice):
@@ -678,7 +678,7 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
             seen.add(key)
             vertices.append(dist)
     vertices.sort(key=lambda d: sorted((tuple(map(str, c)), str(p)) for c, p in d.probs.items()))
-    return SelectorPolytope(vars=endo, vertices=tuple(vertices), fibers=fibers)
+    return SelectorPolytope(vars=endo, vertices=tuple(vertices))
 
 
 def interventional_distribution(m, intervention: Mapping[str, object]):

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .analysis import (
     DiscreteDistribution,
     observational_distribution,
@@ -22,7 +20,7 @@ from .analysis import (
     solve_map,
     structurally_uniquely_solvable,
 )
-from .config import tolerance
+from .config import np, tolerance
 from .errors import (
     DomainMismatchError,
     NotSolvable,

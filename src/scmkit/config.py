@@ -1,6 +1,8 @@
-"""Numeric tolerance for the linear-Gaussian path.
+"""Numeric settings of the linear-Gaussian path, and ``np``, its numpy handle.
 
 Finite-domain computations are exact (rationals) and never consult this.
+``np`` imports numpy on its first attribute access, so finite-model and graph
+work never loads it; modules use it in place of ``import numpy as np``.
 """
 
 import os
@@ -10,6 +12,22 @@ DEFAULT_TOLERANCE = 1e-9
 #: Condition-number threshold above which Gaussian conditioning regularizes
 #: the observed block instead of inverting it directly.
 REGULARIZATION_CONDITION = 1e12
+
+
+class _Numpy:
+    """Stands in for the numpy module.  The first access to a name imports
+    numpy and stores the attribute in the instance dict, so every later
+    access is a plain attribute lookup."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        self.__dict__[name] = value
+        return value
+
+
+np = _Numpy()
 
 
 def tolerance(tol=None):

@@ -16,9 +16,7 @@ import itertools
 import re
 from fractions import Fraction
 
-import numpy as np
-
-from .config import tolerance
+from .config import np, tolerance
 from .errors import ParseError, ScmError, TabulationError
 from .scm import (
     FiniteDomain,

@@ -12,18 +12,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .analysis import (
     DiscreteDistribution,
     GaussianDistribution,
     observational_distribution,
     uniquely_solvable_wrt,
 )
-from .config import tolerance
+from .config import np, tolerance
 from .errors import ScmError, SolvabilityError, UnknownNameError
 from .graph import d_separated, sigma_separated
-from .scm import functional_graph
+from .scm import LinearScm, functional_graph
 
 __all__ = ["MarkovReport", "conditional_independent", "verify_markov"]
 
@@ -98,7 +96,12 @@ class MarkovEntry:
 
 @dataclass
 class MarkovReport:
+    """``premise`` names the case that licenses the property checked:
+    ``"acyclic"`` or ``"linear"`` (d only), or ``"scc_unique"``, unique
+    solvability w.r.t. each strongly connected component."""
+
     kind: str
+    premise: str
     entries: list = field(default_factory=list)
 
     @property
@@ -112,6 +115,7 @@ class MarkovReport:
     def to_json_obj(self) -> dict:
         return {
             "kind": self.kind,
+            "premise": self.premise,
             "violations": len(self.violations),
             "entries": [
                 {
@@ -133,8 +137,30 @@ class MarkovReport:
                 f"{','.join(e.a):<12} {','.join(e.b):<12} {','.join(e.s) or '-':<18} "
                 f"{str(e.separated):<5} {str(e.independent):<5} {'YES' if e.violation else ''}"
             )
-        lines.append(f"violations: {len(self.violations)} / {len(self.entries)} triples ({self.kind})")
+        lines.append(
+            f"violations: {len(self.violations)} / {len(self.entries)} triples "
+            f"({self.kind}, premise: {self.premise})"
+        )
         return "\n".join(lines)
+
+
+def _premise(m, graph, kind: str) -> str:
+    """The case of the Markov theorem that applies to ``m``: the d-case
+    accepts an acyclic graph or a linear model outright; otherwise every
+    strongly connected component must be uniquely solvable."""
+    if kind == "d":
+        if graph.is_acyclic():
+            return "acyclic"
+        if isinstance(m, LinearScm):
+            return "linear"
+    for comp in {graph.scc_map()[n] for n in graph.nodes}:
+        res = uniquely_solvable_wrt(m, sorted(comp))
+        if not res:
+            raise SolvabilityError(
+                comp, res.witness,
+                f"not uniquely solvable w.r.t. the strongly connected component {sorted(comp)}",
+            )
+    return "scc_unique"
 
 
 def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_subsets: bool = False) -> MarkovReport:
@@ -143,12 +169,14 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
 
     kind="sigma" checks the general directed global Markov property and
     requires unique solvability with respect to each strongly connected
-    component (checked here).  kind="d" checks the stronger directed global
-    Markov property; its extra preconditions (linear with density, discrete,
-    or acyclic) are asserted by the caller.  The discrete d-case would in
-    fact hold under a weaker premise (unique solvability w.r.t. each
-    ancestral subgraph); only the stronger per-component condition is
-    implemented and relied on here.
+    component.  kind="d" checks the stronger directed global Markov property
+    and requires an acyclic functional graph, a linear model, or a finite
+    model uniquely solvable w.r.t. each strongly connected component.  The
+    premise is checked here, recorded as ``MarkovReport.premise``, and a
+    model meeting none raises ``SolvabilityError`` naming a failing
+    component.  The discrete d-case would in fact hold under a weaker
+    premise (unique solvability w.r.t. each ancestral subgraph); only the
+    stronger per-component condition is implemented and relied on here.
 
     By default A and B range over singletons, which suffices at desk scale;
     ``full_subsets=True`` enumerates all disjoint subset pairs (exponential).
@@ -163,21 +191,14 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")
     graph = functional_graph(m)
-    if kind == "sigma":
-        for comp in {graph.scc_map()[n] for n in graph.nodes}:
-            res = uniquely_solvable_wrt(m, sorted(comp))
-            if not res:
-                raise SolvabilityError(
-                    comp, res.witness,
-                    f"not uniquely solvable w.r.t. the strongly connected component {sorted(comp)}",
-                )
+    premise = _premise(m, graph, kind)
     dist = observational_distribution(m)
     names = m.endogenous_names
     if max_conditioning is None:
         max_conditioning = len(names)
     separated = sigma_separated if kind == "sigma" else d_separated
 
-    report = MarkovReport(kind=kind)
+    report = MarkovReport(kind=kind, premise=premise)
     if full_subsets:
         pairs = []
         for ra in range(1, len(names)):

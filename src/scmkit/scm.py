@@ -16,9 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from .config import tolerance
+from .config import np, tolerance
 from .errors import DomainMismatchError, ScmError, UnknownNameError
 from .graph import MixedGraph
 
@@ -156,6 +154,13 @@ class FiniteScm(_Frozen):
         """Values of exogenous index ``j`` with positive probability, in domain order."""
         table = self.measure[j]
         return tuple(v for v in self.exogenous[j].values if table.get(v, 0) > 0)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__ from plain dicts; the
+        # derived ``_cache`` does not travel
+        measure = {j: dict(t) for j, t in self.measure.items()}
+        return FiniteScm, (dict(self.endogenous), dict(self.exogenous), measure,
+                           dict(self.mechanisms), dict(self.expressions))
 
     def replace(self, **kwargs) -> "FiniteScm":
         base = dict(

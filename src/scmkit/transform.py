@@ -6,9 +6,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-import numpy as np
-
 from .analysis import solve_map
+from .config import np
 from .errors import ScmError, UnknownNameError
 from .scm import FiniteScm, LinearScm, TabularMechanism
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import string
 from fractions import Fraction
@@ -14,9 +16,11 @@ from scmkit import (
     ParseError,
     ScmError,
     TabulationError,
+    functional_graph,
     intervene,
     marginalize,
     mechanisms_equivalent,
+    observational_distribution,
     parse,
     serialize,
 )
@@ -77,6 +81,23 @@ class TestCorpus:
         assert models_agree(model, reparsed)
         # canonical form is a fixed point of parse . serialize
         assert serialize(reparsed) == canonical
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+    def test_pickle_and_deepcopy_round_trip(self, path):
+        model = parse(path.read_text())
+        functional_graph(model)  # fills the per-model cache
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert serialize(copied) == serialize(model)
+            if isinstance(model, FiniteScm):
+                assert copied._cache == {}
+        if isinstance(model, FiniteScm):
+            try:
+                dist = observational_distribution(model)
+            except ScmError:
+                return
+            for copied in (pickle.loads(pickle.dumps(dist)), copy.deepcopy(dist)):
+                assert copied == dist
+                assert copied.domains == dist.domains
 
     def test_corpus_is_nonempty(self):
         assert len(CORPUS) >= 20

@@ -168,8 +168,23 @@ class TestVerifyMarkov:
 
     def test_precondition_failure_names_component(self):
         _, m_tilde = zoo.nonunique_selfloop_pair()
-        with pytest.raises(SolvabilityError):
-            verify_markov(m_tilde, kind="sigma")
+        for kind in ("sigma", "d"):
+            with pytest.raises(SolvabilityError, match=r"component \['X2'\]"):
+                verify_markov(m_tilde, kind=kind)
+
+    @pytest.mark.parametrize("build, premise", [
+        (zoo.chain_substitution, "acyclic"),
+        (zoo.lin_gauss_anm, "linear"),
+        (zoo.cycle4_scm, "scc_unique"),
+        (zoo.ladder_scm, "scc_unique"),
+        (zoo.ternary_ring_scm, "scc_unique"),
+    ])
+    def test_d_premise_is_recorded(self, build, premise):
+        report = verify_markov(build(), kind="d", max_conditioning=2)
+        assert report.premise == premise
+        assert report.to_json_obj()["premise"] == premise
+        assert report.ok
+        assert verify_markov(build(), kind="sigma", max_conditioning=0).premise == "scc_unique"
 
     def test_unknown_kind(self):
         with pytest.raises(ScmError):
