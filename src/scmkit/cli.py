@@ -14,6 +14,7 @@ import sys
 import traceback
 
 from . import analysis, causal, dsl, markov, transform
+from .config import np
 from .errors import ScmError
 from .graph import MixedGraph, d_separated, sigma_separated
 from .scm import FiniteScm, augmented_graph, functional_graph
@@ -292,6 +293,10 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
+    """The ``scmkit`` command.  It loads numpy before reading its arguments,
+    so a call's start-up cost does not depend on whether the files it reads
+    are finite or linear; ``run`` loads numpy only when the command needs it."""
+    np.ndarray  # the handle imports numpy on first access
     sys.exit(run())
 
 

@@ -1,5 +1,7 @@
 """numpy is imported on first use by the linear path only: finite models,
-graphs and their CLI calls run without it."""
+graphs and in-process CLI calls (``cli.run``) run without it.  The
+``scmkit`` command (``cli.main``) loads it up front, so its start-up cost is
+the same for finite and linear files."""
 
 import os
 import subprocess
@@ -45,5 +47,27 @@ assert numpy_loaded(), "the linear path loads numpy"
 def test_finite_and_graph_work_never_imports_numpy():
     env = dict(os.environ, PYTHONPATH=str(Path(scmkit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(CORPUS)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+MAIN_SCRIPT = """
+import contextlib, io, sys
+from scmkit import cli
+
+assert "numpy" not in sys.modules, "import scmkit.cli"
+sys.argv = ["scmkit", "parse", sys.argv[1]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main()
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+assert "numpy" in sys.modules, "the scmkit command loads numpy up front"
+"""
+
+
+def test_command_loads_numpy_for_finite_files_too():
+    env = dict(os.environ, PYTHONPATH=str(Path(scmkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, str(CORPUS / "ex_chain.scm")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
