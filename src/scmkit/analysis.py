@@ -209,15 +209,29 @@ class GaussianDistribution:
         )
 
     def close_to(self, other: "GaussianDistribution", tol=None) -> bool:
-        tol = tolerance(tol)
-        return (
-            self.vars == other.vars
-            and np.allclose(self.mean, other.mean, atol=tol)
-            and np.allclose(self.cov, other.cov, atol=tol)
+        """Equal up to ``tol`` in each variable's own units: the scale of a
+        variable is the larger of its two variances (see ``_gaussians_agree``)."""
+        return self.vars == other.vars and _gaussians_agree(
+            self.mean, self.cov, other.mean, other.cov, tolerance(tol),
+            np.maximum(np.diag(self.cov), np.diag(other.cov)),
         )
 
     def to_json_obj(self) -> dict:
         return {"vars": list(self.vars), "mean": self.mean.tolist(), "cov": self.cov.tolist()}
+
+
+def _gaussians_agree(mean1, cov1, mean2, cov2, tol, scale) -> bool:
+    """Do two Gaussian laws agree up to ``tol`` in the units of each
+    variable, ``scale[i]`` being the variance that sets variable i's unit?
+    Covariance ``(i, j)`` must agree within ``tol * sqrt(scale[i] *
+    scale[j])`` and mean ``i`` within ``tol`` times the largest of its two
+    values and ``sqrt(scale[i])``, so that a variable of large variance hides
+    no difference in one of small variance, and rescaling the noise leaves
+    the verdict unchanged."""
+    sd = np.sqrt(np.maximum(scale, 0.0))
+    top = np.maximum(np.maximum(np.abs(mean1), np.abs(mean2)), sd)
+    return bool(np.all(np.abs(cov1 - cov2) <= tol * np.outer(sd, sd))
+                and np.all(np.abs(mean1 - mean2) <= tol * top))
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Observational equivalence of finite SCMs compares the full sets of achievable
 marginal distributions: the convex hulls of the selector-polytope vertices,
-decided by exact rational linear feasibility.  Interventional equivalence
+decided by an exact phase-1 simplex on integers.  Interventional equivalence
 quantifies over all perfect interventions inside the margin; counterfactual
 equivalence is interventional equivalence of the twin models.
 """
@@ -10,12 +10,13 @@ equivalence is interventional equivalence of the twin models.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import (
     DiscreteDistribution,
-    observational_distribution,
+    _gaussians_agree,
     observational_polytope,
     solve_map,
     structurally_uniquely_solvable,
@@ -66,55 +67,69 @@ class EquivalenceReport:
 
 # --- exact convex-hull membership ------------------------------------------
 
-def _lp_feasible(rows, rhs):
-    """Exact feasibility of ``rows @ x = rhs, x >= 0`` via a phase-1 simplex
-    with Bland's rule (all arithmetic in Fractions)."""
+def _lp_feasible(rows, rhs) -> bool:
+    """Exact feasibility of ``rows @ x = rhs, x >= 0`` (entries ``int`` or
+    ``Fraction``): is the artificial sum 0 at the phase-1 optimum?"""
+    return _phase1(rows, rhs)[1][-1] == 0
+
+
+def _phase1(rows, rhs):
+    """Phase-1 simplex with Bland's rule for ``rows @ x = rhs, x >= 0``,
+    pivoting fraction-free on integers; returns the final ``(tableau, obj,
+    basis, det)``.  ``_lp_feasible`` reads only the verdict off ``obj``; the
+    rest is returned so that the tests can compare each tableau with the
+    rational oracle's.
+
+    Each row of ``rows | rhs`` is scaled to integers by the lcm of its
+    denominators, its sign making the right-hand side non-negative; its
+    artificial column stays 1, since scaling a row only rescales its
+    artificial variable.  Every tableau and objective entry is then an
+    ``int`` over ``det``, the determinant of the current basis.  A pivot on
+    ``p`` maps each other row's entry ``a`` to ``(a*p - f*b) // det``, which
+    divides exactly (Bareiss), and sets ``det = p > 0``; so reduced costs have
+    the signs of their integers and ratios compare by cross-multiplication.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    total = ncols + nrows
     tableau = []
     for r in range(nrows):
-        row = [Fraction(x) for x in rows[r]]
-        b = Fraction(rhs[r])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        art = [Fraction(0)] * nrows
-        art[r] = Fraction(1)
-        tableau.append(row + art + [b])
-    total = ncols + nrows
-    basis = [ncols + r for r in range(nrows)]
-    # reduced costs for minimizing the artificial sum
-    obj = [Fraction(0)] * (total + 1)
-    for j in range(ncols, total):
-        obj[j] = Fraction(1)
-    for row in tableau:
-        for j in range(total + 1):
-            obj[j] -= row[j]
+        vals = [*rows[r], rhs[r]]
+        scale = math.lcm(*(x.denominator for x in vals))
+        if vals[-1] < 0:
+            scale = -scale
+        ints = [x.numerator * (scale // x.denominator) for x in vals]
+        art = [0] * nrows
+        art[r] = 1
+        tableau.append(ints[:-1] + art + ints[-1:])
+    # reduced costs for minimizing the artificial sum: 1 on the artificial
+    # columns minus the sum of the rows, which cancels there
+    obj = [-sum(col) for col in zip(*tableau)] if tableau else [0]
+    obj[ncols:total] = [0] * nrows
+    basis = list(range(ncols, total))
+    det = 1
     while True:
         enter = next((j for j in range(total) if obj[j] < 0), None)
         if enter is None:
             break
-        best = None
-        for r in range(nrows):
-            coef = tableau[r][enter]
-            if coef > 0:
-                ratio = tableau[r][total] / coef
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
-        if best is None:  # pragma: no cover - phase-1 objective is bounded
+        r = None
+        for i, row in enumerate(tableau):
+            c = row[enter]
+            if c > 0 and (r is None or row[-1] * pc < pb * c
+                          or (row[-1] * pc == pb * c and basis[i] < basis[r])):
+                r, pb, pc = i, row[-1], c
+        if r is None:  # pragma: no cover - phase-1 objective is bounded
             raise AssertionError("unbounded phase-1 simplex")
-        r = best[1]
-        pivot = tableau[r][enter]
-        tableau[r] = [x / pivot for x in tableau[r]]
-        for rr in range(nrows):
-            if rr != r and tableau[rr][enter]:
-                factor = tableau[rr][enter]
-                tableau[rr] = [a - factor * b for a, b in zip(tableau[rr], tableau[r])]
-        if obj[enter]:
-            factor = obj[enter]
-            obj = [a - factor * b for a, b in zip(obj, tableau[r])]
+        prow = tableau[r]
+        for i, row in enumerate(tableau):
+            if i != r:
+                f = row[enter]
+                tableau[i] = [(a * pc - f * b) // det for a, b in zip(row, prow)]
+        f = obj[enter]
+        obj = [(a * pc - f * b) // det for a, b in zip(obj, prow)]
+        det = pc
         basis[r] = enter
-    return -obj[total] == 0
+    return tableau, obj, basis, det
 
 
 def _hull_contains(vertices, target, cells) -> bool:
@@ -122,21 +137,27 @@ def _hull_contains(vertices, target, cells) -> bool:
     shared cell list)?  Exact."""
     if not vertices:
         return False
-    vecs = [[v.probs.get(cell, Fraction(0)) for v in vertices] for cell in cells]
-    rhs = [target.probs.get(cell, Fraction(0)) for cell in cells]
-    vecs.append([Fraction(1)] * len(vertices))
-    rhs.append(Fraction(1))
+    vecs = [[v.probs.get(cell, 0) for v in vertices] for cell in cells]
+    rhs = [target.probs.get(cell, 0) for cell in cells]
+    vecs.append([1] * len(vertices))
+    rhs.append(1)
     return _lp_feasible(vecs, rhs)
 
 
-def _hulls_equal(vs1, vs2) -> bool:
+def _first_outside(vs1, vs2):
+    """``None`` when the two vertex tuples span the same hull; otherwise
+    ``(side, vertex)`` for the first vertex, left side first, outside the
+    other side's hull.  A vertex the other side also lists needs no LP."""
     cells = sorted(
         {c for v in vs1 for c in v.probs} | {c for v in vs2 for c in v.probs},
         key=lambda cell: tuple(map(str, cell)),
     )
-    return all(_hull_contains(vs2, v, cells) for v in vs1) and all(
-        _hull_contains(vs1, v, cells) for v in vs2
-    )
+    for side, vs, other in (("left", vs1, vs2), ("right", vs2, vs1)):
+        shared = set(other)
+        for v in vs:
+            if v not in shared and not _hull_contains(other, v, cells):
+                return side, v
+    return None
 
 
 # --- observational equivalence ----------------------------------------------
@@ -188,26 +209,30 @@ def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
                 "observational", margin, False,
                 witness={"left": d1.to_json_obj(), "right": d2.to_json_obj()},
             )
-        if _hulls_equal(vs1, vs2):
+        outside = _first_outside(vs1, vs2)
+        if outside is None:
             return EquivalenceReport("observational", margin, True)
+        side, law = outside
         return EquivalenceReport(
             "observational", margin, False,
             witness={"left": [v.to_json_obj() for v in vs1],
-                     "right": [v.to_json_obj() for v in vs2]},
+                     "right": [v.to_json_obj() for v in vs2],
+                     "outside": {"side": side, "law": law.to_json_obj()}},
         )
     if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
-        try:
-            d1 = observational_distribution(m1).marginal(margin)
-            d2 = observational_distribution(m2).marginal(margin)
-        except SolvabilityError:
+        # the observational law is the law under do(), compared as every
+        # interventional one is
+        f1, f2 = _linear_do_law(m1, (), margin), _linear_do_law(m2, (), margin)
+        if f1 is None or f2 is None:
             raise UnsupportedModelError(
                 "linear observational equivalence needs both models uniquely solvable"
-            ) from None
-        if d1.close_to(d2):
+            )
+        if _do_laws_agree(f1, f2, tolerance()):
             return EquivalenceReport("observational", margin, True)
         return EquivalenceReport(
             "observational", margin, False,
-            witness={"left": d1.to_json_obj(), "right": d2.to_json_obj()},
+            witness={side: {"vars": list(margin), "mean": f[1].tolist(), "cov": f[2].tolist()}
+                     for side, f in (("left", f1), ("right", f2))},
         )
     raise DomainMismatchError("cannot compare models from different families")
 
@@ -222,33 +247,56 @@ def _intervention_patterns(margin):
 
 def _linear_do_law(m: LinearScm, targets, margin):
     """The law of the margin outside ``targets`` under do(targets = t), read
-    off the solve map of the other variables: ``(A, mean, cov)`` with mean
-    ``A t + mean`` and covariance ``cov``, columns of ``A`` in the order of
-    ``targets``; ``None`` when that subsystem is singular.  The targets
-    themselves equal the intervention values in every model."""
+    off the solve map of the other variables: ``(A, mean, cov, scale)`` with
+    mean ``A t + mean``, covariance ``cov`` and, per variable, ``scale`` the
+    variance its noise terms would give without cancelling, which bounds the
+    rounding in ``cov``; columns of ``A`` in the order of ``targets``.
+    ``None`` when that subsystem is singular.  The targets themselves equal
+    the intervention values in every model."""
     try:
         sm = solve_map(m, [v for v in m.endogenous_names if v not in targets])
     except NotUniquelySolvable:
         return None
     rows = [sm.targets.index(v) for v in margin if v not in targets]
     cols = [sm.endo_args.index(t) for t in targets]
-    G = sm.G[rows, :]
-    return sm.A[np.ix_(rows, cols)], G @ m.noise_mean() + sm.d[rows], G @ m.noise_cov() @ G.T
+    G, cov = sm.G[rows, :], m.noise_cov()
+    # a noise gain at or below the tolerance times max(1, the row's largest)
+    # is the rounding of a zero, as for the singular values of I - B_OO
+    level = tolerance() * np.maximum(1.0, np.abs(G).max(axis=1, initial=0.0))
+    G = np.where(np.abs(G) <= level[:, None], 0.0, G)
+    scale = np.diag(np.abs(G) @ np.abs(cov) @ np.abs(G).T)
+    return sm.A[np.ix_(rows, cols)], G @ m.noise_mean() + sm.d[rows], G @ cov @ G.T, scale
+
+
+def _do_laws_agree(f1, f2, tol) -> bool:
+    """Do two ``_linear_do_law`` results agree up to ``tol``?  Coefficients
+    within ``tol`` times max(1, their size); the Gaussian part per variable,
+    in the units of the larger of its two scales."""
+    (a1, mean1, cov1, scale1), (a2, mean2, cov2, scale2) = f1, f2
+    top = np.maximum(1.0, np.maximum(np.abs(a1), np.abs(a2)))
+    return bool(np.all(np.abs(a1 - a2) <= tol * top)) and _gaussians_agree(
+        mean1, cov1, mean2, cov2, tol, np.maximum(scale1, scale2)
+    )
 
 
 def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) -> EquivalenceReport:
     """Observational equivalence of the intervened pairs for every perfect
-    intervention inside the margin (all target subsets, all values)."""
+    intervention inside the margin (all target subsets, all values).  Finite
+    models raise ``ScmError`` before the first intervention when the count
+    of evaluations this needs exceeds ``max_evaluations``."""
     margin = _margin_names(m1, m2, margin)
     if isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm):
-        evaluations = 0
+        # every target subset, every value combination, both models
+        needed = 2 * math.prod(len(m1.endogenous[v].values) + 1 for v in margin)
+        if needed > max_evaluations:
+            raise ScmError(
+                f"interventional equivalence needs {needed} evaluations, "
+                f"over the cap max_evaluations={max_evaluations}"
+            )
         for targets in _intervention_patterns(margin):
             values = [m1.endogenous[t].values for t in targets]
             for combo in itertools.product(*values):
                 iv = dict(zip(targets, combo))
-                evaluations += 2
-                if evaluations > max_evaluations:
-                    raise ScmError(f"interventional equivalence cap exceeded ({max_evaluations} evaluations)")
                 rep = observationally_equivalent(intervene(m1, iv), intervene(m2, iv), margin)
                 if not rep:
                     shown = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in iv.items()}
@@ -273,7 +321,7 @@ def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
                              "left": "singular" if f1 is None else "unique",
                              "right": "singular" if f2 is None else "unique"},
                 )
-            if not all(np.allclose(a, b, atol=tol) for a, b in zip(f1, f2)):
+            if not _do_laws_agree(f1, f2, tol):
                 return EquivalenceReport(
                     "interventional", margin, False,
                     witness={"intervention_targets": list(targets)},

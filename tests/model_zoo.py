@@ -205,6 +205,19 @@ def interventional_equiv_hat() -> FiniteScm:
     return m.replace(mechanisms=mechs)
 
 
+def gated_selfloop(k=3, noise=(F(1, 3), F(2, 3)), q=F(1, 2)) -> FiniteScm:
+    """X = X when the gate G is 1 (probability ``q``), else E, with X on k
+    values and E on the first ``len(noise)`` of them.  With G = 1 every value
+    solves the equation, so the achievable laws form a polytope that moves
+    with ``q``."""
+    values = tuple(range(k))
+    endo = {"X": fd(*values)}
+    exo = {"G": fd(0, 1), "E": fd(*values[:len(noise)])}
+    measure = {"G": {0: 1 - q, 1: q}, "E": dict(zip(values, noise))}
+    mechanisms = {"X": tab({**endo, **exo}, ("X", "G", "E"), lambda X, G, E: X if G == 1 else E)}
+    return FiniteScm(endo, exo, measure, mechanisms)
+
+
 def direct_cause_example(p_plus=F(1, 2)) -> FiniteScm:
     dom = _pm_domains()
     endo = {"X1": dom, "X2": dom}

@@ -34,6 +34,11 @@ for name in ("ex_chain.scm", "ex_product_m.scm"):
     sk.sigma_separated(g, names[:1], names[-1:], names[1:-1])
     sk.d_separated(g, names[:1], names[-1:], names[1:-1])
     assert not numpy_loaded(), name
+# not uniquely solvable: the exact hull LP decides
+loop, loop_tilde = (sk.parse(open(f"{corpus}/{name}").read())
+                    for name in ("ex_nonunique_selfloop.scm", "ex_nonunique_selfloop_tilde.scm"))
+assert "outside" in sk.observationally_equivalent(loop, loop_tilde, ["X1", "X2"]).witness
+assert not numpy_loaded(), "equivalence LP"
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["parse", f"{corpus}/ex_chain.scm"]) == 0
     assert cli.run(["equiv", f"{corpus}/ex_product_m.scm", f"{corpus}/ex_product_tilde.scm",
