@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graph import MixedGraph
-from .scm import FiniteScm, LinearScm, canonicalize, functional_graph
+from .scm import FiniteScm, LinearScm, canonicalize, functional_graph, functional_parents
 from .transform import intervene, marginalize, twin
 
 __all__ = [
@@ -349,12 +349,12 @@ def _pointwise_distribution(m: FiniteScm, j: str, ctx: dict) -> DiscreteDistribu
     The table of j may formally take x_j as an argument even without a
     self-loop, so the unique fixed point is solved for rather than read off.
     """
-    from .analysis import _support_assignments
+    from .analysis import _support_assignments, _support_denominator
 
     mech = m.mechanisms[j]
     exo = tuple(a for a in mech.args if a in m.exogenous)
-    probs = {}
-    for e_assign, p in _support_assignments(m, exo):
+    weights = {}
+    for e_assign, n in _support_assignments(m, exo):
         assign = dict(ctx)
         assign.update(e_assign)
         if j in mech.args:
@@ -368,8 +368,9 @@ def _pointwise_distribution(m: FiniteScm, j: str, ctx: dict) -> DiscreteDistribu
             value = fixed[0]
         else:
             value = mech(assign)
-        probs[(value,)] = probs.get((value,), Fraction(0)) + p
-    return DiscreteDistribution((j,), {j: m.endogenous[j]}, probs)
+        weights[(value,)] = weights.get((value,), 0) + n
+    den = _support_denominator(m, exo)
+    return DiscreteDistribution((j,), {j: m.endogenous[j]}, {c: Fraction(n, den) for c, n in weights.items()})
 
 
 def is_direct_cause(m, i: str, j: str):
@@ -378,6 +379,10 @@ def is_direct_cause(m, i: str, j: str):
 
     Finite models return (verdict, witness) with the lexicographically first
     contrast found; linear models decide from the canonicalized coefficient.
+    The law of j under do(V minus j) reads only j's arguments: i outside j's
+    functional parents is no direct cause, and otherwise the contrasts range
+    over j's other declared arguments, every remaining variable held at its
+    first value, which is where the lexicographically first contrast has it.
     """
     if i == j:
         raise ScmError("direct causes are defined for distinct variables")
@@ -391,19 +396,19 @@ def is_direct_cause(m, i: str, j: str):
         raise ScmError(f"not an SCM: {m!r}")
     if i not in m.endogenous or j not in m.endogenous:
         raise ScmError(f"unknown variable in ({i}, {j})")
+    if i not in functional_parents(m, j):
+        return False, None
+    args = set(m.mechanisms[j].args)
     others = [v for v in m.endogenous_names if v not in (i, j)]
-    # the mechanism of j with all other variables fixed only involves j's
-    # declared arguments, so the clamped law is a direct pushforward
-    for ctx_combo in itertools.product(*(m.endogenous[v].values for v in others)):
-        ctx = dict(zip(others, ctx_combo))
-        dom = m.endogenous[i].values
-        for a_idx in range(len(dom)):
-            for b_idx in range(a_idx + 1, len(dom)):
-                left = _pointwise_distribution(m, j, {**ctx, i: dom[a_idx]})
-                right = _pointwise_distribution(m, j, {**ctx, i: dom[b_idx]})
-                if left != right:
-                    witness = ({**ctx, i: dom[a_idx]}, {**ctx, i: dom[b_idx]})
-                    return True, witness
+    ranged = [v for v in others if v in args]
+    ctx = {v: m.endogenous[v].first() for v in others}
+    dom = m.endogenous[i].values
+    for ctx_combo in itertools.product(*(m.endogenous[v].values for v in ranged)):
+        ctx.update(zip(ranged, ctx_combo))
+        laws = [_pointwise_distribution(m, j, {**ctx, i: x}) for x in dom]
+        for a_idx, b_idx in itertools.combinations(range(len(dom)), 2):
+            if laws[a_idx] != laws[b_idx]:
+                return True, ({**ctx, i: dom[a_idx]}, {**ctx, i: dom[b_idx]})
     return False, None
 
 

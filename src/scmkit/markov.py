@@ -184,9 +184,14 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     Finite models: the observational law is tabulated once as an integer
     tensor (``DiscreteDistribution.counts``), and each statement is an exact
     integer cross-product test on sums of it, with no tolerance.  The
-    precondition scan and the distribution share one brute-force solve per
-    component and distinct component input, cached on the model; the cache
-    is sound because models are frozen.
+    precondition scan enumerates, for each strongly connected component of
+    the functional graph, every support point of the noises it reads times
+    every context (values of the endogenous variables outside it that it
+    reads).  Each fiber there, and in the distribution, is solved per
+    component of the declared dependencies on a cycle cutset, so it costs
+    support x context x prod |D_f| over the cutset, per component.  The
+    scan and the distribution share these solves, cached on the model per
+    distinct component input; the cache is sound because models are frozen.
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")

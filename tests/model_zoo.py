@@ -513,7 +513,8 @@ def big_denominator_scm() -> FiniteScm:
 # --- exhaustive oracles --------------------------------------------------------
 
 def exhaustive_fiber(m, subset, assign):
-    """Reference oracle: scan the full product of the subset domains."""
+    """Reference oracle: scan the full product of the subset domains.  The
+    solutions come in that product's order, the subset in declaration order."""
     subset = tuple(n for n in m.endogenous_names if n in set(subset))
     out = []
     for combo in itertools.product(*(m.endogenous[o].values for o in subset)):
@@ -521,7 +522,43 @@ def exhaustive_fiber(m, subset, assign):
         full.update(zip(subset, combo))
         if all(full[o] == m.mechanisms[o](full) for o in subset):
             out.append(combo)
-    return sorted(out)
+    return out
+
+
+def exhaustive_direct_cause(m, i, j):
+    """Reference oracle for ``is_direct_cause`` on finite models: every
+    context of all other variables, in product order, each contrast of two
+    values of i."""
+    from scmkit.causal import _pointwise_distribution
+
+    others = [v for v in m.endogenous_names if v not in (i, j)]
+    dom = m.endogenous[i].values
+    for ctx_combo in itertools.product(*(m.endogenous[v].values for v in others)):
+        ctx = dict(zip(others, ctx_combo))
+        for a_idx in range(len(dom)):
+            for b_idx in range(a_idx + 1, len(dom)):
+                left = _pointwise_distribution(m, j, {**ctx, i: dom[a_idx]})
+                right = _pointwise_distribution(m, j, {**ctx, i: dom[b_idx]})
+                if left != right:
+                    return True, ({**ctx, i: dom[a_idx]}, {**ctx, i: dom[b_idx]})
+    return False, None
+
+
+def fraction_distribution(m):
+    """Reference oracle for the finite observational law: a ``Fraction``
+    product per support point, summed per cell, each cell solved by
+    ``exhaustive_fiber``.  ``None`` where some fiber is not a singleton."""
+    names = m.exogenous_names
+    probs = {}
+    for combo in itertools.product(*(m.support(j) for j in names)):
+        p = F(1)
+        for j, v in zip(names, combo):
+            p *= F(m.measure[j][v])
+        sols = exhaustive_fiber(m, m.endogenous_names, dict(zip(names, combo)))
+        if len(sols) != 1:
+            return None
+        probs[sols[0]] = probs.get(sols[0], F(0)) + p
+    return probs
 
 
 # --- random model generation ---------------------------------------------------
@@ -555,6 +592,40 @@ def random_finite_scm(rng: random.Random, max_endo=4, max_exo=2, max_card=3,
         for combo in itertools.product(*(domains[a].values for a in args)):
             table[combo] = rng.choice(codomain)
         mechanisms[i] = TabularMechanism(args, table)
+    return FiniteScm(endo, exo, measure, mechanisms)
+
+
+def random_component_scm(rng: random.Random, k: int, outside_p=0.0) -> FiniteScm:
+    """One strongly connected component of ``k`` variables for the fiber
+    solver: a ring in a shuffled declaration order plus random chords and
+    self-loops, domains of 2 to 4 values, random tables (so fibers may be
+    empty or hold several solutions), an endogenous input ``Z`` outside the
+    loop and one or two noises.  With ``outside_p`` each table entry of a
+    loop variable is, with that probability, a value outside its domain; the
+    tables are built directly, without the DSL's checks."""
+    names = [f"X{i}" for i in range(1, k + 1)]
+    endo = {"Z": fd(0, 1)}
+    for name in rng.sample(names, k):
+        endo[name] = fd(*range(rng.randint(2, 4)))
+    exo = {f"E{j}": fd(*range(rng.randint(2, 3))) for j in range(1, rng.randint(1, 2) + 1)}
+    measure = {}
+    for j, dom in exo.items():
+        weights = [rng.randint(1, 3) for _ in dom.values]
+        measure[j] = {v: F(w, sum(weights)) for v, w in zip(dom.values, weights)}
+    domains = {**endo, **exo}
+    mechanisms = {"Z": TabularMechanism(("E1",), {(v,): rng.choice((0, 1)) for v in exo["E1"].values})}
+    for pos, name in enumerate(names):
+        args = {names[pos - 1]} if k > 1 else set()
+        args |= {x for x in names if x != name and rng.random() < 0.25}
+        if rng.random() < (0.5 if k == 1 else 0.2):
+            args.add(name)
+        args |= {a for a in ("Z", *exo) if rng.random() < 0.5}
+        args = tuple(a for a in domains if a in args)
+        codomain = endo[name].values
+        table = {}
+        for combo in itertools.product(*(domains[a].values for a in args)):
+            table[combo] = len(codomain) + 5 if rng.random() < outside_p else rng.choice(codomain)
+        mechanisms[name] = TabularMechanism(args, table)
     return FiniteScm(endo, exo, measure, mechanisms)
 
 

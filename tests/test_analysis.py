@@ -1,6 +1,9 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +40,9 @@ from scmkit import (
     uniquely_solvable_all_subsets,
     uniquely_solvable_wrt,
 )
-from scmkit.analysis import _fibers
+from scmkit import analysis
+from scmkit.analysis import _cutset, _fibers, _finite_scan
+from scmkit.dsl import parse
 
 F = Fraction
 
@@ -82,9 +87,123 @@ class TestFiber:
                    for i in names if i not in subset}
             assign = {**exo_assign, **ctx}
             subset_sorted = tuple(n for n in m.endogenous_names if n in subset)
-            oracle = zoo.exhaustive_fiber(m, subset, assign)
+            oracle = sorted(zoo.exhaustive_fiber(m, subset, assign))
             assert sorted(_fibers(m, subset_sorted, assign)) == oracle
             assert fiber(m, subset, exo_assign, ctx) == frozenset(oracle)
+
+
+def brute_force_solutions(m, comp, assign):
+    """The exhaustive component solve, as ``_component_solutions`` answers."""
+    return tuple(zoo.exhaustive_fiber(m, comp, assign))
+
+
+def is_feedback_set(m, comp, cut) -> bool:
+    """Does removing ``cut`` leave the declared dependency graph on ``comp``
+    acyclic, self-loops included?  Depth-first search for a back edge."""
+    left = [o for o in comp if o not in cut]
+    preds = {o: [a for a in m.mechanisms[o].args if a in left] for o in left}
+    state = {}
+
+    def cyclic(o):
+        state[o] = "open"
+        for a in preds[o]:
+            if state.get(a) == "open" or (a not in state and cyclic(a)):
+                return True
+        state[o] = "closed"
+        return False
+
+    return not any(o not in state and cyclic(o) for o in left)
+
+
+class TestCutsetSolver:
+    """The cutset solve of ``_component_solutions`` against the exhaustive
+    scan of each component's product of domains."""
+
+    def test_component_fibers_match_the_exhaustive_scan_in_order(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for trial in range(180):
+            k = 1 + trial % 6
+            m = zoo.random_component_scm(rng, k, outside_p=0.2 if trial % 3 == 0 else 0.0)
+            comp = tuple(n for n in m.endogenous_names if n != "Z")
+            assert analysis._dependency_components(m, comp) == [comp]
+            cut, _ = _cutset(m, comp)
+            inputs = ("Z",) + m.exogenous_names
+            for combo in itertools.product(*(m.domain_of(a).values for a in inputs)):
+                assign = dict(zip(inputs, combo))
+                got = _fibers(m, comp, assign)
+                assert got == zoo.exhaustive_fiber(m, comp, assign), (trial, assign)
+                seen[k, min(len(got), 2)] += 1
+                if len(got) > 1 and cut != comp[:len(cut)]:
+                    seen["reordered"] += 1
+        # every size meets empty, singleton and multiple fibers
+        assert all(seen[k, n] for k in range(1, 7) for n in range(3)), seen
+        assert seen["reordered"]
+
+    def test_scan_witness_matches_the_brute_force(self, monkeypatch):
+        rng = random.Random(67)
+        cases = []
+        for trial in range(60):
+            m = zoo.random_component_scm(rng, 1 + trial % 6, outside_p=0.2 if trial % 2 else 0.0)
+            cases.append((m, tuple(n for n in m.endogenous_names if n != "Z")))
+            r = zoo.random_finite_scm(rng, max_endo=5, self_arg_p=0.3)
+            names = list(r.endogenous_names)
+            cases.append((r, tuple(rng.sample(names, rng.randint(1, len(names))))))
+        runs = [(m, subset, unique) for m, subset in cases for unique in (False, True)]
+        got = [_finite_scan(m.replace(), subset, unique) for m, subset, unique in runs]
+        monkeypatch.setattr(analysis, "_component_solutions", brute_force_solutions)
+        expected = [_finite_scan(m.replace(), subset, unique) for m, subset, unique in runs]
+        assert got == expected
+        assert sum(not r.ok for r in got) > 20 and sum(r.ok for r in got) > 20
+
+    def test_cutset_is_a_smallest_feedback_set(self):
+        rng = random.Random(73)
+        for trial in range(120):
+            m = zoo.random_component_scm(rng, 1 + trial % 6)
+            comp = tuple(n for n in m.endogenous_names if n != "Z")
+            cut, rest = _cutset(m, comp)
+            assert is_feedback_set(m, comp, cut)
+            assert sorted(cut + rest) == sorted(comp)
+            for pos, o in enumerate(rest):
+                inside = set(m.mechanisms[o].args) & set(comp)
+                assert inside <= set(cut) | set(rest[:pos]), (cut, rest)
+            cost = math.prod(len(m.endogenous[o]) for o in cut)
+            for size in range(len(comp) + 1):
+                for other in itertools.combinations(comp, size):
+                    if is_feedback_set(m, comp, other):
+                        assert cost <= math.prod(len(m.endogenous[o]) for o in other)
+
+    def test_one_variable_cuts_a_loop(self):
+        ring = zoo.ternary_ring_scm(5)
+        assert _cutset(ring, ring.endogenous_names) == (("X1",), ("X2", "X3", "X4", "X5"))
+        pair = zoo.ladder_scm(1)
+        assert _cutset(pair, ("A1", "B1")) == (("A1",), ("B1",))
+        gated = zoo.gated_selfloop(4)
+        assert _cutset(gated, ("X",)) == (("X",), ())
+
+    def test_cutset_cost_on_the_benchmark_shapes(self):
+        for m, comp, cost in ((zoo.ternary_ring_scm(4), ("X1", "X2", "X3", "X4"), 3),
+                              (zoo.ladder_scm(3), ("A2", "B2"), 2)):
+            cut, _ = _cutset(m, comp)
+            assert math.prod(len(m.endogenous[o]) for o in cut) == cost
+
+    def test_integer_weights_match_the_fraction_oracle(self):
+        corpus = sorted((Path(__file__).parent / "corpus").glob("*.scm"))
+        models = [parse(path.read_text()) for path in corpus]
+        models = [m for m in models if isinstance(m, FiniteScm)]
+        rng = random.Random(79)
+        models += [zoo.random_finite_scm(rng, max_endo=4, self_arg_p=0.2) for _ in range(60)]
+        models += [zoo.big_denominator_scm(), zoo.ternary_ring_scm(4), zoo.ladder_scm(2)]
+        compared = 0
+        for m in models:
+            oracle = zoo.fraction_distribution(m)
+            if oracle is None:
+                with pytest.raises((NotSolvable, NotUniquelySolvable)):
+                    observational_distribution(m)
+                continue
+            assert dict(observational_distribution(m).probs) == {c: p for c, p in oracle.items() if p}
+            compared += 1
+        assert compared > 30
 
 
 class TestSolvability:
@@ -566,11 +685,35 @@ class TestGaussianCondition:
         c = gaussian_condition(d, {"A": 1.0, "B": 2.0})
         assert c.vars == ()
 
+    def test_condition_on_nothing_is_the_same_law(self):
+        d = GaussianDistribution(("A", "B"), [1.0, 2.0], [[1.0, 0.3], [0.3, 1.0]])
+        c = gaussian_condition(d, {})
+        assert c.vars == d.vars and np.array_equal(c.mean, d.mean) and np.array_equal(c.cov, d.cov)
+
     def test_singular_block_rejected(self):
         cov = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
         d = GaussianDistribution(("A", "B", "C"), [0.0, 0.0, 0.0], cov)
         with pytest.raises(EvidenceError):
             gaussian_condition(d, {"B": 1.0, "C": 1.0})
+
+    def test_result_does_not_depend_on_the_noise_scale(self):
+        # X = E1, Y = X + E2: the counterfactual Y' given X = 0, and X' given
+        # Y = 2 sd, are the same laws in units of sd at every variance
+        answers = []
+        for var in (1e-12, 1.0, 1e12):
+            sd = var ** 0.5
+            blocks = tuple(GaussianBlock(e, (e,), [0.0], [[var]]) for e in ("E1", "E2"))
+            m = LinearScm(("X", "Y"), blocks, [[0, 0], [1, 0]], [[1, 0], [0, 1]])
+            given_x = counterfactual_distribution(m, {}, {"X": 0.0}, {}, ["Y'"])
+            given_y = counterfactual_distribution(m, {}, {"Y": 2 * sd}, {}, ["X'"])
+            answers.append([(d.mean / sd, d.cov / var, d.regularized) for d in (given_x, given_y)])
+        for other in answers[1:]:
+            for (mean, cov, reg), (mean0, cov0, reg0) in zip(other, answers[0]):
+                assert np.allclose(mean, mean0, rtol=0, atol=1e-9)
+                assert np.allclose(cov, cov0, rtol=0, atol=1e-9)
+                assert reg == reg0
+        (mean_y, cov_y, _), (mean_x, cov_x, _) = answers[0]
+        assert np.allclose([mean_y[0], cov_y[0, 0], mean_x[0], cov_x[0, 0]], [0.0, 1.0, 1.0, 0.5])
 
     def test_badly_conditioned_block_is_regularized_and_flagged(self):
         cov = [[1.0, 0.0, 0.0], [0.0, 1e16, 0.0], [0.0, 0.0, 1.0]]

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from scmkit import (
     is_indirect_cause,
     observational_distribution,
     observationally_equivalent,
+    parse,
+    structurally_uniquely_solvable,
 )
 from scmkit.causal import _achievable_marginals, _first_outside, _hull_contains, _lp_feasible, _phase1
 
@@ -429,6 +432,36 @@ class TestDirectCause:
         m_tilde = zoo.lin_gauss_anm_tilde()
         assert is_direct_cause(m_tilde, "X1", "X2")[0]
         assert not is_direct_cause(m_tilde, "X2", "X1")[0]
+
+    def test_matches_the_full_context_oracle(self):
+        models = [parse(path.read_text()) for path in sorted(CORPUS.glob("*.scm"))]
+        models = [m for m in models if isinstance(m, scmkit.FiniteScm) and structurally_uniquely_solvable(m)]
+        corpus_count = len(models)
+        rng = random.Random(83)
+        while len(models) < corpus_count + 60:
+            m = zoo.random_finite_scm(rng, max_endo=5, max_card=3, self_arg_p=0.0)
+            if structurally_uniquely_solvable(m):
+                models.append(m)
+        verdicts = Counter()
+        for m in models:
+            for i in m.endogenous_names:
+                for j in m.endogenous_names:
+                    if i == j:
+                        continue
+                    got = is_direct_cause(m, i, j)
+                    assert got == zoo.exhaustive_direct_cause(m, i, j), (m, i, j)
+                    if got[0]:
+                        # a witness whose context moves a variable off its
+                        # first value, or holds one that j does not read
+                        ctx = {v: x for v, x in got[1][0].items() if v != i}
+                        moved = any(x != m.endogenous[v].first() for v, x in ctx.items())
+                        unread = set(ctx) - set(m.mechanisms[j].args)
+                        verdicts["moved"] += moved
+                        verdicts["unread"] += bool(unread)
+                    verdicts[got[0]] += 1
+        assert corpus_count >= 10
+        assert verdicts[True] > 30 and verdicts[False] > 30, verdicts
+        assert verdicts["moved"] and verdicts["unread"], verdicts
 
 
 class TestDirectCausalGraph:
