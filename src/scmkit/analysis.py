@@ -632,12 +632,16 @@ def uniquely_solvable_wrt(m, subset) -> SolvabilityResult:
 
 def structurally_uniquely_solvable(m) -> bool:
     """Uniquely solvable with respect to every singleton; equivalently the
-    augmented graph has no self-loops (both are computed and cross-checked)."""
-    by_singletons = all(bool(uniquely_solvable_wrt(m, [i])) for i in m.endogenous_names)
-    no_self_loops = all((i, i) not in augmented_graph(m).directed for i in m.endogenous_names)
-    if by_singletons != no_self_loops:  # pragma: no cover - consistency guard
-        raise AssertionError("self-loop detection disagrees with singleton solvability")
-    return by_singletons
+    augmented graph has no self-loops (both are computed and cross-checked).
+    The verdict is memoized per model, which is sound because models are
+    frozen."""
+    if "structurally_unique" not in m._cache:
+        by_singletons = all(bool(uniquely_solvable_wrt(m, [i])) for i in m.endogenous_names)
+        no_self_loops = all((i, i) not in augmented_graph(m).directed for i in m.endogenous_names)
+        if by_singletons != no_self_loops:  # pragma: no cover - consistency guard
+            raise AssertionError("self-loop detection disagrees with singleton solvability")
+        m._cache["structurally_unique"] = by_singletons
+    return m._cache["structurally_unique"]
 
 
 def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:

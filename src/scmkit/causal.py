@@ -1,10 +1,22 @@
 """Equivalence relations between SCMs and causal-graph extraction.
 
 Observational equivalence of finite SCMs compares the full sets of achievable
-marginal distributions: the convex hulls of the selector-polytope vertices,
-decided by an exact phase-1 simplex on integers.  Interventional equivalence
-quantifies over all perfect interventions inside the margin; counterfactual
-equivalence is interventional equivalence of the twin models.
+marginal distributions.  With Γ(e) the fiber at noise value e projected to
+the margin, that set is the Minkowski sum of p(e) times the simplex on Γ(e):
+the core of the belief function with mass m(A) = P(Γ = A) (Dempster 1967;
+Shafer 1976).  The core determines the belief function, its lower envelope,
+and the belief function its mass, so two sets are equal iff the two laws of
+Γ are equal.  Each law takes one exact pass over the noise support, per
+model and per intervention, at a cost of the support size times the product
+of the cycle-cutset domains of each component; no selector is enumerated and
+no LP is solved.  A difference is witnessed by the smallest differing focal
+set S, its beliefs (the least achievable probabilities of S) on both sides,
+and the selector law that reaches the smaller one, which lies outside the
+other side's set.  Interventional equivalence quantifies over all perfect
+interventions inside the margin; counterfactual equivalence is
+interventional equivalence of the twin models.  Each report names the rule
+that decided it in ``rule``: ``"no_solution"``, ``"single_law"``,
+``"gamma_law"`` or ``"linear_per_variable"``.
 """
 
 from __future__ import annotations
@@ -16,15 +28,16 @@ from fractions import Fraction
 
 from .analysis import (
     DiscreteDistribution,
+    _fibers,
     _gaussians_agree,
-    observational_polytope,
+    _support_assignments,
+    _support_denominator,
     solve_map,
     structurally_uniquely_solvable,
 )
 from .config import np, tolerance
 from .errors import (
     DomainMismatchError,
-    NotSolvable,
     NotUniquelySolvable,
     ScmError,
     SolvabilityError,
@@ -32,7 +45,7 @@ from .errors import (
 )
 from .graph import MixedGraph
 from .scm import FiniteScm, LinearScm, canonicalize, functional_graph, functional_parents
-from .transform import intervene, marginalize, twin
+from .transform import marginalize, twin
 
 __all__ = [
     "EquivalenceReport",
@@ -45,12 +58,21 @@ __all__ = [
     "is_indirect_cause",
 ]
 
+# the deciding rules, from the least to the most general
+_RULES = ("no_solution", "single_law", "gamma_law", "linear_per_variable")
+
 
 @dataclass
 class EquivalenceReport:
+    """A verdict with the rule that decided it (one of ``_RULES``: no
+    solution on some side, one law per side, the law of the projected fiber
+    set, or linear laws compared per variable) and a witness of a
+    difference."""
+
     level: str
     margin: tuple
     verdict: bool
+    rule: str
     witness: object = None
 
     def __bool__(self):
@@ -61,103 +83,9 @@ class EquivalenceReport:
             "level": self.level,
             "margin": list(self.margin),
             "verdict": self.verdict,
+            "rule": self.rule,
             "witness": self.witness,
         }
-
-
-# --- exact convex-hull membership ------------------------------------------
-
-def _lp_feasible(rows, rhs) -> bool:
-    """Exact feasibility of ``rows @ x = rhs, x >= 0`` (entries ``int`` or
-    ``Fraction``): is the artificial sum 0 at the phase-1 optimum?"""
-    return _phase1(rows, rhs)[1][-1] == 0
-
-
-def _phase1(rows, rhs):
-    """Phase-1 simplex with Bland's rule for ``rows @ x = rhs, x >= 0``,
-    pivoting fraction-free on integers; returns the final ``(tableau, obj,
-    basis, det)``.  ``_lp_feasible`` reads only the verdict off ``obj``; the
-    rest is returned so that the tests can compare each tableau with the
-    rational oracle's.
-
-    Each row of ``rows | rhs`` is scaled to integers by the lcm of its
-    denominators, its sign making the right-hand side non-negative; its
-    artificial column stays 1, since scaling a row only rescales its
-    artificial variable.  Every tableau and objective entry is then an
-    ``int`` over ``det``, the determinant of the current basis.  A pivot on
-    ``p`` maps each other row's entry ``a`` to ``(a*p - f*b) // det``, which
-    divides exactly (Bareiss), and sets ``det = p > 0``; so reduced costs have
-    the signs of their integers and ratios compare by cross-multiplication.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    total = ncols + nrows
-    tableau = []
-    for r in range(nrows):
-        vals = [*rows[r], rhs[r]]
-        scale = math.lcm(*(x.denominator for x in vals))
-        if vals[-1] < 0:
-            scale = -scale
-        ints = [x.numerator * (scale // x.denominator) for x in vals]
-        art = [0] * nrows
-        art[r] = 1
-        tableau.append(ints[:-1] + art + ints[-1:])
-    # reduced costs for minimizing the artificial sum: 1 on the artificial
-    # columns minus the sum of the rows, which cancels there
-    obj = [-sum(col) for col in zip(*tableau)] if tableau else [0]
-    obj[ncols:total] = [0] * nrows
-    basis = list(range(ncols, total))
-    det = 1
-    while True:
-        enter = next((j for j in range(total) if obj[j] < 0), None)
-        if enter is None:
-            break
-        r = None
-        for i, row in enumerate(tableau):
-            c = row[enter]
-            if c > 0 and (r is None or row[-1] * pc < pb * c
-                          or (row[-1] * pc == pb * c and basis[i] < basis[r])):
-                r, pb, pc = i, row[-1], c
-        if r is None:  # pragma: no cover - phase-1 objective is bounded
-            raise AssertionError("unbounded phase-1 simplex")
-        prow = tableau[r]
-        for i, row in enumerate(tableau):
-            if i != r:
-                f = row[enter]
-                tableau[i] = [(a * pc - f * b) // det for a, b in zip(row, prow)]
-        f = obj[enter]
-        obj = [(a * pc - f * b) // det for a, b in zip(obj, prow)]
-        det = pc
-        basis[r] = enter
-    return tableau, obj, basis, det
-
-
-def _hull_contains(vertices, target, cells) -> bool:
-    """Is ``target`` in the convex hull of ``vertices`` (distributions over the
-    shared cell list)?  Exact."""
-    if not vertices:
-        return False
-    vecs = [[v.probs.get(cell, 0) for v in vertices] for cell in cells]
-    rhs = [target.probs.get(cell, 0) for cell in cells]
-    vecs.append([1] * len(vertices))
-    rhs.append(1)
-    return _lp_feasible(vecs, rhs)
-
-
-def _first_outside(vs1, vs2):
-    """``None`` when the two vertex tuples span the same hull; otherwise
-    ``(side, vertex)`` for the first vertex, left side first, outside the
-    other side's hull.  A vertex the other side also lists needs no LP."""
-    cells = sorted(
-        {c for v in vs1 for c in v.probs} | {c for v in vs2 for c in v.probs},
-        key=lambda cell: tuple(map(str, cell)),
-    )
-    for side, vs, other in (("left", vs1, vs2), ("right", vs2, vs1)):
-        shared = set(other)
-        for v in vs:
-            if v not in shared and not _hull_contains(other, v, cells):
-                return side, v
-    return None
 
 
 # --- observational equivalence ----------------------------------------------
@@ -175,14 +103,77 @@ def _margin_names(m1, m2, margin) -> tuple:
     return margin
 
 
-def _achievable_marginals(m: FiniteScm, margin):
-    """Vertex distributions of the achievable set projected to the margin;
-    ``()`` when the model has no solution at all."""
-    try:
-        poly = observational_polytope(m)
-    except NotSolvable:
-        return ()
-    return tuple(dict.fromkeys(v.marginal(margin) for v in poly.vertices))
+def _gamma_law(m: FiniteScm, margin, iv):
+    """The law of Γ, the fiber of ``m`` under do(iv) projected to ``margin``:
+    ``(den, law)`` with P(Γ = A) = law[A] / den for each set A of margin
+    cells, ``den`` the sum of the integer weights of the support points,
+    which is their one denominator; ``None`` at the first empty fiber.  One
+    pass over the noise support of ``m``: the targets of ``iv`` are held as
+    context and read as their values, so every intervention shares the
+    component memo of ``m`` and none builds a model."""
+    free = tuple(v for v in m.endogenous_names if v not in iv)
+    pick = [(iv[v], None) if v in iv else (None, free.index(v)) for v in margin]
+    law = {}
+    for assign, n in _support_assignments(m, m.exogenous_names):
+        assign.update(iv)
+        sols = _fibers(m, free, assign)
+        if not sols:
+            return None
+        cells = frozenset(tuple(x if i is None else sol[i] for x, i in pick) for sol in sols)
+        law[cells] = law.get(cells, 0) + n
+    return sum(law.values()), law
+
+
+def _selector_law(margin, domains, den, law, order, event) -> DiscreteDistribution:
+    """The selector law that takes, from each set of ``law``, its first cell
+    in domain order outside ``event``, or its first cell when it has none:
+    its probability of ``event`` is the belief in ``event``, the least of any
+    achievable law."""
+    weights = {}
+    for cells, n in law.items():
+        ranked = sorted(cells, key=order)
+        cell = next((c for c in ranked if c not in event), ranked[0])
+        weights[cell] = weights.get(cell, 0) + n
+    return DiscreteDistribution(margin, domains, {c: Fraction(n, den) for c, n in weights.items()})
+
+
+def _finite_equivalent(m1, m2, margin, iv) -> EquivalenceReport:
+    """Observational equivalence of the finite models under do(iv) on the
+    margin, by comparing the laws of their projected fiber sets Γ."""
+    g1, g2 = _gamma_law(m1, margin, iv), _gamma_law(m2, margin, iv)
+    if g1 is None or g2 is None:
+        witness = None if g1 is g2 else {
+            side: "no solution" if g is None else "solvable" for side, g in (("left", g1), ("right", g2))
+        }
+        return EquivalenceReport("observational", margin, g1 is g2, "no_solution", witness)
+    (den1, law1), (den2, law2) = g1, g2
+    rule = "single_law" if all(len(a) == 1 for a in (*law1, *law2)) else "gamma_law"
+    differ = [a for a in law1.keys() | law2.keys() if law1.get(a, 0) * den2 != law2.get(a, 0) * den1]
+    if not differ:
+        return EquivalenceReport("observational", margin, True, rule)
+    domains = {v: m1.endogenous[v] for v in margin}
+    rank = [{x: r for r, x in enumerate(domains[v].values)} for v in margin]
+
+    def order(cell):
+        return tuple(r[x] for r, x in zip(rank, cell))
+
+    if rule == "single_law":
+        witness = {side: _selector_law(margin, domains, den, law, order, frozenset()).to_json_obj()
+                   for side, den, law in (("left", den1, law1), ("right", den2, law2))}
+        return EquivalenceReport("observational", margin, False, rule, witness)
+    # the first differing set of the fewest cells: every smaller set has the
+    # same mass on both sides, so its belief differs and no smaller event's does
+    event = min(differ, key=lambda a: (len(a), sorted(map(order, a))))
+    bel1, bel2 = (Fraction(sum(n for a, n in law.items() if a <= event), den)
+                  for den, law in ((den1, law1), (den2, law2)))
+    side, den, law = ("left", den1, law1) if bel1 < bel2 else ("right", den2, law2)
+    outside = _selector_law(margin, domains, den, law, order, event)
+    return EquivalenceReport(
+        "observational", margin, False, rule,
+        witness={"event": [",".join(map(str, c)) for c in sorted(event, key=order)],
+                 "bel": {"left": str(bel1), "right": str(bel2)},
+                 "outside": {"side": side, "law": outside.to_json_obj()}},
+    )
 
 
 def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
@@ -191,34 +182,7 @@ def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
     equivalent to each other."""
     margin = _margin_names(m1, m2, margin)
     if isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm):
-        vs1 = _achievable_marginals(m1, margin)
-        vs2 = _achievable_marginals(m2, margin)
-        if not vs1 and not vs2:
-            return EquivalenceReport("observational", margin, True)
-        if bool(vs1) != bool(vs2):
-            return EquivalenceReport(
-                "observational", margin, False,
-                witness={"left": "no solution" if not vs1 else "solvable",
-                         "right": "no solution" if not vs2 else "solvable"},
-            )
-        if len(vs1) == len(vs2) == 1:
-            (d1,), (d2,) = vs1, vs2
-            if d1 == d2:
-                return EquivalenceReport("observational", margin, True)
-            return EquivalenceReport(
-                "observational", margin, False,
-                witness={"left": d1.to_json_obj(), "right": d2.to_json_obj()},
-            )
-        outside = _first_outside(vs1, vs2)
-        if outside is None:
-            return EquivalenceReport("observational", margin, True)
-        side, law = outside
-        return EquivalenceReport(
-            "observational", margin, False,
-            witness={"left": [v.to_json_obj() for v in vs1],
-                     "right": [v.to_json_obj() for v in vs2],
-                     "outside": {"side": side, "law": law.to_json_obj()}},
-        )
+        return _finite_equivalent(m1, m2, margin, {})
     if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
         # the observational law is the law under do(), compared as every
         # interventional one is
@@ -228,9 +192,9 @@ def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
                 "linear observational equivalence needs both models uniquely solvable"
             )
         if _do_laws_agree(f1, f2, tolerance()):
-            return EquivalenceReport("observational", margin, True)
+            return EquivalenceReport("observational", margin, True, "linear_per_variable")
         return EquivalenceReport(
-            "observational", margin, False,
+            "observational", margin, False, "linear_per_variable",
             witness={side: {"vars": list(margin), "mean": f[1].tolist(), "cov": f[2].tolist()}
                      for side, f in (("left", f1), ("right", f2))},
         )
@@ -293,18 +257,20 @@ def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
                 f"interventional equivalence needs {needed} evaluations, "
                 f"over the cap max_evaluations={max_evaluations}"
             )
+        rules = {"no_solution"}
         for targets in _intervention_patterns(margin):
             values = [m1.endogenous[t].values for t in targets]
             for combo in itertools.product(*values):
                 iv = dict(zip(targets, combo))
-                rep = observationally_equivalent(intervene(m1, iv), intervene(m2, iv), margin)
+                rep = _finite_equivalent(m1, m2, margin, iv)
                 if not rep:
                     shown = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in iv.items()}
                     return EquivalenceReport(
-                        "interventional", margin, False,
+                        "interventional", margin, False, rep.rule,
                         witness={"intervention": shown, "observational": rep.witness},
                     )
-        return EquivalenceReport("interventional", margin, True)
+                rules.add(rep.rule)
+        return EquivalenceReport("interventional", margin, True, max(rules, key=_RULES.index))
     if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
         tol = tolerance()
         for targets in _intervention_patterns(margin):
@@ -316,17 +282,17 @@ def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
                 )
             if (f1 is None) != (f2 is None):
                 return EquivalenceReport(
-                    "interventional", margin, False,
+                    "interventional", margin, False, "linear_per_variable",
                     witness={"intervention_targets": list(targets),
                              "left": "singular" if f1 is None else "unique",
                              "right": "singular" if f2 is None else "unique"},
                 )
             if not _do_laws_agree(f1, f2, tol):
                 return EquivalenceReport(
-                    "interventional", margin, False,
+                    "interventional", margin, False, "linear_per_variable",
                     witness={"intervention_targets": list(targets)},
                 )
-        return EquivalenceReport("interventional", margin, True)
+        return EquivalenceReport("interventional", margin, True, "linear_per_variable")
     raise DomainMismatchError("cannot compare models from different families")
 
 
@@ -338,7 +304,7 @@ def counterfactually_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
         raise UnsupportedModelError("counterfactual equivalence is implemented for finite SCMs")
     doubled = tuple(margin) + tuple(v + "'" for v in margin)
     rep = interventionally_equivalent(twin(m1), twin(m2), doubled, max_evaluations)
-    return EquivalenceReport("counterfactual", margin, rep.verdict, rep.witness)
+    return EquivalenceReport("counterfactual", margin, rep.verdict, rep.rule, rep.witness)
 
 
 # --- direct causes -----------------------------------------------------------
@@ -349,8 +315,6 @@ def _pointwise_distribution(m: FiniteScm, j: str, ctx: dict) -> DiscreteDistribu
     The table of j may formally take x_j as an argument even without a
     self-loop, so the unique fixed point is solved for rather than read off.
     """
-    from .analysis import _support_assignments, _support_denominator
-
     mech = m.mechanisms[j]
     exo = tuple(a for a in mech.args if a in m.exogenous)
     weights = {}

@@ -218,6 +218,25 @@ def gated_selfloop(k=3, noise=(F(1, 3), F(2, 3)), q=F(1, 2)) -> FiniteScm:
     return FiniteScm(endo, exo, measure, mechanisms)
 
 
+def two_gated_selfloops(k=3, q=F(1, 2)) -> FiniteScm:
+    """Two independent gated self-loops on k values each (see
+    ``gated_selfloop``), X1 gated by G1 with probability 1/2 and X2 by G2 with
+    probability ``q``.  Each of the 16 support points has (k if G1 else 1) *
+    (k if G2 else 1) solutions, so there are k**16 selectors: 3**16 > 10**6
+    at k = 3."""
+    values = tuple(range(k))
+    endo = {"X1": fd(*values), "X2": fd(*values)}
+    exo = {"G1": fd(0, 1), "E1": fd(0, 1), "G2": fd(0, 1), "E2": fd(0, 1)}
+    measure = {"G1": uniform(0, 1), "E1": {0: F(1, 3), 1: F(2, 3)},
+               "G2": {0: 1 - q, 1: q}, "E2": {0: F(1, 3), 1: F(2, 3)}}
+    domains = {**endo, **exo}
+    mechanisms = {
+        x: postab(domains, (x, g, e), lambda X, G, E: X if G == 1 else E)
+        for x, g, e in (("X1", "G1", "E1"), ("X2", "G2", "E2"))
+    }
+    return FiniteScm(endo, exo, measure, mechanisms)
+
+
 def direct_cause_example(p_plus=F(1, 2)) -> FiniteScm:
     dom = _pm_domains()
     endo = {"X1": dom, "X2": dom}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -16,7 +17,9 @@ from scmkit import (
     GaussianBlock,
     LinearScm,
     MixedGraph,
+    NotSolvable,
     ScmError,
+    TabularMechanism,
     canonicalize,
     counterfactually_equivalent,
     direct_causal_graph,
@@ -27,11 +30,14 @@ from scmkit import (
     is_direct_cause,
     is_indirect_cause,
     observational_distribution,
+    observational_polytope,
     observationally_equivalent,
     parse,
+    solvable_wrt,
     structurally_uniquely_solvable,
+    uniquely_solvable_wrt,
 )
-from scmkit.causal import _achievable_marginals, _first_outside, _hull_contains, _lp_feasible, _phase1
+from scmkit.causal import _gamma_law
 
 F = Fraction
 CORPUS = Path(__file__).parent / "corpus"
@@ -102,6 +108,144 @@ def integer_rows(rows, rhs):
     return [r[:-1] for r in out], [r[-1] for r in out]
 
 
+# --- the selector-hull oracle: vertex enumeration and an integer simplex -----
+
+def lp_feasible(rows, rhs) -> bool:
+    """Exact feasibility of ``rows @ x = rhs, x >= 0`` (entries ``int`` or
+    ``Fraction``): is the artificial sum 0 at the phase-1 optimum?"""
+    return phase1(rows, rhs)[1][-1] == 0
+
+
+def phase1(rows, rhs):
+    """Phase-1 simplex with Bland's rule for ``rows @ x = rhs, x >= 0``,
+    pivoting fraction-free on integers; returns the final ``(tableau, obj,
+    basis, det)``.
+
+    Each row of ``rows | rhs`` is scaled to integers by the lcm of its
+    denominators, its sign making the right-hand side non-negative; its
+    artificial column stays 1, since scaling a row only rescales its
+    artificial variable.  Every tableau and objective entry is then an
+    ``int`` over ``det``, the determinant of the current basis.  A pivot on
+    ``p`` maps each other row's entry ``a`` to ``(a*p - f*b) // det``, which
+    divides exactly (Bareiss), and sets ``det = p > 0``; so reduced costs have
+    the signs of their integers and ratios compare by cross-multiplication.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    total = ncols + nrows
+    tableau = []
+    for r in range(nrows):
+        vals = [*rows[r], rhs[r]]
+        scale = math.lcm(*(x.denominator for x in vals))
+        if vals[-1] < 0:
+            scale = -scale
+        ints = [x.numerator * (scale // x.denominator) for x in vals]
+        art = [0] * nrows
+        art[r] = 1
+        tableau.append(ints[:-1] + art + ints[-1:])
+    # reduced costs for minimizing the artificial sum: 1 on the artificial
+    # columns minus the sum of the rows, which cancels there
+    obj = [-sum(col) for col in zip(*tableau)] if tableau else [0]
+    obj[ncols:total] = [0] * nrows
+    basis = list(range(ncols, total))
+    det = 1
+    while True:
+        enter = next((j for j in range(total) if obj[j] < 0), None)
+        if enter is None:
+            break
+        r = None
+        for i, row in enumerate(tableau):
+            c = row[enter]
+            if c > 0 and (r is None or row[-1] * pc < pb * c
+                          or (row[-1] * pc == pb * c and basis[i] < basis[r])):
+                r, pb, pc = i, row[-1], c
+        if r is None:  # pragma: no cover - phase-1 objective is bounded
+            raise AssertionError("unbounded phase-1 simplex")
+        prow = tableau[r]
+        for i, row in enumerate(tableau):
+            if i != r:
+                f = row[enter]
+                tableau[i] = [(a * pc - f * b) // det for a, b in zip(row, prow)]
+        f = obj[enter]
+        obj = [(a * pc - f * b) // det for a, b in zip(obj, prow)]
+        det = pc
+        basis[r] = enter
+    return tableau, obj, basis, det
+
+
+def hull_rows(vertices, target, cells):
+    """The LP ``target`` in the convex hull of ``vertices``, distributions
+    over the shared cell list: ``(rows, rhs)``."""
+    rows = [[v.probs.get(cell, 0) for v in vertices] for cell in cells] + [[1] * len(vertices)]
+    return rows, [target.probs.get(cell, 0) for cell in cells] + [1]
+
+
+def hull_contains(vertices, target, cells) -> bool:
+    return bool(vertices) and lp_feasible(*hull_rows(vertices, target, cells))
+
+
+def hull_cells(*sides):
+    return sorted({c for vs in sides for v in vs for c in v.probs}, key=lambda cell: tuple(map(str, cell)))
+
+
+def first_outside(vs1, vs2):
+    """``None`` when the two vertex tuples span the same hull; otherwise
+    ``(side, vertex)`` for the first vertex, left side first, outside the
+    other side's hull.  A vertex the other side also lists needs no LP."""
+    cells = hull_cells(vs1, vs2)
+    for side, vs, other in (("left", vs1, vs2), ("right", vs2, vs1)):
+        shared = set(other)
+        for v in vs:
+            if v not in shared and not hull_contains(other, v, cells):
+                return side, v
+    return None
+
+
+def achievable_marginals(m, margin, max_selectors=10**6):
+    """Vertex distributions of the achievable set projected to the margin;
+    ``()`` when the model has no solution at all."""
+    try:
+        poly = observational_polytope(m, max_selectors)
+    except NotSolvable:
+        return ()
+    return tuple(dict.fromkeys(v.marginal(margin) for v in poly.vertices))
+
+
+def hull_verdict(vs1, vs2) -> bool:
+    """Are the achievable sets with these vertex tuples equal?"""
+    if not vs1 or not vs2:
+        return bool(vs1) == bool(vs2)
+    return first_outside(vs1, vs2) is None
+
+
+def assert_event_witness(rep, vs1, vs2, domains):
+    """Check a Γ-law witness against the vertex oracle: ``bel`` on each side
+    is the least probability of the event over that side's vertices; the
+    event comes first, by size and then domain order, among the events whose
+    least probabilities differ; and ``outside.law`` is a vertex of its side
+    that reaches its belief and lies outside the other side's hull."""
+    cells = hull_cells(vs1, vs2)
+    rank = [{x: r for r, x in enumerate(domains[v].values)} for v in rep.margin]
+    cells.sort(key=lambda c: tuple(r[x] for r, x in zip(rank, c)))
+    text = {",".join(map(str, c)): c for c in cells}
+    event = tuple(text[c] for c in rep.witness["event"])
+
+    def bel(vs, event):
+        return min(sum(v.probs.get(c, 0) for c in event) for v in vs)
+
+    assert rep.witness["bel"] == {"left": str(bel(vs1, event)), "right": str(bel(vs2, event))}
+    # an event's belief is that of its part on these cells, so no other
+    # event can come first
+    first = next(t for size in range(1, len(event) + 1) for t in itertools.combinations(cells, size)
+                 if bel(vs1, t) != bel(vs2, t))
+    assert first == event
+    side = rep.witness["outside"]["side"]
+    own, other = (vs1, vs2) if side == "left" else (vs2, vs1)
+    (law,) = [v for v in own if v.to_json_obj() == rep.witness["outside"]["law"]]
+    assert sum(law.probs.get(c, 0) for c in event) == bel(own, event) < bel(other, event)
+    assert not fraction_lp_feasible(*hull_rows(other, law, cells))
+
+
 def random_lp(rng):
     """A random ``(rows, rhs, known)`` with 1-6 rows and 1-10 columns of small
     rationals; ``known`` is True when the LP was built feasible from an
@@ -132,10 +276,6 @@ def random_lp(rng):
     return rows, rhs, known
 
 
-def hull_cells(*sides):
-    return sorted({c for vs in sides for v in vs for c in v.probs})
-
-
 class TestObservationalEquivalence:
     def test_model_equivalent_to_itself(self):
         m = zoo.interventional_equiv_m()
@@ -143,14 +283,15 @@ class TestObservationalEquivalence:
 
     def test_lin_gauss_pair(self):
         rep = observationally_equivalent(zoo.lin_gauss_anm(), zoo.lin_gauss_anm_tilde(), ["X1", "X2"])
-        assert rep.verdict
+        assert rep.verdict and rep.rule == "linear_per_variable"
 
     def test_two_unsolvable_models_vacuously_equivalent(self):
         m = zoo.unsolvable_selfloop()
         left = intervene(m, {"X2": 1})
         right = intervene(m.replace(), {"X2": 1})
         rep = observationally_equivalent(left, right, ["X1", "X2"])
-        assert rep.verdict
+        assert rep.verdict and rep.rule == "no_solution"
+        assert rep.to_json_obj()["rule"] == "no_solution"
 
     def test_empty_vs_nonempty_solution_sets_differ(self):
         m = zoo.intervention_unique()
@@ -158,7 +299,7 @@ class TestObservationalEquivalence:
         rep = observationally_equivalent(
             intervene(m, {"X2": 2}), intervene(m_tilde, {"X2": 2}), ["X1", "X2"]
         )
-        assert not rep.verdict
+        assert not rep.verdict and rep.rule == "no_solution"
         assert rep.witness["right"] == "no solution"
 
     def test_unique_laws_are_compared_directly(self):
@@ -166,7 +307,7 @@ class TestObservationalEquivalence:
         # the pair of laws, not two vertex lists
         m, other = zoo.direct_cause_example(), zoo.direct_cause_example(F(1, 3))
         rep = observationally_equivalent(m, other, m.endogenous_names)
-        assert not rep.verdict
+        assert not rep.verdict and rep.rule == "single_law"
         assert rep.witness["left"]["vars"] == list(m.endogenous_names)
         assert rep.witness["left"]["probs"] != rep.witness["right"]["probs"]
 
@@ -175,7 +316,9 @@ class TestObservationalEquivalence:
         m = zoo.intervention_unique()
         mi = intervene(m, {"X2": 2})
         rep = observationally_equivalent(mi, intervene(m.replace(), {"X2": 2}), ["X1"])
-        assert rep.verdict
+        assert rep.verdict and rep.rule == "gamma_law"
+        # an interventional verdict names the most general rule it needed
+        assert interventionally_equivalent(mi, mi.replace(), ["X1"]).rule == "gamma_law"
 
     def test_subset_inheritance(self):
         m1 = zoo.lin_gauss_anm()
@@ -202,16 +345,26 @@ class TestObservationalEquivalence:
         for q in (F(3, 8), F(5, 8)):
             base, other = zoo.gated_selfloop(4), zoo.gated_selfloop(4, q=q)
             rep = observationally_equivalent(base, other, ["X"])
-            assert not rep.verdict
-            side = rep.witness["outside"]["side"]
-            sides = {"left": _achievable_marginals(base, ("X",)), "right": _achievable_marginals(other, ("X",))}
-            own, rest = sides[side], sides["right" if side == "left" else "left"]
-            # a vertex of its side, outside the other side's hull
-            (law,) = [v for v in own if v.to_json_obj() == rep.witness["outside"]["law"]]
-            assert [v.to_json_obj() for v in own] == rep.witness[side]
-            cells = hull_cells(own, rest)
-            rows = [[v.probs.get(c, 0) for v in rest] for c in cells] + [[1] * len(rest)]
-            assert not fraction_lp_feasible(rows, [law.probs.get(c, 0) for c in cells] + [1])
+            assert not rep.verdict and rep.rule == "gamma_law"
+            # the smaller gate leaves less to choose: the least P(X = 0) is
+            # 1/6 at q = 1/2, and (1 - q)/3 otherwise
+            assert rep.witness["event"] == ["0"]
+            assert rep.witness["bel"] == {"left": "1/6", "right": str((1 - q) / 3)}
+            assert rep.witness["outside"]["side"] == ("left" if q < F(1, 2) else "right")
+            assert_event_witness(rep, achievable_marginals(base, ("X",)), achievable_marginals(other, ("X",)),
+                                 base.endogenous)
+
+    def test_selector_overflow_pair_gets_a_verdict(self):
+        # 3**16 selectors: the vertex enumeration gives up, the law of the
+        # projected fiber set needs one pass over 16 support points
+        base, other = zoo.two_gated_selfloops(), zoo.two_gated_selfloops(q=F(3, 8))
+        with pytest.raises(ScmError, match="overflow"):
+            observational_polytope(base)
+        assert observationally_equivalent(base, other, ["X1"]).verdict
+        rep = observationally_equivalent(base, other, ["X1", "X2"])
+        assert not rep.verdict and rep.rule == "gamma_law"
+        assert rep.witness["event"] == ["0,0"]
+        assert rep.witness["bel"] == {"left": "1/36", "right": "5/144"}
 
     @pytest.mark.parametrize("variance", [1e-12, 1.0, 1e12])
     def test_gaussian_verdicts_do_not_depend_on_the_noise_scale(self, variance):
@@ -262,11 +415,11 @@ class TestExactLp:
         seen = {"feasible": 0, "infeasible": 0, "known": 0, "negative": 0, "zero_row": 0}
         for _ in range(2000):
             rows, rhs, known = random_lp(rng)
-            verdict = _lp_feasible(rows, rhs)
+            verdict = lp_feasible(rows, rhs)
             assert verdict == fraction_lp_feasible(rows, rhs), (rows, rhs)
             # on the scaled problem both kernels take the same pivots, and
             # the integer tableau is the rational one times det
-            tableau, obj, basis, det = _phase1(rows, rhs)
+            tableau, obj, basis, det = phase1(rows, rhs)
             ftableau, fobj, fbasis = fraction_phase1(*integer_rows(rows, rhs))
             assert basis == fbasis
             assert [obj, *tableau] == [[det * x for x in row] for row in [fobj, *ftableau]], (rows, rhs)
@@ -279,23 +432,116 @@ class TestExactLp:
 
     def test_gated_selfloop_hulls(self):
         for k, noise in ((3, (F(1, 3), F(2, 3))), (4, (F(2, 3), F(1, 3))), (3, (F(1, 6), F(1, 3), F(1, 2)))):
-            vs = _achievable_marginals(zoo.gated_selfloop(k, noise), ("X",))
+            vs = achievable_marginals(zoo.gated_selfloop(k, noise), ("X",))
             for q in (F(3, 8), F(5, 8)):
-                ws = _achievable_marginals(zoo.gated_selfloop(k, noise, q), ("X",))
+                ws = achievable_marginals(zoo.gated_selfloop(k, noise, q), ("X",))
                 cells = hull_cells(vs, ws)
                 for own, other in ((vs, ws), (ws, vs)):
-                    rows = [[v.probs.get(c, 0) for v in other] for c in cells] + [[1] * len(other)]
                     for v in own:
-                        assert _hull_contains(own, v, cells)
-                        rhs = [v.probs.get(c, 0) for c in cells] + [1]
-                        assert _hull_contains(other, v, cells) == fraction_lp_feasible(rows, rhs)
+                        assert hull_contains(own, v, cells)
+                        assert hull_contains(other, v, cells) == fraction_lp_feasible(*hull_rows(other, v, cells))
                 # the smaller gate's polytope lies inside the larger one's
                 small, large = (ws, vs) if q < F(1, 2) else (vs, ws)
-                assert all(_hull_contains(large, v, cells) for v in small)
-                side, law = _first_outside(vs, ws)
+                assert all(hull_contains(large, v, cells) for v in small)
+                side, law = first_outside(vs, ws)
                 assert law in (vs if side == "left" else ws)
-                assert not _hull_contains(small, law, cells)
-            assert _first_outside(vs, vs) is None
+                assert not hull_contains(small, law, cells)
+            assert first_outside(vs, vs) is None
+
+
+def finite_corpus():
+    models = {path.name: parse(path.read_text()) for path in sorted(CORPUS.glob("*.scm"))}
+    return {name: m for name, m in models.items() if isinstance(m, scmkit.FiniteScm)}
+
+
+def checked_against_hull(m1, m2, margin, max_selectors=10**6):
+    """The report on the pair, after checking its verdict against the selector
+    hull and, for a Γ-law difference, its witness against the vertices."""
+    rep = observationally_equivalent(m1, m2, margin)
+    vs1 = achievable_marginals(m1, rep.margin, max_selectors)
+    vs2 = achievable_marginals(m2, rep.margin, max_selectors)
+    assert rep.verdict == hull_verdict(vs1, vs2), (m1, m2, margin)
+    if not rep.verdict and rep.rule == "gamma_law":
+        assert_event_witness(rep, vs1, vs2, m1.endogenous)
+    return rep
+
+
+def one_entry_changed(rng, m):
+    """``m`` with one table entry of one loop variable set to a random value
+    of its domain, which may be the value it had."""
+    v = rng.choice([v for v in m.endogenous_names if v != "Z"])
+    mech = m.mechanisms[v]
+    table = dict(mech.table)
+    table[rng.choice(sorted(table))] = rng.choice(m.endogenous[v].values)
+    return m.replace(mechanisms={**m.mechanisms, v: TabularMechanism(mech.args, table)})
+
+
+class TestGammaLaw:
+    """The law of the projected fiber set decides as the selector hull does."""
+
+    def test_gated_selfloop_pairs_match_the_hull(self):
+        noises = ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)), (F(1, 6), F(1, 3), F(1, 2)))
+        seen = Counter()
+        for k in (2, 3, 4):
+            models = [zoo.gated_selfloop(k, noise, q) for noise in noises if len(noise) <= k
+                      for q in (F(1, 2), F(3, 8), F(5, 8))]
+            for i, m1 in enumerate(models):
+                for m2 in models[i:]:
+                    seen[checked_against_hull(m1, m2, ["X"]).verdict] += 1
+        assert seen[True] >= 24 and seen[False] >= 80, seen
+
+    def test_corpus_pairs_match_the_hull(self):
+        models = list(finite_corpus().values())
+        seen = Counter()
+        for i, m1 in enumerate(models):
+            for m2 in models[i:]:
+                margin = [v for v in m1.endogenous_names if m2.endogenous.get(v) == m1.endogenous[v]]
+                if margin:
+                    rep = checked_against_hull(m1, m2, margin)
+                    seen[rep.verdict, rep.rule] += 1
+        assert seen[True, "gamma_law"] and seen[False, "gamma_law"] and seen[False, "single_law"], seen
+
+    def test_random_component_pairs_match_the_hull(self):
+        # pairs that differ in one table entry, each side solvable and one
+        # not uniquely solvable; a pair past 2000 selectors is left out, as
+        # its vertex enumeration would dominate the suite
+        rng = random.Random(97)
+        seen = Counter()
+        while seen["pairs"] < 1000:
+            m1 = zoo.random_component_scm(rng, rng.randint(1, 3))
+            m2 = one_entry_changed(rng, m1)
+            names = m1.endogenous_names
+            if (not (solvable_wrt(m1, names) and solvable_wrt(m2, names))
+                    or uniquely_solvable_wrt(m1, names) and uniquely_solvable_wrt(m2, names)):
+                continue
+            margin = rng.sample(names, rng.randint(1, len(names)))
+            try:
+                rep = checked_against_hull(m1, m2, margin, max_selectors=2000)
+            except ScmError:
+                seen["overflow"] += 1
+                continue
+            seen["pairs"] += 1
+            seen[rep.verdict, rep.rule] += 1
+        assert seen["overflow"] < 10, seen
+        assert seen[True, "gamma_law"] > 300 and seen[False, "gamma_law"] > 100, seen
+        assert seen[True, "single_law"] and seen[False, "single_law"], seen
+
+    def test_do_law_of_the_model_is_the_law_of_the_intervened_model(self):
+        rng = random.Random(101)
+        models = list(finite_corpus().values())
+        models += [zoo.random_finite_scm(rng, max_endo=3, self_arg_p=0.4) for _ in range(30)]
+        models += [zoo.random_component_scm(rng, rng.randint(1, 3)) for _ in range(30)]
+        seen = Counter()
+        for m in models:
+            names = m.endogenous_names
+            for size in range(len(names) + 1):
+                for targets in itertools.combinations(names, size):
+                    for values in itertools.product(*(m.endogenous[t].values for t in targets)):
+                        iv = dict(zip(targets, values))
+                        law = _gamma_law(m, names, iv)
+                        assert law == _gamma_law(intervene(m, iv), names, {}), (m, iv)
+                        seen[law is None] += 1
+        assert seen[True] > 100 and seen[False] > 1000, seen
 
 
 class TestInterventionalEquivalence:
@@ -320,6 +566,7 @@ class TestInterventionalEquivalence:
         m_tilde = zoo.interventional_equiv_tilde()
         m_hat = zoo.interventional_equiv_hat()
         margin = ["X1", "X2"]
+        assert interventionally_equivalent(m, m_tilde, margin).rule == "single_law"
         assert interventionally_equivalent(m, m_tilde, margin).verdict
         assert interventionally_equivalent(m, m_hat, margin).verdict
         assert interventionally_equivalent(m_tilde, m_hat, margin).verdict
@@ -339,7 +586,9 @@ class TestInterventionalEquivalence:
         assert interventionally_equivalent(m, m_tilde, ["X1"]).verdict
         rep = interventionally_equivalent(m, m_tilde, ["X1", "X2"])
         assert not rep.verdict
+        # do(X2 = 2) leaves one model without a solution
         assert rep.witness["intervention"] == {"X2": 2}
+        assert rep.rule == "no_solution"
 
     def test_evaluation_cap(self):
         m = zoo.interventional_equiv_m()
@@ -495,6 +744,22 @@ class TestDirectCausalGraph:
     def test_linear_causal_graph(self):
         g = direct_causal_graph(zoo.lin_gauss_anm())
         assert g.directed == {("X1", "X2"), ("X2", "X1")}
+
+
+    def test_premise_is_checked_once_per_model(self, monkeypatch):
+        from scmkit import analysis
+
+        calls = Counter()
+        scan = analysis.uniquely_solvable_wrt
+
+        def counted(m, subset):
+            calls["scan"] += 1
+            return scan(m, subset)
+
+        monkeypatch.setattr(analysis, "uniquely_solvable_wrt", counted)
+        m = zoo.ternary_ring_scm(6)
+        assert len(direct_causal_graph(m).directed) == 6
+        assert calls["scan"] <= len(m.endogenous_names), calls
 
 
 class TestContextCausalGraph:

@@ -168,6 +168,7 @@ class TestEquivCommand:
         assert run(["equiv", m, t, "--level", "cf"]) == 1
         obj = json.loads(capsys.readouterr().out)
         assert obj["verdict"] is False
+        assert obj["rule"] == "single_law"
         assert obj["witness"]
 
     def test_wrt_margin(self):
@@ -176,10 +177,11 @@ class TestEquivCommand:
         assert run(["equiv", m, t, "--level", "int", "--wrt", "X1"]) == 0
         assert run(["equiv", m, t, "--level", "int"]) == 1
 
-    def test_linear_equiv(self):
+    def test_linear_equiv(self, capsys):
         a = corpus("ex_lingauss.scm")
         b = corpus("ex_lingauss_tilde.scm")
         assert run(["equiv", a, b, "--level", "obs"]) == 0
+        assert json.loads(capsys.readouterr().out)["rule"] == "linear_per_variable"
         assert run(["equiv", a, b, "--level", "int"]) == 1
 
 
