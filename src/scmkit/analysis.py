@@ -2,8 +2,10 @@
 
 Finite SCMs: all quantifiers over exogenous values range over the support of
 the product measure; everything is computed in exact rational arithmetic.
-One pass over the support solves the whole model per noise value; the
-distribution and the selector polytope both read their fibers from it.
+Every finite law is one push-forward, ``_gamma_law``: one pass over the
+support of the noises that the non-intervened variables read, solving their
+fiber per noise value.  The selector polytope makes its own pass, as the
+hull that the equivalence tests compare against.
 Linear SCMs: every verdict comes from one core, the block ``I - B_OO`` of the
 subset and its inverse, with the global tolerance for the singularity test.
 ``solve_map`` is the one linear solve: the observational distribution,
@@ -60,6 +62,15 @@ __all__ = [
 
 
 # --- distributions --------------------------------------------------------
+
+def _coordinates(vars: tuple, names) -> list:
+    """The positions of ``names`` among the coordinates ``vars`` of a law;
+    a name that is not one of them raises ``UnknownNameError``."""
+    unknown = [v for v in names if v not in vars]
+    if unknown:
+        raise UnknownNameError(f"unknown coordinates {unknown}")
+    return [vars.index(v) for v in names]
+
 
 class DiscreteDistribution:
     """Exact distribution over a finite product of named domains.
@@ -130,7 +141,7 @@ class DiscreteDistribution:
 
     def prob(self, assignment: Mapping[str, object]) -> Fraction:
         """Probability of a (possibly partial) assignment."""
-        idx = [self.vars.index(v) for v in assignment]
+        idx = _coordinates(self.vars, assignment)
         want = [assignment[v] for v in assignment]
         return sum(
             (p for cell, p in self.probs.items() if all(cell[i] == w for i, w in zip(idx, want))),
@@ -139,10 +150,7 @@ class DiscreteDistribution:
 
     def marginal(self, names) -> "DiscreteDistribution":
         names = tuple(names)
-        unknown = set(names) - set(self.vars)
-        if unknown:
-            raise UnknownNameError(f"unknown coordinates {sorted(unknown)}")
-        idx = [self.vars.index(v) for v in names]
+        idx = _coordinates(self.vars, names)
         out = {}
         for cell, p in self.probs.items():
             key = tuple(cell[i] for i in idx)
@@ -151,11 +159,8 @@ class DiscreteDistribution:
 
     def condition(self, evidence: Mapping[str, object]) -> "DiscreteDistribution":
         """Exact Bayes conditioning; raises on zero-probability evidence."""
-        for v in evidence:
-            if v not in self.vars:
-                raise UnknownNameError(f"unknown coordinate {v!r}")
+        idx_e = [(i, evidence[v]) for i, v in zip(_coordinates(self.vars, evidence), evidence)]
         keep_vars = tuple(v for v in self.vars if v not in evidence)
-        idx_e = [(self.vars.index(v), evidence[v]) for v in evidence]
         idx_k = [self.vars.index(v) for v in keep_vars]
         total = Fraction(0)
         cells = {}
@@ -203,7 +208,7 @@ class GaussianDistribution:
         return f"GaussianDistribution(vars={self.vars!r})"
 
     def marginal(self, names) -> "GaussianDistribution":
-        idx = [self.vars.index(v) for v in names]
+        idx = _coordinates(self.vars, names)
         return GaussianDistribution(
             tuple(names), self.mean[idx], self.cov[np.ix_(idx, idx)], self.regularized
         )
@@ -478,15 +483,11 @@ def _noise_weights(m: FiniteScm, j: str) -> tuple:
     return den, [(v, p.numerator * (den // p.denominator)) for v, p in probs]
 
 
-def _support_denominator(m: FiniteScm, exo_names) -> int:
-    """The one denominator of the weights ``_support_assignments`` yields."""
-    return math.prod(_noise_weights(m, j)[0] for j in exo_names)
-
-
 def _support_assignments(m: FiniteScm, exo_names):
     """Yield ``(assignment dict, n)`` over the support of the product measure
     restricted to ``exo_names``, in product order: the point has probability
-    ``n / _support_denominator(m, exo_names)``, with ``n`` an integer."""
+    ``n / den``, with ``n`` an integer and ``den`` the sum of all the weights,
+    the product of the noises' ``_noise_weights`` denominators."""
     weighted = [_noise_weights(m, j)[1] for j in exo_names]
     for combo in itertools.product(*weighted):
         n = 1
@@ -495,16 +496,32 @@ def _support_assignments(m: FiniteScm, exo_names):
         yield {j: v for j, (v, _) in zip(exo_names, combo)}, n
 
 
-def _support_fibers(m: FiniteScm):
-    """Yield ``(e, n, fiber)`` for each noise assignment ``e`` in the support:
-    its integer weight ``n`` (see ``_support_assignments``) and the solutions
-    of the whole model; raises NotSolvable at the first empty fiber."""
-    endo = m.endogenous_names
-    for e_assign, n in _support_assignments(m, m.exogenous_names):
-        sols = _fibers(m, endo, e_assign)
+def _gamma_law(m: FiniteScm, margin, iv):
+    """The law of Γ, the fiber of ``m`` under do(iv) projected to ``margin``:
+    ``(den, law)`` with P(Γ = A) = law[A] / den for each set A of margin
+    cells, ``den`` the sum of the integer weights of the support points,
+    which is their one denominator; ``None`` at the first empty fiber.  This
+    is the one finite push-forward of the noise law: one pass over the
+    support of the noises that the variables outside ``iv`` read.  The
+    targets of ``iv`` are held as context and read as their values, so every
+    intervention shares the component memo of ``m`` and none builds a
+    model."""
+    free = tuple(v for v in m.endogenous_names if v not in iv)
+    # the margin in the order of the solved variables is the fiber itself
+    pick = None if tuple(margin) == free else [
+        (iv[v], None) if v in iv else (None, free.index(v)) for v in margin
+    ]
+    law = {}
+    for assign, n in _support_assignments(m, _relevant_exo(m, free)):
+        assign.update(iv)
+        sols = _fibers(m, free, assign)
         if not sols:
-            raise NotSolvable(endo, {"e": e_assign})
-        yield e_assign, n, sols
+            return None
+        cells = frozenset(sols) if pick is None else frozenset(
+            tuple(x if i is None else sol[i] for x, i in pick) for sol in sols
+        )
+        law[cells] = law.get(cells, 0) + n
+    return sum(law.values()), law
 
 
 def fiber(m: FiniteScm, subset, e: Mapping[str, object], ctx: Mapping[str, object] = None) -> frozenset:
@@ -632,16 +649,9 @@ def uniquely_solvable_wrt(m, subset) -> SolvabilityResult:
 
 def structurally_uniquely_solvable(m) -> bool:
     """Uniquely solvable with respect to every singleton; equivalently the
-    augmented graph has no self-loops (both are computed and cross-checked).
-    The verdict is memoized per model, which is sound because models are
-    frozen."""
-    if "structurally_unique" not in m._cache:
-        by_singletons = all(bool(uniquely_solvable_wrt(m, [i])) for i in m.endogenous_names)
-        no_self_loops = all((i, i) not in augmented_graph(m).directed for i in m.endogenous_names)
-        if by_singletons != no_self_loops:  # pragma: no cover - consistency guard
-            raise AssertionError("self-loop detection disagrees with singleton solvability")
-        m._cache["structurally_unique"] = by_singletons
-    return m._cache["structurally_unique"]
+    augmented graph, which is cached per model, has no self-loops."""
+    directed = augmented_graph(m).directed
+    return all((i, i) not in directed for i in m.endogenous_names)
 
 
 def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:
@@ -726,18 +736,22 @@ def solve_map(m, subset) -> SolveMap:
 # --- distributions of solutions ----------------------------------------------
 
 def observational_distribution(m):
-    """The law of the unique solution: exact pushforward for finite SCMs,
-    closed-form Gaussian for linear SCMs."""
+    """The law of the unique solution.  Finite SCMs: the Γ-law of all
+    variables (``_gamma_law``), one exact pass over the noises the model
+    reads, whose focal sets must all be singletons; otherwise ``NotSolvable``
+    or ``NotUniquelySolvable`` names the first noise value, restricted to
+    those noises, with an empty or a larger fiber.  Linear SCMs: the
+    closed-form Gaussian."""
     if isinstance(m, FiniteScm):
         endo = m.endogenous_names
-        weights = {}
-        for e_assign, n, sols in _support_fibers(m):
-            if len(sols) > 1:
-                raise NotUniquelySolvable(endo, {"e": e_assign, "fiber": tuple(sols)})
-            cell = sols[0]
-            weights[cell] = weights.get(cell, 0) + n
-        den = _support_denominator(m, m.exogenous_names)
-        return DiscreteDistribution(endo, m.endogenous, {c: Fraction(n, den) for c, n in weights.items()})
+        g = _gamma_law(m, endo, {})
+        if g is None or any(len(cells) != 1 for cells in g[1]):
+            witness = _finite_scan(m, endo, need_unique=True).witness
+            if not witness["fiber"]:
+                raise NotSolvable(endo, {"e": witness["e"]})
+            raise NotUniquelySolvable(endo, {"e": witness["e"], "fiber": witness["fiber"]})
+        den, law = g
+        return DiscreteDistribution(endo, m.endogenous, {cell: Fraction(n, den) for (cell,), n in law.items()})
     if isinstance(m, LinearScm):
         try:
             sm = solve_map(m, m.endogenous_names)
@@ -760,12 +774,15 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
     endo = m.endogenous_names
     points = []
     count = 1
-    for _, n, sols in _support_fibers(m):
+    for e_assign, n in _support_assignments(m, m.exogenous_names):
+        sols = _fibers(m, endo, e_assign)
+        if not sols:
+            raise NotSolvable(endo, {"e": e_assign})
         points.append((n, sols))
         count *= len(sols)
         if count > max_selectors:
             raise ScmError(f"selector polytope overflow: more than {max_selectors} candidate selectors")
-    den = _support_denominator(m, m.exogenous_names)
+    den = sum(n for n, _ in points)
     vertices = []
     seen = set()
     for choice in itertools.product(*(sols for _, sols in points)):
@@ -827,14 +844,11 @@ def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float], t
     is regularized and the result flagged."""
     tol = tolerance(tol)
     names = list(observed)
-    for v in names:
-        if v not in d.vars:
-            raise UnknownNameError(f"unknown coordinate {v!r}")
+    ib = _coordinates(d.vars, names)
     if not names:
         return d
     keep = [v for v in d.vars if v not in observed]
     ia = [d.vars.index(v) for v in keep]
-    ib = [d.vars.index(v) for v in names]
     saa = d.cov[np.ix_(ia, ia)]
     sab = d.cov[np.ix_(ia, ib)]
     sbb = d.cov[np.ix_(ib, ib)]

@@ -6,17 +6,20 @@ the margin, that set is the Minkowski sum of p(e) times the simplex on Γ(e):
 the core of the belief function with mass m(A) = P(Γ = A) (Dempster 1967;
 Shafer 1976).  The core determines the belief function, its lower envelope,
 and the belief function its mass, so two sets are equal iff the two laws of
-Γ are equal.  Each law takes one exact pass over the noise support, per
-model and per intervention, at a cost of the support size times the product
-of the cycle-cutset domains of each component; no selector is enumerated and
-no LP is solved.  A difference is witnessed by the smallest differing focal
-set S, its beliefs (the least achievable probabilities of S) on both sides,
-and the selector law that reaches the smaller one, which lies outside the
-other side's set.  Interventional equivalence quantifies over all perfect
-interventions inside the margin; counterfactual equivalence is
-interventional equivalence of the twin models.  Each report names the rule
-that decided it in ``rule``: ``"no_solution"``, ``"single_law"``,
-``"gamma_law"`` or ``"linear_per_variable"``.
+Γ are equal.  Each law is ``analysis._gamma_law``, the one finite
+push-forward of the noise law: one exact pass over the support of the noises
+that the non-intervened variables read, per model and per intervention, at a
+cost of that support's size times the product of the cycle-cutset domains of
+each component; no selector is enumerated and no LP is solved.  A difference
+is witnessed by the smallest differing focal set S, its beliefs (the least
+achievable probabilities of S) on both sides, and the selector law that
+reaches the smaller one, which lies outside the other side's set.
+Interventional equivalence quantifies over all perfect interventions inside
+the margin; counterfactual equivalence is interventional equivalence of the
+twin models.  Each report names the rule that decided it in ``rule``:
+``"no_solution"``, ``"single_law"``, ``"gamma_law"`` or
+``"linear_per_variable"``.  A direct cause i of j is read off the same law:
+the Γ-laws of j under do(V minus j) differ between two values of i.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ from fractions import Fraction
 
 from .analysis import (
     DiscreteDistribution,
-    _fibers,
+    _gamma_law,
     _gaussians_agree,
-    _support_assignments,
-    _support_denominator,
     solve_map,
     structurally_uniquely_solvable,
 )
@@ -101,27 +102,6 @@ def _margin_names(m1, m2, margin) -> tuple:
             if m1.endogenous[v] != m2.endogenous[v]:
                 raise DomainMismatchError(f"margin variable {v} has different domains")
     return margin
-
-
-def _gamma_law(m: FiniteScm, margin, iv):
-    """The law of Γ, the fiber of ``m`` under do(iv) projected to ``margin``:
-    ``(den, law)`` with P(Γ = A) = law[A] / den for each set A of margin
-    cells, ``den`` the sum of the integer weights of the support points,
-    which is their one denominator; ``None`` at the first empty fiber.  One
-    pass over the noise support of ``m``: the targets of ``iv`` are held as
-    context and read as their values, so every intervention shares the
-    component memo of ``m`` and none builds a model."""
-    free = tuple(v for v in m.endogenous_names if v not in iv)
-    pick = [(iv[v], None) if v in iv else (None, free.index(v)) for v in margin]
-    law = {}
-    for assign, n in _support_assignments(m, m.exogenous_names):
-        assign.update(iv)
-        sols = _fibers(m, free, assign)
-        if not sols:
-            return None
-        cells = frozenset(tuple(x if i is None else sol[i] for x, i in pick) for sol in sols)
-        law[cells] = law.get(cells, 0) + n
-    return sum(law.values()), law
 
 
 def _selector_law(margin, domains, den, law, order, event) -> DiscreteDistribution:
@@ -309,44 +289,18 @@ def counterfactually_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
 
 # --- direct causes -----------------------------------------------------------
 
-def _pointwise_distribution(m: FiniteScm, j: str, ctx: dict) -> DiscreteDistribution:
-    """Law of X_j when every other endogenous variable is clamped to ctx.
-
-    The table of j may formally take x_j as an argument even without a
-    self-loop, so the unique fixed point is solved for rather than read off.
-    """
-    mech = m.mechanisms[j]
-    exo = tuple(a for a in mech.args if a in m.exogenous)
-    weights = {}
-    for e_assign, n in _support_assignments(m, exo):
-        assign = dict(ctx)
-        assign.update(e_assign)
-        if j in mech.args:
-            fixed = []
-            for x in m.endogenous[j].values:
-                assign[j] = x
-                if mech(assign) == x:
-                    fixed.append(x)
-            if len(fixed) != 1:  # pragma: no cover - excluded by the no-self-loop precondition
-                raise ScmError(f"variable {j} has no unique fixed point under full intervention")
-            value = fixed[0]
-        else:
-            value = mech(assign)
-        weights[(value,)] = weights.get((value,), 0) + n
-    den = _support_denominator(m, exo)
-    return DiscreteDistribution((j,), {j: m.endogenous[j]}, {c: Fraction(n, den) for c, n in weights.items()})
-
-
 def is_direct_cause(m, i: str, j: str):
     """Is there an intervention contrast on i, all other variables held fixed,
     that changes the law of j?  Requires a model without self-loops.
 
     Finite models return (verdict, witness) with the lexicographically first
-    contrast found; linear models decide from the canonicalized coefficient.
-    The law of j under do(V minus j) reads only j's arguments: i outside j's
-    functional parents is no direct cause, and otherwise the contrasts range
-    over j's other declared arguments, every remaining variable held at its
-    first value, which is where the lexicographically first contrast has it.
+    contrast found, each law of j being its Γ-law under do(V minus j), one
+    pass over the noises j reads; linear models decide from the
+    canonicalized coefficient.  The law of j under do(V minus j) reads only
+    j's arguments: i outside j's functional parents is no direct cause, and
+    otherwise the contrasts range over j's other declared arguments, every
+    remaining variable held at its first value, which is where the
+    lexicographically first contrast has it.
     """
     if i == j:
         raise ScmError("direct causes are defined for distinct variables")
@@ -369,7 +323,7 @@ def is_direct_cause(m, i: str, j: str):
     dom = m.endogenous[i].values
     for ctx_combo in itertools.product(*(m.endogenous[v].values for v in ranged)):
         ctx.update(zip(ranged, ctx_combo))
-        laws = [_pointwise_distribution(m, j, {**ctx, i: x}) for x in dom]
+        laws = [_gamma_law(m, (j,), {**ctx, i: x}) for x in dom]
         for a_idx, b_idx in itertools.combinations(range(len(dom)), 2):
             if laws[a_idx] != laws[b_idx]:
                 return True, ({**ctx, i: dom[a_idx]}, {**ctx, i: dom[b_idx]})

@@ -139,20 +139,25 @@ class _Parser:
 
     # --- literals ----------------------------------------------------------
 
+    def parse_ratio(self) -> tuple:
+        """An ``INT [/ INT]`` literal as ``(numerator, denominator)``, the
+        denominator 1 when it is absent and never 0."""
+        num = int(self.expect("INT").value)
+        if not self.at_op("/"):
+            return num, 1
+        self.advance()
+        den = self.expect("INT")
+        if int(den.value) == 0:
+            self.fail("zero denominator", den)
+        return num, int(den.value)
+
     def parse_rational(self):
         """Signed integer or p/q rational (exact)."""
         negative = False
         if self.at_op("-"):
             self.advance()
             negative = True
-        tok = self.expect("INT")
-        value = Fraction(int(tok.value))
-        if self.at_op("/"):
-            self.advance()
-            den = self.expect("INT")
-            if int(den.value) == 0:
-                self.fail("zero denominator", den)
-            value = Fraction(int(tok.value), int(den.value))
+        value = Fraction(*self.parse_ratio())
         if negative:
             value = -value
         return _normalize_atom(value)
@@ -168,14 +173,8 @@ class _Parser:
             self.advance()
             value = float(tok.value)
         elif tok.kind == "INT":
-            self.advance()
-            value = float(int(tok.value))
-            if self.at_op("/"):
-                self.advance()
-                den = self.expect("INT")
-                if int(den.value) == 0:
-                    self.fail("zero denominator", den)
-                value = value / int(den.value)
+            num, den = self.parse_ratio()
+            value = float(num) / den
         else:
             self.fail(f"expected a number, found {tok.value!r}")
         return -value if negative else value
@@ -212,15 +211,7 @@ class _Parser:
             self.expect("OP", ")")
             return node
         if tok.kind == "INT":
-            self.advance()
-            value = Fraction(int(tok.value))
-            if self.at_op("/"):
-                self.advance()
-                den = self.expect("INT")
-                if int(den.value) == 0:
-                    self.fail("zero denominator", den)
-                value = Fraction(int(tok.value), int(den.value))
-            return ("num", value)
+            return ("num", Fraction(*self.parse_ratio()))
         if tok.kind == "FLOAT":
             self.fail("decimal literals are not allowed in finite models; use p/q rationals")
         if tok.kind == "NAME" and tok.value == "ind":
@@ -300,16 +291,10 @@ def _expr_eval(node, env):
 _PREC = {"add": 1, "sub": 1, "mul": 2, "neg": 3, "num": 4, "name": 4, "ind": 4}
 
 
-def _render_value(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
-
-
 def _render_expr(node, parent_prec=0) -> str:
     kind = node[0]
     if kind == "num":
-        text = _render_value(node[1])
+        text = str(node[1])
     elif kind == "name":
         text = node[1]
     elif kind == "neg":
@@ -718,12 +703,12 @@ def serialize(m) -> str:
         _require_numeric_domains(m)
         lines = ["model finite"]
         for name in sorted(m.endogenous):
-            values = ", ".join(_render_value(v) for v in m.endogenous[name].values)
+            values = ", ".join(map(str, m.endogenous[name].values))
             lines.append(f"var {name} : {{{values}}}")
         for name in sorted(m.exogenous):
-            values = ", ".join(_render_value(v) for v in m.exogenous[name].values)
+            values = ", ".join(map(str, m.exogenous[name].values))
             probs = ", ".join(
-                f"{_render_value(v)}: {Fraction(m.measure[name].get(v, 0))}"
+                f"{v}: {Fraction(m.measure[name].get(v, 0))}"
                 for v in m.exogenous[name].values
             )
             lines.append(f"noise {name} : {{{values}}} ~ {{{probs}}}")

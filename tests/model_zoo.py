@@ -282,6 +282,14 @@ def nonunique_selfloop_pair():
     return m, m_tilde
 
 
+def with_unread_noise(m: FiniteScm) -> FiniteScm:
+    """``m`` with one more noise, ``U``, on three values, that no mechanism
+    reads: every law and every verdict of ``m`` stays the same."""
+    measure = {j: dict(t) for j, t in m.measure.items()}
+    measure["U"] = {0: F(1, 6), 1: F(1, 3), 2: F(1, 2)}
+    return FiniteScm(m.endogenous, {**m.exogenous, "U": fd(0, 1, 2)}, measure, m.mechanisms)
+
+
 def unique_ancestral() -> FiniteScm:
     dom = fd(0, 1)
     endo = {"X1": dom, "X2": dom, "X3": dom}
@@ -544,22 +552,35 @@ def exhaustive_fiber(m, subset, assign):
     return out
 
 
-def exhaustive_direct_cause(m, i, j):
+def exhaustive_direct_cause(m, i, j, laws=None):
     """Reference oracle for ``is_direct_cause`` on finite models: every
     context of all other variables, in product order, each contrast of two
-    values of i."""
-    from scmkit.causal import _pointwise_distribution
+    values of i.  The law of j under a full intervention is the j-marginal of
+    ``fraction_distribution`` of the intervened model, found by brute force;
+    a caller checking several pairs of one model passes one dict as ``laws``
+    to share those laws between the pairs."""
+    from scmkit import intervene
 
+    laws = {} if laws is None else laws
     others = [v for v in m.endogenous_names if v not in (i, j)]
     dom = m.endogenous[i].values
+    at = m.endogenous_names.index(j)
+
+    def law_of_j(assign):
+        key = (j, tuple(assign.get(v) for v in m.endogenous_names))
+        if key not in laws:
+            law = {}
+            for cell, p in fraction_distribution(intervene(m, assign)).items():
+                law[cell[at]] = law.get(cell[at], F(0)) + p
+            laws[key] = law
+        return laws[key]
+
     for ctx_combo in itertools.product(*(m.endogenous[v].values for v in others)):
         ctx = dict(zip(others, ctx_combo))
-        for a_idx in range(len(dom)):
-            for b_idx in range(a_idx + 1, len(dom)):
-                left = _pointwise_distribution(m, j, {**ctx, i: dom[a_idx]})
-                right = _pointwise_distribution(m, j, {**ctx, i: dom[b_idx]})
-                if left != right:
-                    return True, ({**ctx, i: dom[a_idx]}, {**ctx, i: dom[b_idx]})
+        contrast = [law_of_j({**ctx, i: x}) for x in dom]
+        for a_idx, b_idx in itertools.combinations(range(len(dom)), 2):
+            if contrast[a_idx] != contrast[b_idx]:
+                return True, ({**ctx, i: dom[a_idx]}, {**ctx, i: dom[b_idx]})
     return False, None
 
 

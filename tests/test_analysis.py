@@ -45,6 +45,7 @@ from scmkit.analysis import _cutset, _fibers, _finite_scan
 from scmkit.dsl import parse
 
 F = Fraction
+CORPUS = Path(__file__).parent / "corpus"
 
 
 class TestFiber:
@@ -344,6 +345,20 @@ class TestStructuralAndAllSubsets:
         m = LinearScm(("X",), zoo.std_blocks("E1"), [[1.0]], [[1.0]])
         assert not structurally_uniquely_solvable(m)
 
+    def test_self_loops_are_the_singletons_not_uniquely_solvable(self):
+        models = [parse(path.read_text()) for path in sorted(CORPUS.glob("*.scm"))]
+        models.append(LinearScm(("X", "Y"), zoo.std_blocks("E1"), [[1.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]]))
+        rng = random.Random(31)
+        models += [zoo.random_component_scm(rng, rng.randint(1, 3)) for _ in range(60)]
+        seen = Counter()
+        for m in models:
+            loops = augmented_graph(m).directed
+            for k in m.endogenous_names:
+                looped = (k, k) in loops
+                assert looped == (not uniquely_solvable_wrt(m, [k])), (m, k)
+                seen[type(m).__name__, looped] += 1
+        assert all(seen[family, looped] for family in ("FiniteScm", "LinearScm") for looped in (True, False)), seen
+
     def test_all_subsets_via_loops_matches_brute_force(self):
         rng = random.Random(19)
         for _ in range(25):
@@ -557,6 +572,19 @@ class TestObservationalDistribution:
         with pytest.raises(NotUniquelySolvable):
             observational_distribution(m_tilde)
 
+    def test_error_witnesses_name_the_noise_value_and_the_fiber(self):
+        _, m_tilde = zoo.nonunique_selfloop_pair()
+        unsolvable = intervene(zoo.unsolvable_selfloop(), {"X2": 1})
+        # a noise that no variable reads is not part of the witness
+        for m in (m_tilde, zoo.with_unread_noise(m_tilde)):
+            with pytest.raises(NotUniquelySolvable) as err:
+                observational_distribution(m)
+            assert err.value.witness == {"e": {}, "fiber": ((0, 0), (0, 1))}
+        for m in (unsolvable, zoo.with_unread_noise(unsolvable)):
+            with pytest.raises(NotSolvable) as err:
+                observational_distribution(m)
+            assert err.value.witness == {"e": {}}
+
     def test_cycle4_distribution_normalizes(self):
         dist = observational_distribution(zoo.cycle4_scm())
         assert sum(dist.probs.values()) == 1
@@ -732,6 +760,20 @@ class TestDistributionPlumbing:
         assert sum(marg.probs.values()) == 1
         cond = dist.condition({"X1": 1})
         assert sum(cond.probs.values()) == 1
+
+    def test_unknown_names_raise_unknown_name_error(self):
+        d = observational_distribution(zoo.causal_graph_marginalization())
+        g = observational_distribution(zoo.lin_gauss_anm())
+        calls = (
+            lambda: d.prob({"ZZ": 0}),
+            lambda: d.marginal(["ZZ"]),
+            lambda: d.condition({"ZZ": 0}),
+            lambda: g.marginal(["ZZ"]),
+            lambda: gaussian_condition(g, {"ZZ": 0.0}),
+        )
+        for call in calls:
+            with pytest.raises(UnknownNameError, match="ZZ"):
+                call()
 
     def test_json_shapes(self):
         m, _ = zoo.equivalence_pair()

@@ -19,6 +19,7 @@ from scmkit import (
     MixedGraph,
     NotSolvable,
     ScmError,
+    SolvabilityError,
     TabularMechanism,
     canonicalize,
     counterfactually_equivalent,
@@ -543,6 +544,37 @@ class TestGammaLaw:
                         seen[law is None] += 1
         assert seen[True] > 100 and seen[False] > 1000, seen
 
+    def test_an_unread_noise_changes_no_law_and_no_verdict(self):
+        def law_or_error(m, iv):
+            try:
+                return observational_distribution(intervene(m, iv))
+            except SolvabilityError as exc:
+                return type(exc), exc.witness
+
+        models = finite_corpus()
+        for m in models.values():
+            u = zoo.with_unread_noise(m)
+            ivs = [{}] + [{t: x} for t in m.endogenous_names for x in m.endogenous[t].values]
+            for iv in ivs:
+                assert law_or_error(u, iv) == law_or_error(m, iv), (m, iv)
+        seen = Counter()
+        names = list(models)
+        for i, n1 in enumerate(names):
+            for n2 in names[i:]:
+                m1, m2 = models[n1], models[n2]
+                margin = [v for v in m1.endogenous_names if m2.endogenous.get(v) == m1.endogenous[v]]
+                if not margin:
+                    continue
+                # the cf margin stays within the evaluation cap
+                for fn, wrt in ((observationally_equivalent, margin),
+                                (interventionally_equivalent, margin),
+                                (counterfactually_equivalent, margin[:2])):
+                    rep = fn(m1, m2, wrt).to_json_obj()
+                    assert fn(zoo.with_unread_noise(m1), m2, wrt).to_json_obj() == rep, (n1, n2)
+                    seen[rep["level"], rep["verdict"]] += 1
+        assert all(seen[level, verdict] for level in ("observational", "interventional", "counterfactual")
+                   for verdict in (True, False)), seen
+
 
 class TestInterventionalEquivalence:
     def test_lin_gauss_not_interventionally_equivalent(self):
@@ -693,12 +725,13 @@ class TestDirectCause:
                 models.append(m)
         verdicts = Counter()
         for m in models:
+            laws = {}
             for i in m.endogenous_names:
                 for j in m.endogenous_names:
                     if i == j:
                         continue
                     got = is_direct_cause(m, i, j)
-                    assert got == zoo.exhaustive_direct_cause(m, i, j), (m, i, j)
+                    assert got == zoo.exhaustive_direct_cause(m, i, j, laws), (m, i, j)
                     if got[0]:
                         # a witness whose context moves a variable off its
                         # first value, or holds one that j does not read

@@ -115,6 +115,12 @@ class TestDistCommands:
         obj = json.loads(capsys.readouterr().out)
         assert obj["probs"] == [["-1", "1"]]
 
+    def test_unknown_query_name_is_a_model_error(self, capsys):
+        for name in ("ex_lingauss.scm", "ex_product_m.scm"):
+            assert run(["counterfactual", corpus(name), "--query", "ZZ'"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("scmkit: error: unknown coordinates") and err.count("\n") == 1, err
+
     def test_counterfactual_gaussian(self, capsys):
         assert run([
             "counterfactual", corpus("ex_lingauss.scm"),
