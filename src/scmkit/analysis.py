@@ -29,7 +29,7 @@ from .errors import (
     ScmError,
     UnknownNameError,
 )
-from .graph import MixedGraph, enumerate_loops
+from .graph import enumerate_loops, strong_components
 from .scm import (
     FiniteScm,
     FiniteDomain,
@@ -307,63 +307,16 @@ def _subset_names(m, subset) -> tuple:
     return tuple(n for n in m.endogenous_names if n in names)
 
 
-def _dependency_components(m: FiniteScm, subset: tuple):
+def _dependency_components(m: FiniteScm, subset: tuple) -> list:
     """Strongly connected components of the declared-argument dependency graph
-    on ``subset``, in topological order.  Declared arguments are a superset of
-    the functional parents, so this is a sound decomposition for fiber
+    on ``subset``, in topological order (``strong_components`` over each
+    variable's arguments).  Declared arguments are a superset of the
+    functional parents, so this is a sound decomposition for fiber
     enumeration."""
     cache = m._cache.setdefault("components", {})
-    if subset in cache:
-        return cache[subset]
-    inside = set(subset)
-    edges = []
-    for o in subset:
-        for a in m.mechanisms[o].args:
-            if a in inside and a != o:
-                edges.append((a, o))
-    g = MixedGraph(subset, edges, ())
-    comps = []
-    seen = set()
-    for n in subset:
-        c = g.scc_map()[n]
-        if c not in seen:
-            seen.add(c)
-            comps.append(c)
-    comp_parents = {
-        c: set(g.scc_map()[a] for o in c for a in m.mechanisms[o].args if a in inside) - {c}
-        for c in comps
-    }
-    ordered = []
-    placed = set()
-    while comps:
-        progress = False
-        for c in list(comps):
-            if comp_parents[c] <= placed:
-                ordered.append(tuple(o for o in subset if o in c))
-                placed.add(c)
-                comps.remove(c)
-                progress = True
-        if not progress:  # pragma: no cover - SCC condensation is acyclic
-            raise AssertionError("cyclic component order")
-    cache[subset] = ordered
-    return ordered
-
-
-def _acyclic_order(preds: dict, removed) -> tuple:
-    """The variables of ``preds`` outside ``removed`` in a topological order
-    of the graph ``preds`` (variable -> its predecessors) with ``removed``
-    taken out, or ``None`` if that graph has a cycle; a self-loop is one."""
-    done = set(removed)
-    left = [o for o in preds if o not in done]
-    order = []
-    while left:
-        ready = [o for o in left if preds[o] <= done]
-        if not ready:
-            return None
-        order += ready
-        done.update(ready)
-        left = [o for o in left if o not in done]
-    return tuple(order)
+    if subset not in cache:
+        cache[subset] = strong_components(subset, {o: m.mechanisms[o].args for o in subset})
+    return cache[subset]
 
 
 def _cutset(m: FiniteScm, comp: tuple) -> tuple:
@@ -375,17 +328,18 @@ def _cutset(m: FiniteScm, comp: tuple) -> tuple:
     in order of size, then of position in ``comp``.  The search over the
     subsets costs O(2**k * k**2) once per component, never more than one
     brute-force solve of the component, which tries prod |D_o| values."""
-    inside = set(comp)
-    preds = {o: {a for a in m.mechanisms[o].args if a in inside} for o in comp}
+    preds = {o: m.mechanisms[o].args for o in comp}
     best = None
     for size in range(len(comp) + 1):
         for cut in itertools.combinations(comp, size):
             cost = math.prod(len(m.endogenous[o]) for o in cut)
             if best is not None and cost >= best[0]:
                 continue
-            rest = _acyclic_order(preds, cut)
-            if rest is not None:
-                best = (cost, cut, rest)
+            # acyclic without ``cut`` iff every component left is one
+            # variable that is not its own argument
+            left = strong_components([o for o in comp if o not in cut], preds)
+            if all(len(c) == 1 and c[0] not in preds[c[0]] for c in left):
+                best = (cost, cut, tuple(c[0] for c in left))
     return best[1], best[2]
 
 
@@ -434,30 +388,28 @@ def _component_solutions(m, comp, assign):
     return solved[key]
 
 
-def _fibers(m: FiniteScm, subset: tuple, base_assign: dict, first_only=False):
-    """All solutions of the structural equations of ``subset`` given the
-    context/noise values in ``base_assign``; solved per strongly connected
-    component of the declared dependency graph, branching where a component
-    has several local solutions."""
+def _fibers(m: FiniteScm, subset: tuple, base_assign: dict):
+    """Yield every solution of the structural equations of ``subset`` given
+    the context/noise values in ``base_assign``, solved per strongly
+    connected component of the declared dependency graph in topological
+    order, the first component's local solutions varying slowest.  The
+    iterators of the components entered are kept on a list, not on the call
+    stack, so a chain of components has no depth limit."""
     comps = _dependency_components(m, subset)
-    solutions = []
     assign = dict(base_assign)
-
-    def rec(level):
-        if level == len(comps):
-            solutions.append(tuple(assign[o] for o in subset))
-            return first_only
-        for combo in _component_solutions(m, comps[level], assign):
-            assign.update(zip(comps[level], combo))
-            stop = rec(level + 1)
-            for o in comps[level]:
-                del assign[o]
-            if stop:
-                return True
-        return False
-
-    rec(0)
-    return solutions
+    levels = [((), iter([()]))]  # an empty root level, then one per component
+    while levels:
+        comp, it = levels[-1]
+        combo = next(it, None)
+        if combo is None:
+            levels.pop()
+            continue
+        assign.update(zip(comp, combo))
+        if len(levels) > len(comps):
+            yield tuple(assign[o] for o in subset)
+        else:
+            comp = comps[len(levels) - 1]
+            levels.append((comp, iter(_component_solutions(m, comp, assign))))
 
 
 def _relevant_exo(m: FiniteScm, subset) -> tuple:
@@ -515,11 +467,11 @@ def _gamma_law(m: FiniteScm, margin, iv):
     for assign, n in _support_assignments(m, _relevant_exo(m, free)):
         assign.update(iv)
         sols = _fibers(m, free, assign)
-        if not sols:
-            return None
         cells = frozenset(sols) if pick is None else frozenset(
             tuple(x if i is None else sol[i] for x, i in pick) for sol in sols
         )
+        if not cells:
+            return None
         law[cells] = law.get(cells, 0) + n
     return sum(law.values()), law
 
@@ -558,13 +510,13 @@ def _finite_scan(m: FiniteScm, subset, need_unique: bool):
         for ctx_combo in itertools.product(*(m.endogenous[i].values for i in ctx_names)):
             assign = dict(e_assign)
             assign.update(zip(ctx_names, ctx_combo))
-            sols = _fibers(m, subset, assign, first_only=not need_unique)
-            bad = (len(sols) == 0) if not need_unique else (len(sols) != 1)
-            if bad:
+            sols = _fibers(m, subset, assign)
+            sols = tuple(sols if need_unique else itertools.islice(sols, 1))
+            if not sols or len(sols) > 1:
                 witness = {
                     "e": dict(e_assign),
                     "ctx": dict(zip(ctx_names, ctx_combo)),
-                    "fiber": tuple(sols),
+                    "fiber": sols,
                 }
                 return SolvabilityResult(False, subset, witness)
     return SolvabilityResult(True, subset)
@@ -660,7 +612,7 @@ def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:
     g = functional_graph(m)
     if len(g.nodes) > max_nodes:
         raise ScmError(f"uniquely_solvable_all_subsets bound exceeded ({len(g.nodes)} > {max_nodes})")
-    loops = enumerate_loops(MixedGraph(g.nodes, g.directed, ()), max_nodes=max_nodes)
+    loops = enumerate_loops(g, max_nodes=max_nodes)
     return all(bool(uniquely_solvable_wrt(m, sorted(loop))) for loop in loops)
 
 
@@ -722,7 +674,7 @@ def solve_map(m, subset) -> SolveMap:
             assign = dict(pin)
             assign.update(zip(exo_args, e_combo))
             assign.update(zip(endo_args, ctx_combo))
-            sols = _fibers(m, subset_t, assign)
+            sols = tuple(_fibers(m, subset_t, assign))
             if on_support and len(sols) != 1:  # pragma: no cover - guarded by the scan
                 raise NotUniquelySolvable(subset_t, {"e": e_combo, "ctx": ctx_combo})
             if sols:
@@ -775,7 +727,7 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
     points = []
     count = 1
     for e_assign, n in _support_assignments(m, m.exogenous_names):
-        sols = _fibers(m, endo, e_assign)
+        sols = tuple(_fibers(m, endo, e_assign))
         if not sols:
             raise NotSolvable(endo, {"e": e_assign})
         points.append((n, sols))

@@ -21,6 +21,7 @@ __all__ = [
     "intervene_graph",
     "latent_projection",
     "enumerate_loops",
+    "strong_components",
     "d_separated",
     "sigma_separated",
 ]
@@ -30,6 +31,53 @@ def _as_node_set(seed) -> frozenset:
     if isinstance(seed, str):
         return frozenset([seed])
     return frozenset(seed)
+
+
+def _edge(edge, kind: str) -> tuple:
+    try:
+        u, v = () if isinstance(edge, str) else edge
+    except (TypeError, ValueError):
+        raise ScmError(f"{kind} edge {edge!r} is not a pair of nodes") from None
+    return u, v
+
+
+def strong_components(nodes, step) -> list:
+    """The strongly connected components of the graph on ``nodes`` with an
+    edge from each node v to every node of ``step[v]`` that is in ``nodes``;
+    the others are ignored, so a subgraph needs no copy.
+
+    Tarjan's algorithm (1972), iterative, in O(n + e log e): each component
+    is a tuple in the order of ``nodes`` and comes after every component it
+    has an edge to, so over predecessor sets the list is a topological
+    order.  Roots and the nodes of each ``step[v]`` are taken in the order
+    of ``nodes``, so the list does not depend on the iteration order of
+    ``step``'s values.
+    """
+    rank = {v: i for i, v in enumerate(nodes)}
+    index, low, stack, out = {}, {}, [], []
+    for root in nodes:
+        work = [] if root in index else [(root, None)]
+        while work:
+            v, it = work.pop()
+            if it is None:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                it = iter(sorted((w for w in step[v] if w in rank), key=rank.__getitem__))
+            for w in it:
+                if w not in index:
+                    work += [(v, it), (w, None)]
+                    break
+                low[v] = min(low[v], low[w])  # a finished node's low is len(rank)
+            else:
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    low.update(dict.fromkeys(comp, len(rank)))
+                    out.append(tuple(sorted(comp, key=rank.__getitem__)))
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+    return out
 
 
 class MixedGraph:
@@ -50,7 +98,8 @@ class MixedGraph:
         node_set = seen
 
         d = set()
-        for tail, head in directed:
+        for edge in directed:
+            tail, head = _edge(edge, "directed")
             if tail not in node_set or head not in node_set:
                 raise UnknownNameError(f"directed edge ({tail}, {head}) has an endpoint outside the node set")
             d.add((tail, head))
@@ -58,7 +107,7 @@ class MixedGraph:
 
         b = set()
         for pair in bidirected:
-            u, v = tuple(pair)
+            u, v = _edge(pair, "bidirected")
             if u not in node_set or v not in node_set:
                 raise UnknownNameError(f"bidirected edge ({u}, {v}) has an endpoint outside the node set")
             if u == v:
@@ -167,29 +216,25 @@ class MixedGraph:
         self._check_known(seed)
         return self._closure(seed, self._ch)
 
+    def components(self) -> list:
+        """The strongly connected components in a topological order
+        (``strong_components`` over the parent sets): each is a tuple in
+        node order and comes after every component with an edge into it."""
+        if self._scc is None:
+            self._scc = strong_components(self._nodes, self._pa)
+        return self._scc
+
     def scc_of(self, node: str) -> frozenset:
         self._check_known([node])
-        return self.scc_map()[node]
+        return next(frozenset(c) for c in self.components() if node in c)
 
     def scc_map(self) -> dict:
         """Map every node to its strongly connected component (as a frozenset)."""
-        if self._scc is None:
-            comp = {}
-            for n in self._nodes:
-                if n not in comp:
-                    members = self.descendants_of([n]) & self.ancestors_of([n])
-                    fs = frozenset(members)
-                    for m in fs:
-                        comp[m] = fs
-            self._scc = comp
-        return self._scc
+        return {n: frozenset(c) for c in self.components() for n in c}
 
     def is_acyclic(self) -> bool:
         """True iff there is no directed cycle; a self-loop counts as a cycle."""
-        for tail, head in self._directed:
-            if tail == head:
-                return False
-        return all(len(c) == 1 for c in self.scc_map().values())
+        return len(self.components()) == len(self._nodes) and not any(t == h for t, h in self._directed)
 
     # --- serialization ---------------------------------------------------
 
@@ -206,8 +251,7 @@ class MixedGraph:
     @classmethod
     def from_json_obj(cls, obj) -> "MixedGraph":
         try:
-            return cls(obj["nodes"], [tuple(e) for e in obj.get("directed", [])],
-                       [tuple(e) for e in obj.get("bidirected", [])])
+            return cls(obj["nodes"], obj.get("directed", []), obj.get("bidirected", []))
         except (KeyError, TypeError) as exc:
             raise ScmError(f"malformed graph JSON: {exc}") from exc
 
@@ -290,26 +334,20 @@ def latent_projection(g: MixedGraph, latent) -> MixedGraph:
 
 
 def enumerate_loops(g: MixedGraph, max_nodes: int = 16) -> frozenset:
-    """All node subsets whose induced subgraph is strongly connected.
+    """All node subsets whose induced subgraph is strongly connected: those
+    that ``strong_components`` finds to be one component.
 
     Singletons always qualify (length-0 connectivity).  Enumeration is
     exponential, hence the node-count bound.
     """
     if len(g.nodes) > max_nodes:
         raise ScmError(f"enumerate_loops bound exceeded: {len(g.nodes)} nodes > {max_nodes}")
-    loops = set()
-    nodes = g.nodes
-    for r in range(1, len(nodes) + 1):
-        for subset in itertools.combinations(nodes, r):
-            if r == 1:
-                loops.add(frozenset(subset))
-                continue
-            sub = g.induced(subset)
-            anchor = subset[0]
-            comp = sub.descendants_of([anchor]) & sub.ancestors_of([anchor])
-            if comp == frozenset(subset):
-                loops.add(frozenset(subset))
-    return frozenset(loops)
+    return frozenset(
+        frozenset(subset)
+        for r in range(1, len(g.nodes) + 1)
+        for subset in itertools.combinations(g.nodes, r)
+        if len(strong_components(subset, g._pa)) == 1
+    )
 
 
 # --- separation --------------------------------------------------------
@@ -356,10 +394,10 @@ def _paths_between(g: MixedGraph, sources: frozenset, sinks: frozenset):
                     stack.append((new_nodes, new_steps, seen | {nxt}))
 
 
-def _path_blocked(g, nodes, steps, cond, an_cond, sigma):
+def _path_blocked(nodes, steps, cond, an_cond, scc):
+    """``scc`` maps each node to its component for sigma-blocking; ``None`` d-blocks."""
     if nodes[0] in cond or nodes[-1] in cond:
         return True
-    scc = g.scc_map() if sigma else None
     for k in range(1, len(nodes) - 1):
         node = nodes[k]
         into_left = steps[k - 1] in ("out", "bi")
@@ -372,7 +410,7 @@ def _path_blocked(g, nodes, steps, cond, an_cond, sigma):
             # non-collider
             if node not in cond:
                 continue
-            if not sigma:
+            if scc is None:
                 return True
             children_on_path = []
             if steps[k - 1] == "in":
@@ -393,8 +431,9 @@ def _separated(g, a, b, s, sigma):
     for group in (a, b, s):
         g._check_known(group)
     an_cond = g.ancestors_of(s) if s else frozenset()
+    scc = g.scc_map() if sigma else None
     for nodes, steps in _paths_between(g, a, b):
-        if not _path_blocked(g, nodes, steps, s, an_cond, sigma):
+        if not _path_blocked(nodes, steps, s, an_cond, scc):
             return False
     return True
 

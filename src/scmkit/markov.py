@@ -147,14 +147,15 @@ class MarkovReport:
 def _premise(m, graph, kind: str) -> str:
     """The case of the Markov theorem that applies to ``m``: the d-case
     accepts an acyclic graph or a linear model outright; otherwise every
-    strongly connected component must be uniquely solvable."""
+    strongly connected component must be uniquely solvable, and the first
+    that is not, in the graph's topological order, is named."""
     if kind == "d":
         if graph.is_acyclic():
             return "acyclic"
         if isinstance(m, LinearScm):
             return "linear"
-    for comp in {graph.scc_map()[n] for n in graph.nodes}:
-        res = uniquely_solvable_wrt(m, sorted(comp))
+    for comp in graph.components():
+        res = uniquely_solvable_wrt(m, comp)
         if not res:
             raise SolvabilityError(
                 comp, res.witness,
@@ -173,8 +174,9 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     and requires an acyclic functional graph, a linear model, or a finite
     model uniquely solvable w.r.t. each strongly connected component.  The
     premise is checked here, recorded as ``MarkovReport.premise``, and a
-    model meeting none raises ``SolvabilityError`` naming a failing
-    component.  The discrete d-case would in fact hold under a weaker
+    model meeting none raises ``SolvabilityError`` naming the first failing
+    component in topological order.  A negative ``max_conditioning`` is an
+    ``ScmError``.  The discrete d-case would in fact hold under a weaker
     premise (unique solvability w.r.t. each ancestral subgraph); only the
     stronger per-component condition is implemented and relied on here.
 
@@ -195,6 +197,8 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")
+    if max_conditioning is not None and max_conditioning < 0:
+        raise ScmError(f"max_conditioning must be at least 0, got {max_conditioning}")
     graph = functional_graph(m)
     premise = _premise(m, graph, kind)
     dist = observational_distribution(m)

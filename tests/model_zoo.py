@@ -541,10 +541,17 @@ def big_denominator_scm() -> FiniteScm:
 
 def exhaustive_fiber(m, subset, assign):
     """Reference oracle: scan the full product of the subset domains.  The
-    solutions come in that product's order, the subset in declaration order."""
+    solutions come in that product's order, the subset in declaration order.
+    A variable whose mechanism has no arguments ranges only over its one
+    constant value (none, if the domain lacks it): no other value can solve
+    its equation.  Every equation is still checked on every candidate."""
     subset = tuple(n for n in m.endogenous_names if n in set(subset))
+    ranges = [
+        [v for v in m.endogenous[o].values if m.mechanisms[o].args or v == m.mechanisms[o]({})]
+        for o in subset
+    ]
     out = []
-    for combo in itertools.product(*(m.endogenous[o].values for o in subset)):
+    for combo in itertools.product(*ranges):
         full = dict(assign)
         full.update(zip(subset, combo))
         if all(full[o] == m.mechanisms[o](full) for o in subset):

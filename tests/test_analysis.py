@@ -132,7 +132,7 @@ class TestCutsetSolver:
             inputs = ("Z",) + m.exogenous_names
             for combo in itertools.product(*(m.domain_of(a).values for a in inputs)):
                 assign = dict(zip(inputs, combo))
-                got = _fibers(m, comp, assign)
+                got = list(_fibers(m, comp, assign))
                 assert got == zoo.exhaustive_fiber(m, comp, assign), (trial, assign)
                 seen[k, min(len(got), 2)] += 1
                 if len(got) > 1 and cut != comp[:len(cut)]:
@@ -584,6 +584,18 @@ class TestObservationalDistribution:
             with pytest.raises(NotSolvable) as err:
                 observational_distribution(m)
             assert err.value.witness == {"e": {}}
+
+    def test_a_long_chain_needs_no_recursion(self):
+        # X0 = E, Xi = X(i-1): one component per variable, 1,200 deep
+        n = 1200
+        endo = {f"X{i}": zoo.fd(0, 1) for i in range(n)}
+        domains = {**endo, "E": zoo.fd(0, 1)}
+        mechanisms = {"X0": zoo.postab(domains, ("E",), lambda e: e)}
+        for i in range(1, n):
+            mechanisms[f"X{i}"] = zoo.postab(domains, (f"X{i - 1}",), lambda x: x)
+        m = FiniteScm(endo, {"E": domains["E"]}, {"E": zoo.uniform(0, 1)}, mechanisms)
+        dist = observational_distribution(m)
+        assert dict(dist.probs) == {(0,) * n: Fraction(1, 2), (1,) * n: Fraction(1, 2)}
 
     def test_cycle4_distribution_normalizes(self):
         dist = observational_distribution(zoo.cycle4_scm())

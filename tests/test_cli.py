@@ -151,11 +151,23 @@ class TestSepCommand:
     def test_needs_exactly_one_input(self, capsys):
         assert run(["sep", "--a", "X1", "--b", "X2", "--kind", "d"]) == 2
 
+    @pytest.mark.parametrize("edges", ['"directed": [["a", "b", "c"]]', '"bidirected": [["a"]]'])
+    def test_malformed_edge_is_a_model_error(self, tmp_path, capsys, edges):
+        path = tmp_path / "bad.json"
+        path.write_text('{"nodes": ["a", "b", "c"], %s}' % edges)
+        assert run(["sep", "--graph", str(path), "--a", "a", "--b", "b"]) == 2
+        assert "is not a pair of nodes" in capsys.readouterr().err
+
 
 class TestMarkovCommand:
     def test_table_output(self, capsys):
         assert run(["markov", corpus("ex_chain.scm"), "--kind", "sigma"]) == 0
         assert "violations: 0" in capsys.readouterr().out
+
+    def test_negative_max_cond_is_a_usage_error(self, capsys):
+        assert run(["markov", corpus("ex_cycle4.scm"), "--max-cond", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "max_conditioning" in captured.err and "violations" not in captured.out
 
     def test_json_output(self, capsys):
         assert run(["markov", corpus("ex_cycle4.scm"), "--kind", "sigma",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from scmkit import (
     relatives,
     sigma_separated,
 )
+from scmkit.graph import strong_components
 
 
 def augmented_endo_graph():
@@ -82,6 +84,62 @@ class TestScc:
     def test_chain_midpoint(self):
         g = MixedGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert g.scc_of("b") == {"b"}
+
+    def test_components_match_reachability_in_topological_order(self):
+        rng = random.Random(5)
+        for trial in range(200):
+            nodes = [f"n{i}" for i in range(rng.randint(1, 8))]
+            g = MixedGraph(nodes, [(u, v) for u in nodes for v in nodes if rng.random() < 0.25])
+            comps = g.components()
+            assert sorted(n for c in comps for n in c) == sorted(nodes)
+            position = {}
+            for i, c in enumerate(comps):
+                assert list(c) == [n for n in nodes if n in c]
+                for n in c:
+                    assert set(c) == g.ancestors_of(n) & g.descendants_of(n)
+                    position[n] = i
+            for u, v in g.directed:
+                assert position[u] <= position[v]
+
+    def test_order_does_not_depend_on_the_order_of_the_neighbours(self):
+        # roots in node order, then neighbours in node order: c's parents
+        # come out before c, and the unrelated b after them
+        preds = {"c": ["a", "d"], "b": [], "a": [], "d": []}
+        expected = [("a",), ("d",), ("c",), ("b",)]
+        assert strong_components(["c", "b", "a", "d"], preds) == expected
+        preds["c"].reverse()
+        assert strong_components(["c", "b", "a", "d"], preds) == expected
+
+    def test_edges_leaving_the_node_list_are_ignored(self):
+        step = {"a": {"b", "x"}, "b": {"a"}, "x": {"a"}}
+        assert strong_components(["a", "b"], step) == [("a", "b")]
+        assert strong_components(["a", "x", "b"], step) == [("a", "x", "b")]
+
+    def test_a_long_cycle_needs_no_recursion(self):
+        nodes = [f"n{i}" for i in range(5000)]
+        step = {n: [nodes[i - 1]] for i, n in enumerate(nodes)}
+        assert strong_components(nodes, step) == [tuple(nodes)]
+        step["n0"] = []
+        assert len(strong_components(nodes, step)) == 5000
+
+
+class TestMalformedEdges:
+    @pytest.mark.parametrize("directed, bidirected", [
+        ([("a", "b", "c")], ()),
+        ([("a",)], ()),
+        (["ab"], ()),
+        ([5], ()),
+        ((), [("a",)]),
+        ((), [("a", "b", "c")]),
+    ])
+    def test_an_edge_that_is_not_a_pair_is_rejected(self, directed, bidirected):
+        with pytest.raises(ScmError, match="is not a pair of nodes"):
+            MixedGraph(["a", "b", "c"], directed, bidirected)
+
+    def test_malformed_json_edges_are_model_errors(self):
+        for edges in ('"directed": [["a", "b", "c"]]', '"bidirected": [["a"]]', '"directed": ["ab"]'):
+            with pytest.raises(ScmError):
+                MixedGraph.from_json('{"nodes": ["a", "b", "c"], %s}' % edges)
 
 
 class TestAcyclicity:

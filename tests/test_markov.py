@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import model_zoo as zoo
+import scmkit as sk
 from scmkit import (
     DiscreteDistribution,
     FiniteDomain,
@@ -171,6 +176,26 @@ class TestVerifyMarkov:
         for kind in ("sigma", "d"):
             with pytest.raises(SolvabilityError, match=r"component \['X2'\]"):
                 verify_markov(m_tilde, kind=kind)
+
+    def test_premise_names_the_first_failing_component_under_any_hash_seed(self, tmp_path):
+        # three unrelated self-loops: the first in node order is named
+        path = tmp_path / "loops.scm"
+        path.write_text("model finite\nvar A : {0, 1}\nvar B : {0, 1}\nvar C : {0, 1}\n"
+                        "eq A = A\neq B = B\neq C = C\n")
+        script = ("import sys, scmkit as sk\n"
+                  "try:\n    sk.verify_markov(sk.parse(open(sys.argv[1]).read()))\n"
+                  "except sk.SolvabilityError as exc:\n    print(exc)\n")
+        src = str(Path(sk.__file__).resolve().parents[1])
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                 capture_output=True, text=True, check=True).stdout
+            assert out.strip().endswith("component ['A']"), (seed, out)
+
+    def test_negative_max_conditioning_is_rejected(self):
+        with pytest.raises(ScmError, match="max_conditioning"):
+            verify_markov(zoo.cycle4_scm(), max_conditioning=-1)
+        assert verify_markov(zoo.chain_substitution(), max_conditioning=0).entries
 
     @pytest.mark.parametrize("build, premise", [
         (zoo.chain_substitution, "acyclic"),
