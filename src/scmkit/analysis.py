@@ -7,9 +7,10 @@ support of the noises that the non-intervened variables read, solving their
 fiber per noise value.  The selector polytope makes its own pass, as the
 hull that the equivalence tests compare against.
 Linear SCMs: every verdict comes from one core, the block ``I - B_OO`` of the
-subset and its inverse, with the global tolerance for the singularity test.
-``solve_map`` is the one linear solve: the observational distribution,
-interventional equivalence and marginalization are read off its matrices.
+subset and its inverse or left null vectors, and every zero test is the one
+unit-free rule of ``config``.  ``solve_map`` is the one linear solve: the
+observational distribution, interventional equivalence and marginalization
+are read off its matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .config import REGULARIZATION_CONDITION, np, tolerance
+from .config import covariance_problem, negligible, np, snap, tolerance, unit_eigenvectors
 from .errors import (
     EvidenceError,
     NotSolvable,
@@ -34,8 +35,6 @@ from .scm import (
     FiniteScm,
     FiniteDomain,
     LinearScm,
-    _zero_variance_coords,
-    _zero_variance_level,
     augmented_graph,
     functional_graph,
     functional_parents,
@@ -185,58 +184,44 @@ class DiscreteDistribution:
 
 
 class GaussianDistribution:
-    """A Gaussian law over named real coordinates."""
+    """A Gaussian law over named real coordinates.  ``scale`` holds each
+    variable's uncancelled variance (by default the diagonal of ``cov``), its
+    unit for the zero rule of ``config``."""
 
-    __slots__ = ("vars", "mean", "cov", "regularized")
+    __slots__ = ("vars", "mean", "cov", "scale")
 
-    def __init__(self, vars, mean, cov, regularized=False, tol=None):
-        tol = tolerance(tol)
+    def __init__(self, vars, mean, cov, scale=None):
         self.vars = tuple(vars)
         n = len(self.vars)
         self.mean = np.asarray(mean, dtype=float).reshape(n)
         self.cov = np.asarray(cov, dtype=float).reshape(n, n)
-        if not np.allclose(self.cov, self.cov.T, atol=max(tol, 1e-8 * (1 + np.abs(self.cov).max(initial=0.0)))):
-            raise ScmError("covariance is not symmetric")
+        self.scale = np.maximum(np.diag(self.cov) if scale is None else np.asarray(scale, dtype=float), 0.0)
+        problem = covariance_problem(self.cov, self.scale)
+        if problem:
+            raise ScmError(f"covariance is {problem}")
         self.cov = (self.cov + self.cov.T) / 2
-        if n and np.linalg.eigvalsh(self.cov).min() < -max(tol, 1e-8 * (1 + np.abs(self.cov).max(initial=0.0))):
-            raise ScmError("covariance is not positive semi-definite")
-        self.mean.setflags(write=False)
-        self.cov.setflags(write=False)
-        self.regularized = bool(regularized)
+        for a in (self.mean, self.cov, self.scale):
+            a.setflags(write=False)
 
     def __repr__(self):
         return f"GaussianDistribution(vars={self.vars!r})"
 
     def marginal(self, names) -> "GaussianDistribution":
         idx = _coordinates(self.vars, names)
-        return GaussianDistribution(
-            tuple(names), self.mean[idx], self.cov[np.ix_(idx, idx)], self.regularized
-        )
+        return GaussianDistribution(tuple(names), self.mean[idx], self.cov[np.ix_(idx, idx)], self.scale[idx])
 
     def close_to(self, other: "GaussianDistribution", tol=None) -> bool:
-        """Equal up to ``tol`` in each variable's own units: the scale of a
-        variable is the larger of its two variances (see ``_gaussians_agree``)."""
-        return self.vars == other.vars and _gaussians_agree(
-            self.mean, self.cov, other.mean, other.cov, tolerance(tol),
-            np.maximum(np.diag(self.cov), np.diag(other.cov)),
-        )
+        """The one comparison of Gaussian laws, by rule (ii) of ``config``
+        with ``sd = sqrt(scale)`` of both laws as the unit: covariance
+        ``(i, j)`` may differ by ``tol`` times the sum of ``sd[i] * sd[j]``,
+        mean ``i`` by ``tol`` times the sum of ``|mean[i]|`` and ``sd[i]``."""
+        sd1, sd2 = np.sqrt(self.scale), np.sqrt(other.scale)
+        return self.vars == other.vars and bool(
+            np.all(negligible(self.cov - other.cov, np.outer(sd1, sd1) + np.outer(sd2, sd2), tol))
+            and np.all(negligible(self.mean - other.mean, np.abs(self.mean) + np.abs(other.mean) + sd1 + sd2, tol)))
 
     def to_json_obj(self) -> dict:
         return {"vars": list(self.vars), "mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
-
-def _gaussians_agree(mean1, cov1, mean2, cov2, tol, scale) -> bool:
-    """Do two Gaussian laws agree up to ``tol`` in the units of each
-    variable, ``scale[i]`` being the variance that sets variable i's unit?
-    Covariance ``(i, j)`` must agree within ``tol * sqrt(scale[i] *
-    scale[j])`` and mean ``i`` within ``tol`` times the largest of its two
-    values and ``sqrt(scale[i])``, so that a variable of large variance hides
-    no difference in one of small variance, and rescaling the noise leaves
-    the verdict unchanged."""
-    sd = np.sqrt(np.maximum(scale, 0.0))
-    top = np.maximum(np.maximum(np.abs(mean1), np.abs(mean2)), sd)
-    return bool(np.all(np.abs(cov1 - cov2) <= tol * np.outer(sd, sd))
-                and np.all(np.abs(mean1 - mean2) <= tol * top))
 
 
 @dataclass
@@ -523,57 +508,79 @@ def _finite_scan(m: FiniteScm, subset, need_unique: bool):
 
 
 def _linear_subsystem(m: LinearScm, subset):
-    """The subsystem on ``subset`` as ``(subset, idx, rest, block, inv)``:
-    its names, the indices of its variables and of all others, the block
-    ``I - B_OO`` and its inverse.  ``inv`` is ``None`` when the block is
-    singular, i.e. its smallest singular value is at most the tolerance times
-    max(1, the largest)."""
+    """The subsystem on ``subset`` as ``(subset, idx, rest, inv, null)``: its
+    names, the indices of its variables and of all others, and either the
+    inverse of ``I - B_OO`` or, when a strongly connected component of
+    ``B_OO`` is singular by rule (i) of ``config``, its left null vectors.
+    Solved component by component, ``inv`` is exactly 0 where no chain of
+    nonzero coefficients leads."""
     subset = _subset_names(m, subset)
     idx = [m.endo_index(o) for o in subset]
     rest = [i for i, n in enumerate(m.endogenous_names) if n not in subset]
-    block = np.eye(len(idx)) - m.B[np.ix_(idx, idx)]
-    s = np.linalg.svd(block, compute_uv=False)
-    singular = s.size and s.min() <= tolerance() * max(1.0, s.max())
-    return subset, idx, rest, block, None if singular else np.linalg.inv(block)
+    n, b_oo = len(idx), m.B[np.ix_(idx, idx)]
+    # each component comes after the components it reads
+    comps = [list(c) for c in strong_components(range(n), {a: np.flatnonzero(b_oo[a]) for a in range(n)})]
+    if unit_eigenvectors(b_oo).size and any(unit_eigenvectors(b_oo[c][:, c]).size for c in comps):
+        return subset, idx, rest, None, _left_null(b_oo, comps)
+    mat, inv = np.eye(n) - b_oo, np.zeros((n, n))
+    for c in comps:
+        inv[c] = np.linalg.solve(mat[c][:, c], np.eye(n)[c] - mat[c] @ inv)
+    return subset, idx, rest, inv, None
 
 
-def _linear_support_directions(m: LinearScm):
-    """Columns spanning the support directions of the noise, block by block:
-    the eigenvectors of each block covariance whose eigenvalue is not zero."""
-    coords = m.coord_names
-    cols = [np.zeros((len(coords), 0))]
-    for b in m.blocks:
-        w, v = np.linalg.eigh((b.cov + b.cov.T) / 2)
-        block = np.zeros((len(coords), len(b.coords)))
-        block[[coords.index(c) for c in b.coords], :] = v
-        cols.append(block[:, w > _zero_variance_level(b.cov)])
-    return np.hstack(cols)
+def _left_null(b_oo, comps):
+    """The left null vectors y of ``M = I - B_OO`` as columns, built over the
+    components from the last to the first: ``M_UU^T y_U = -(M^T y)_U``; on a
+    singular U that right-hand side, snapped by rule (ii), must be orthogonal
+    to U's right null vectors, which constrains y, and U's own join y."""
+    mat = np.eye(len(b_oo)) - b_oo
+
+    def null(a, vectors):
+        # each vector sharpened by a bordered least-squares solve (those of a k-fold
+        # eigenvalue are k-th-root exact), 0 where rule (ii) says so; parallel ones once
+        out = np.zeros((len(a), 0), dtype=complex)
+        for v in vectors.T:
+            x = np.linalg.lstsq(np.vstack([a, v.conj()]), np.eye(len(a) + 1)[-1], rcond=None)[0]
+            x = np.where(negligible(np.diag(a) * x, np.abs(a) @ np.abs(x)) & (np.diag(a) != 0), 0, x)
+            if np.linalg.matrix_rank(np.column_stack([out, x])) > out.shape[1]:
+                out = np.column_stack([out, x])
+        return out
+
+    y = np.zeros((len(b_oo), 0), dtype=complex)
+    for c in reversed(comps):
+        block, b_cc = mat[c][:, c], b_oo[c][:, c]
+        size = np.abs(mat[:, c].T) @ np.abs(y)
+        rhs = snap(-(mat[:, c].T @ y), size)
+        left = unit_eigenvectors(b_cc.T)
+        if not left.shape[1]:
+            y[c] = np.linalg.solve(block.T, rhs)
+            continue
+        left, right = null(block.T, left), null(block, unit_eigenvectors(b_cc))
+        k = snap(right.T @ rhs, np.abs(right.T) @ size)
+        if np.any(k):
+            _, s, vh = np.linalg.svd(k)
+            basis = vh[np.count_nonzero(s > tolerance() * s[0]):].conj().T
+            y, rhs = y @ basis, rhs @ basis
+        y[c] = np.linalg.lstsq(block.T, rhs, rcond=None)[0]
+        y = np.hstack([y, np.zeros((len(b_oo), left.shape[1]))])
+        y[c, -left.shape[1]:] = left
+    return y
 
 
 def _linear_solvable(m: LinearScm, subset):
-    tol = tolerance()
-    subset, idx, rest, A, inv = _linear_subsystem(m, subset)
+    """A singular subsystem has a solution for almost every noise value and
+    every context iff each left null vector y of ``I - B_OO`` annihilates
+    each column r of ``[B_OR | Gamma_O Sigma | Gamma_O mu + c_O]`` (the noise
+    lies in mu plus the span of Sigma), y^T r zero by rule (ii) of ``config``."""
+    subset, idx, rest, inv, null = _linear_subsystem(m, subset)
     if inv is not None:
         return SolvabilityResult(True, subset)
-    # singular restriction: the system is consistent for almost every noise
-    # value and every context iff the possible right-hand sides stay in the
-    # column space of A
-    if np.any(_zero_variance_coords(m)):
-        raise ScmError(
-            "linear solvability with singular I - B_OO requires all noise "
-            "coordinates to have positive variance"
-        )
-    S = _linear_support_directions(m)
-    rhs_cols = [m.B[np.ix_(idx, rest)], m.Gamma[idx, :] @ S]
-    offset = (m.Gamma[idx, :] @ m.noise_mean() + m.c[idx]).reshape(-1, 1)
-    stacked = np.hstack([c for c in rhs_cols if c.size] + [offset])
-    rank_a = np.linalg.matrix_rank(A, tol=tol * max(1.0, float(np.abs(A).max(initial=0.0))))
-    rank_full = np.linalg.matrix_rank(
-        np.hstack([A, stacked]), tol=tol * max(1.0, float(np.abs(A).max(initial=0.0)), float(np.abs(stacked).max(initial=0.0)))
-    )
-    if rank_a == rank_full:
+    b_or, gamma, c, mean, cov = m.B[np.ix_(idx, rest)], m.Gamma[idx, :], m.c[idx], m.noise_mean(), m.noise_cov()
+    r = np.hstack([b_or, gamma @ cov, (gamma @ mean + c)[:, None]])
+    size = np.hstack([np.abs(b_or), np.abs(gamma) @ np.abs(cov), (np.abs(gamma) @ np.abs(mean) + np.abs(c))[:, None]])
+    if np.all(negligible(null.T @ r, np.abs(null.T) @ size)):
         return SolvabilityResult(True, subset)
-    return SolvabilityResult(False, subset, witness={"inconsistent": "I - B_OO rank test"})
+    return SolvabilityResult(False, subset, witness={"inconsistent": "I - B_OO left null vector"})
 
 
 def solvable_wrt(m, subset) -> SolvabilityResult:
@@ -592,7 +599,7 @@ def uniquely_solvable_wrt(m, subset) -> SolvabilityResult:
     if isinstance(m, FiniteScm):
         return _finite_scan(m, subset, need_unique=True)
     if isinstance(m, LinearScm):
-        subset, _, _, _, inv = _linear_subsystem(m, subset)
+        subset, _, _, inv, _ = _linear_subsystem(m, subset)
         if inv is not None:
             return SolvabilityResult(True, subset)
         return SolvabilityResult(False, subset, witness={"singular": "I - B_OO"})
@@ -636,16 +643,19 @@ def solve_map(m, subset) -> SolveMap:
     """The mapping g assigning to each input of the subsystem its unique
     solution; requires unique solvability with respect to ``subset``."""
     if isinstance(m, LinearScm):
-        subset_t, idx, rest, _, inv = _linear_subsystem(m, subset)
+        subset_t, idx, rest, inv, _ = _linear_subsystem(m, subset)
         if inv is None:
             raise NotUniquelySolvable(subset_t, {"singular": "I - B_OO"})
+        b_or, gamma, c = m.B[np.ix_(idx, rest)], m.Gamma[idx, :], m.c[idx]
+        # snapped here by rule (ii); inv = inv (I - B_OO) inv has that magnitude
+        size = np.abs(inv) @ np.abs(np.eye(len(idx)) - m.B[np.ix_(idx, idx)]) @ np.abs(inv)
         return SolveMap(
             targets=subset_t,
             endo_args=tuple(m.endogenous_names[i] for i in rest),
             exo_args=m.coord_names,
-            A=inv @ m.B[np.ix_(idx, rest)],
-            G=inv @ m.Gamma[idx, :],
-            d=inv @ m.c[idx],
+            A=snap(inv @ b_or, size @ np.abs(b_or)),
+            G=snap(inv @ gamma, size @ np.abs(gamma)),
+            d=snap(inv @ c, size @ np.abs(c)),
         )
     if not isinstance(m, FiniteScm):
         raise ScmError(f"not an SCM: {m!r}")
@@ -712,10 +722,17 @@ def observational_distribution(m):
             if not res:
                 raise NotSolvable(m.endogenous_names, res.witness) from None
             raise NotUniquelySolvable(m.endogenous_names, {"singular": "I - B"}) from None
-        mean = sm.G @ m.noise_mean() + sm.d
-        cov = sm.G @ m.noise_cov() @ sm.G.T
-        return GaussianDistribution(m.endogenous_names, mean, cov)
+        return _solution_law(m, sm)
     raise ScmError(f"not an SCM: {m!r}")
+
+
+def _solution_law(m: LinearScm, sm: SolveMap) -> GaussianDistribution:
+    """The law of ``G e + d`` for the linear solve map ``sm``: the uncancelled
+    variances ``|G| |Sigma| |G|^T`` are its scale, its mean snapped by rule (ii)."""
+    mean, cov = m.noise_mean(), m.noise_cov()
+    scale = np.diag(np.abs(sm.G) @ np.abs(cov) @ np.abs(sm.G).T)
+    mean = snap(sm.G @ mean + sm.d, np.abs(sm.G) @ np.abs(mean) + np.abs(sm.d))
+    return GaussianDistribution(sm.targets, mean, sm.G @ cov @ sm.G.T, scale)
 
 
 def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> SelectorPolytope:
@@ -768,32 +785,23 @@ def counterfactual_distribution(m, factual_do, observed, cf_do, query):
     """
     from .transform import intervene, twin
 
+    query = tuple([query] if isinstance(query, str) else query)
+    _coordinates(tuple(v + "'" for v in m.endogenous_names), query)  # before any solve
     tw = twin(m)
     iv = dict(factual_do)
     for k, v in dict(cf_do).items():
         iv[k + "'"] = v
-    intervened = intervene(tw, iv)
-    dist = observational_distribution(intervened)
-    query = tuple([query] if isinstance(query, str) else query)
-    for q in query:
-        if not q.endswith("'"):
-            raise UnknownNameError(f"counterfactual query variables are primed copies, got {q!r}")
-    observed = dict(observed)
-    if isinstance(dist, DiscreteDistribution):
-        if observed:
-            dist = dist.condition(observed)
-        return dist.marginal(query)
+    dist = observational_distribution(intervene(tw, iv))
     if observed:
-        dist = gaussian_condition(dist, observed)
+        dist = dist.condition(observed) if isinstance(dist, DiscreteDistribution) else gaussian_condition(dist, observed)
     return dist.marginal(query)
 
 
 def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float], tol=None) -> GaussianDistribution:
     """Condition a Gaussian on exact values of some coordinates (Schur
-    complement).  A singular observed block is an error, judged on its
-    correlations relative to their largest singular value, so the verdict is
-    the same at every scale of the noise.  A badly conditioned observed block
-    is regularized and the result flagged."""
+    complement).  A singular observed block is an error: a variance zero by
+    rule (ii) of ``config``, or correlations whose smallest singular value is
+    at most ``tol`` times the largest; so no change of units moves a verdict."""
     tol = tolerance(tol)
     names = list(observed)
     ib = _coordinates(d.vars, names)
@@ -801,28 +809,16 @@ def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float], t
         return d
     keep = [v for v in d.vars if v not in observed]
     ia = [d.vars.index(v) for v in keep]
-    saa = d.cov[np.ix_(ia, ia)]
     sab = d.cov[np.ix_(ia, ib)]
     sbb = d.cov[np.ix_(ib, ib)]
     values = np.array([float(observed[v]) for v in names])
-    # singular is judged on the correlations of the observed block, relative
-    # to their largest singular value, so neither the overall scale nor the
-    # unit of any one variable changes the verdict
     var = np.diag(sbb)
-    if np.any(var <= 0):
-        raise EvidenceError("observed block covariance is singular")
-    sd = np.sqrt(var)
+    sd = np.sqrt(np.where(negligible(var, d.scale[ib], tol), np.inf, var))  # a zero row if so
     corr = sbb / np.outer(sd, sd)
     s = np.linalg.svd(corr, compute_uv=False)
     if s.min() <= tol * s.max():
         raise EvidenceError("observed block covariance is singular")
-    # a badly conditioned covariance gets a ridge of tol * s.max() in
-    # correlation units instead of being trusted, and the result is flagged
-    regularized = d.regularized
-    if np.linalg.cond(sbb) > REGULARIZATION_CONDITION:
-        corr = corr + tol * s.max() * np.eye(len(names))
-        regularized = True
     k = (sab / sd) @ np.linalg.inv(corr) / sd
     mean = d.mean[ia] + k @ (values - d.mean[ib])
-    cov = saa - k @ sab.T
-    return GaussianDistribution(tuple(keep), mean, cov, regularized=regularized)
+    cov = d.cov[np.ix_(ia, ia)] - k @ sab.T
+    return GaussianDistribution(tuple(keep), mean, cov, d.scale[ia])

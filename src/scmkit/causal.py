@@ -32,11 +32,11 @@ from fractions import Fraction
 from .analysis import (
     DiscreteDistribution,
     _gamma_law,
-    _gaussians_agree,
+    _solution_law,
     solve_map,
     structurally_uniquely_solvable,
 )
-from .config import np, tolerance
+from .config import negligible, np
 from .errors import (
     DomainMismatchError,
     NotUniquelySolvable,
@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graph import MixedGraph
-from .scm import FiniteScm, LinearScm, canonicalize, functional_graph, functional_parents
+from .scm import FiniteScm, LinearScm, functional_graph, functional_parents
 from .transform import marginalize, twin
 
 __all__ = [
@@ -171,12 +171,11 @@ def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
             raise UnsupportedModelError(
                 "linear observational equivalence needs both models uniquely solvable"
             )
-        if _do_laws_agree(f1, f2, tolerance()):
+        if _do_laws_equal(f1, f2):
             return EquivalenceReport("observational", margin, True, "linear_per_variable")
         return EquivalenceReport(
             "observational", margin, False, "linear_per_variable",
-            witness={side: {"vars": list(margin), "mean": f[1].tolist(), "cov": f[2].tolist()}
-                     for side, f in (("left", f1), ("right", f2))},
+            witness={side: f[1].to_json_obj() for side, f in (("left", f1), ("right", f2))},
         )
     raise DomainMismatchError("cannot compare models from different families")
 
@@ -191,36 +190,24 @@ def _intervention_patterns(margin):
 
 def _linear_do_law(m: LinearScm, targets, margin):
     """The law of the margin outside ``targets`` under do(targets = t), read
-    off the solve map of the other variables: ``(A, mean, cov, scale)`` with
-    mean ``A t + mean``, covariance ``cov`` and, per variable, ``scale`` the
-    variance its noise terms would give without cancelling, which bounds the
-    rounding in ``cov``; columns of ``A`` in the order of ``targets``.
-    ``None`` when that subsystem is singular.  The targets themselves equal
-    the intervention values in every model."""
+    off the solve map of the other variables: ``(A, law)``, ``law`` the one
+    at t = 0 plus mean ``A t`` (columns in ``targets`` order); ``None`` when
+    that subsystem is singular.  The targets equal t in every model."""
     try:
         sm = solve_map(m, [v for v in m.endogenous_names if v not in targets])
     except NotUniquelySolvable:
         return None
-    rows = [sm.targets.index(v) for v in margin if v not in targets]
+    rest = [v for v in margin if v not in targets]
+    rows = [sm.targets.index(v) for v in rest]
     cols = [sm.endo_args.index(t) for t in targets]
-    G, cov = sm.G[rows, :], m.noise_cov()
-    # a noise gain at or below the tolerance times max(1, the row's largest)
-    # is the rounding of a zero, as for the singular values of I - B_OO
-    level = tolerance() * np.maximum(1.0, np.abs(G).max(axis=1, initial=0.0))
-    G = np.where(np.abs(G) <= level[:, None], 0.0, G)
-    scale = np.diag(np.abs(G) @ np.abs(cov) @ np.abs(G).T)
-    return sm.A[np.ix_(rows, cols)], G @ m.noise_mean() + sm.d[rows], G @ cov @ G.T, scale
+    return sm.A[np.ix_(rows, cols)], _solution_law(m, sm).marginal(rest)
 
 
-def _do_laws_agree(f1, f2, tol) -> bool:
-    """Do two ``_linear_do_law`` results agree up to ``tol``?  Coefficients
-    within ``tol`` times max(1, their size); the Gaussian part per variable,
-    in the units of the larger of its two scales."""
-    (a1, mean1, cov1, scale1), (a2, mean2, cov2, scale2) = f1, f2
-    top = np.maximum(1.0, np.maximum(np.abs(a1), np.abs(a2)))
-    return bool(np.all(np.abs(a1 - a2) <= tol * top)) and _gaussians_agree(
-        mean1, cov1, mean2, cov2, tol, np.maximum(scale1, scale2)
-    )
+def _do_laws_equal(f1, f2) -> bool:
+    """Rule (ii) of ``config``: the coefficients agree within the tolerance
+    times their sizes, and the laws by ``GaussianDistribution.close_to``."""
+    (a1, law1), (a2, law2) = f1, f2
+    return bool(np.all(negligible(a1 - a2, np.abs(a1) + np.abs(a2)))) and law1.close_to(law2)
 
 
 def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) -> EquivalenceReport:
@@ -252,7 +239,6 @@ def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
                 rules.add(rep.rule)
         return EquivalenceReport("interventional", margin, True, max(rules, key=_RULES.index))
     if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
-        tol = tolerance()
         for targets in _intervention_patterns(margin):
             f1 = _linear_do_law(m1, targets, margin)
             f2 = _linear_do_law(m2, targets, margin)
@@ -267,7 +253,7 @@ def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) ->
                              "left": "singular" if f1 is None else "unique",
                              "right": "singular" if f2 is None else "unique"},
                 )
-            if not _do_laws_agree(f1, f2, tol):
+            if not _do_laws_equal(f1, f2):
                 return EquivalenceReport(
                     "interventional", margin, False, "linear_per_variable",
                     witness={"intervention_targets": list(targets)},
@@ -295,27 +281,23 @@ def is_direct_cause(m, i: str, j: str):
 
     Finite models return (verdict, witness) with the lexicographically first
     contrast found, each law of j being its Γ-law under do(V minus j), one
-    pass over the noises j reads; linear models decide from the
-    canonicalized coefficient.  The law of j under do(V minus j) reads only
-    j's arguments: i outside j's functional parents is no direct cause, and
-    otherwise the contrasts range over j's other declared arguments, every
-    remaining variable held at its first value, which is where the
+    pass over the noises j reads.  The law of j under do(V minus j) reads
+    only j's arguments: i outside j's functional parents is no direct cause.
+    In a linear model every parent is one, since its coefficient is not 0.
+    In a finite one the contrasts range over j's other declared arguments,
+    every remaining variable held at its first value, which is where the
     lexicographically first contrast has it.
     """
     if i == j:
         raise ScmError("direct causes are defined for distinct variables")
     if not structurally_uniquely_solvable(m):
         raise ScmError("direct causes need a structurally uniquely solvable model (no self-loops)")
-    if isinstance(m, LinearScm):
-        tol = tolerance()
-        cm = canonicalize(m)
-        return abs(cm.B[cm.endo_index(j), cm.endo_index(i)]) > tol, None
-    if not isinstance(m, FiniteScm):
-        raise ScmError(f"not an SCM: {m!r}")
     if i not in m.endogenous or j not in m.endogenous:
         raise ScmError(f"unknown variable in ({i}, {j})")
     if i not in functional_parents(m, j):
         return False, None
+    if isinstance(m, LinearScm):
+        return True, None
     args = set(m.mechanisms[j].args)
     others = [v for v in m.endogenous_names if v not in (i, j)]
     ranged = [v for v in others if v in args]

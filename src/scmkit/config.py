@@ -1,17 +1,25 @@
-"""Numeric settings of the linear-Gaussian path, and ``np``, its numpy handle.
+"""Numeric settings of the linear-Gaussian path, its one zero rule, and
+``np``, its numpy handle.
 
 Finite-domain computations are exact (rationals) and never consult this.
 ``np`` imports numpy on its first attribute access, so finite-model and graph
 work never loads it; modules use it in place of ``import numpy as np``.
+
+The one zero rule of the linear path: the tolerance bounds only
+dimensionless numbers, so no verdict depends on the units of a variable or
+a noise.  (i) ``I - B_OO`` is singular iff ``B_OO`` has an eigenvalue within
+the tolerance of 1 (``unit_eigenvectors``); for one variable this is the
+self-loop test.  (ii) A computed value is zero iff it is at most the
+tolerance times its uncancelled magnitude, the same expression evaluated on
+absolute values (``negligible``, ``snap``), and two are equal iff their
+difference is; a covariance is judged in correlation units
+(``covariance_problem``).  (iii) A coefficient, gain or variance of a model
+is zero only when it is exactly 0.
 """
 
 import os
 
 DEFAULT_TOLERANCE = 1e-9
-
-#: Condition-number threshold above which Gaussian conditioning regularizes
-#: the observed block instead of inverting it directly.
-REGULARIZATION_CONDITION = 1e12
 
 
 class _Numpy:
@@ -39,3 +47,40 @@ def tolerance(tol=None):
     if env:
         return float(env)
     return DEFAULT_TOLERANCE
+
+
+def negligible(value, magnitude, tol=None):
+    """Rule (ii), elementwise: is ``value`` at most tol times its ``magnitude``?"""
+    return np.abs(value) <= tolerance(tol) * np.asarray(magnitude)
+
+
+def snap(value, magnitude):
+    """``value`` with every entry that rule (ii) calls zero set to exactly 0."""
+    return np.where(negligible(value, magnitude), 0.0, value)
+
+
+def unit_eigenvectors(b):
+    """Rule (i): the eigenvectors, as columns, of the square matrix ``b``
+    whose eigenvalue is within the tolerance of 1.  Rounding moves a k-fold
+    eigenvalue by the k-th root of its error, so the k eigenvalues nearest 1
+    all count when each is within the k-th root of the tolerance."""
+    w, v = np.linalg.eig(b)
+    gap = np.abs(w - 1.0)
+    ranked = np.sort(gap)
+    k = max([i + 1 for i, g in enumerate(ranked) if g <= tolerance() ** (1 / (i + 1))], default=0)
+    return v[:, gap <= ranked[k - 1]] if k else v[:, :0]
+
+
+def covariance_problem(cov, scale=None):
+    """``None`` for a symmetric positive semi-definite covariance, otherwise
+    what is wrong with it, judged in correlation units: entry ``(i, j)`` over
+    ``sqrt(scale[i] * scale[j])``, ``scale`` the uncancelled variances."""
+    cov = np.asarray(cov, dtype=float)
+    sd = np.sqrt(np.maximum(np.diag(cov) if scale is None else scale, 0.0))
+    unit = np.outer(sd, sd)
+    if not np.all(negligible(cov - cov.T, unit)):
+        return "not symmetric"
+    corr = cov / np.where(unit > 0, unit, 1.0)
+    if np.any((unit == 0) & (cov != 0)) or np.linalg.eigvalsh((corr + corr.T) / 2).min(initial=0.0) < -tolerance():
+        return "not positive semi-definite"
+    return None

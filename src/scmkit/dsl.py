@@ -13,10 +13,11 @@ equivalent model and serialize is a fixed point on parsed models.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
-from .config import np, tolerance
+from .config import covariance_problem, np
 from .errors import ParseError, ScmError, TabulationError
 from .scm import (
     FiniteDomain,
@@ -162,8 +163,9 @@ class _Parser:
             value = -value
         return _normalize_atom(value)
 
-    def parse_number(self) -> float:
-        """Signed decimal, integer or rational coefficient, as a float."""
+    def parse_number(self):
+        """Signed decimal, integer or rational coefficient, as the exact
+        ``Fraction`` it spells (a decimal beyond the float range: its float)."""
         negative = False
         if self.at_op("-"):
             self.advance()
@@ -172,9 +174,10 @@ class _Parser:
         if tok.kind == "FLOAT":
             self.advance()
             value = float(tok.value)
+            if math.isfinite(value):
+                value = Fraction(tok.value) if value else Fraction(0)
         elif tok.kind == "INT":
-            num, den = self.parse_ratio()
-            value = float(num) / den
+            value = Fraction(*self.parse_ratio())
         else:
             self.fail(f"expected a number, found {tok.value!r}")
         return -value if negative else value
@@ -557,12 +560,13 @@ def _parse_linear(p: _Parser) -> LinearScm:
         if var not in endo_index:
             p.fail(f"equation for undeclared variable {var}", name_tok)
         i = endo_index[var]
-        c[i] = intercept
+        # the terms of one name were summed exactly; each sum is rounded once
+        c[i] = float(intercept)
         for name, coef in coeffs.items():
             if name in endo_index:
-                B[i, endo_index[name]] += coef
+                B[i, endo_index[name]] = float(coef)
             elif name in coord_index:
-                Gamma[i, coord_index[name]] += coef
+                Gamma[i, coord_index[name]] = float(coef)
             else:
                 pos = positions.get(name, (name_tok.line, name_tok.col))
                 raise ParseError(f"undeclared name {name}", pos[0], pos[1])
@@ -596,10 +600,9 @@ def _parse_normal(p: _Parser, size: int):
     cov = np.array(cov, dtype=float)
     if mean.shape != (size,) or cov.shape != (size, size):
         p.fail(f"Normal parameters do not match the {size} declared coordinate(s)")
-    if not np.allclose(cov, cov.T, atol=tolerance()):
-        p.fail("covariance is not symmetric")
-    if np.linalg.eigvalsh((cov + cov.T) / 2).min(initial=0.0) < -tolerance():
-        p.fail("covariance is not positive semi-definite")
+    problem = covariance_problem(cov)
+    if problem:
+        p.fail(f"covariance is {problem}")
     return mean, cov
 
 
@@ -628,23 +631,23 @@ def _parse_matrix(p: _Parser):
 def _parse_linear_rhs(p: _Parser):
     coeffs = {}
     positions = {}
-    intercept = 0.0
-    sign = 1.0
+    intercept = 0
+    sign = 1
     if p.at_op("-"):
         p.advance()
-        sign = -1.0
+        sign = -1
     while True:
         tok = p.peek()
         if tok.kind == "NAME":
             p.advance()
-            coeffs[tok.value] = coeffs.get(tok.value, 0.0) + sign
+            coeffs[tok.value] = coeffs.get(tok.value, 0) + sign
             positions.setdefault(tok.value, (tok.line, tok.col))
         elif tok.kind in ("INT", "FLOAT"):
             value = sign * p.parse_number()
             if p.at_op("*"):
                 p.advance()
                 name_tok = p.expect("NAME")
-                coeffs[name_tok.value] = coeffs.get(name_tok.value, 0.0) + value
+                coeffs[name_tok.value] = coeffs.get(name_tok.value, 0) + value
                 positions.setdefault(name_tok.value, (name_tok.line, name_tok.col))
             else:
                 intercept += value
@@ -652,10 +655,10 @@ def _parse_linear_rhs(p: _Parser):
             p.fail(f"expected a linear term, found {tok.value!r}")
         if p.at_op("+"):
             p.advance()
-            sign = 1.0
+            sign = 1
         elif p.at_op("-"):
             p.advance()
-            sign = -1.0
+            sign = -1
         else:
             break
     return coeffs, intercept, positions
@@ -774,7 +777,7 @@ def parse_value_literal(text: str):
         is_float = tok.kind == "FLOAT" or (
             tok.kind == "OP" and tok.value == "-" and p.tokens[p.pos + 1].kind == "FLOAT"
         )
-        value = p.parse_number() if is_float else p.parse_rational()
+        value = float(p.parse_number()) if is_float else p.parse_rational()
         if p.peek().kind not in ("EOF", "NEWLINE"):
             raise ParseError("trailing characters in value literal")
         return value

@@ -251,7 +251,11 @@ class MixedGraph:
     @classmethod
     def from_json_obj(cls, obj) -> "MixedGraph":
         try:
-            return cls(obj["nodes"], obj.get("directed", []), obj.get("bidirected", []))
+            parts = [obj["nodes"], obj.get("directed", []), obj.get("bidirected", [])]
+            # JSON arrays only: a string iterates as its characters, an object as its keys
+            if not (all(isinstance(x, list) for x in parts) and all(isinstance(e, list) for e in parts[1] + parts[2])):
+                raise TypeError("nodes, directed, bidirected and each edge must be arrays")
+            return cls(*parts)
         except (KeyError, TypeError) as exc:
             raise ScmError(f"malformed graph JSON: {exc}") from exc
 

@@ -18,7 +18,7 @@ from .analysis import (
     observational_distribution,
     uniquely_solvable_wrt,
 )
-from .config import np, tolerance
+from .config import negligible, np, tolerance
 from .errors import ScmError, SolvabilityError, UnknownNameError
 from .graph import d_separated, sigma_separated
 from .scm import LinearScm, functional_graph
@@ -50,22 +50,23 @@ def _finite_ci(dist: DiscreteDistribution, a, b, s) -> bool:
 
 
 def _gaussian_ci(dist: GaussianDistribution, a, b, s, tol) -> bool:
-    """Vanishing partial correlation.  The covariance is first rescaled to
-    unit variances, so the verdict does not depend on the units of any
-    variable; a variable left with at most ``tol`` of its variance after
-    conditioning on S is a function of S and independent of everything."""
+    """Vanishing partial correlation, on unit variances, so no change of units
+    moves a verdict.  A variance or partial variance given S that is zero by
+    rule (ii) of ``config`` marks a constant or a function of S, independent
+    of everything; a partial covariance is zero by that rule or when its
+    partial correlation is at most ``tol``."""
     u = [dist.vars.index(v) for v in a + b]
     i_s = [dist.vars.index(v) for v in s]
-    sd = np.sqrt(np.diag(dist.cov))
-    sd = np.where(sd > 0, sd, 1.0)
+    var = np.diag(dist.cov)
+    sd = np.sqrt(np.where(negligible(var, dist.scale, tol), np.inf, var))
     corr = dist.cov / np.outer(sd, sd)
-    partial = corr[np.ix_(u, u)]
-    if i_s:
-        partial = partial - corr[np.ix_(u, i_s)] @ np.linalg.pinv(corr[np.ix_(i_s, i_s)]) @ corr[np.ix_(i_s, u)]
+    inv = np.linalg.pinv(corr[np.ix_(i_s, i_s)], tol)
+    partial = corr[np.ix_(u, u)] - corr[np.ix_(u, i_s)] @ inv @ corr[np.ix_(i_s, u)]
+    size = np.abs(corr[np.ix_(u, u)]) + np.abs(corr[np.ix_(u, i_s)]) @ np.abs(inv) @ np.abs(corr[np.ix_(i_s, u)])
     var = np.diag(partial)
-    sd = np.sqrt(np.where(var > tol, var, np.inf))
-    rho = partial / np.outer(sd, sd)
-    return bool(np.all(np.abs(rho[: len(a), len(a):]) <= tol))
+    sd = np.sqrt(np.where(negligible(var, np.diag(size), tol), np.inf, var))
+    zero = negligible(partial, size, tol) | (np.abs(partial / np.outer(sd, sd)) <= tol)
+    return bool(np.all(zero[: len(a), len(a):]))
 
 
 def conditional_independent(dist, a, b, s=()) -> bool:

@@ -4,7 +4,9 @@ extraction and canonicalization.
 
 Finite models are exact throughout (``fractions.Fraction`` probabilities,
 tabular mechanisms).  Linear models are real-valued with independent Gaussian
-noise blocks; zero tests there use the global tolerance (see ``config``).
+noise blocks; their zero tests follow the one unit-free rule of ``config``:
+parents and canonicalization compare the model's coefficients with exactly 0,
+and only a loop gain is judged with the tolerance, as an eigenvalue near 1.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .config import np, tolerance
+from .config import covariance_problem, np, unit_eigenvectors
 from .errors import DomainMismatchError, ScmError, UnknownNameError
 from .graph import MixedGraph
 
@@ -396,7 +398,6 @@ def _validate_finite(m: FiniteScm) -> list:
 
 
 def _validate_linear(m: LinearScm) -> list:
-    tol = tolerance()
     problems = []
     n = len(m.endogenous)
     coords = m.coord_names
@@ -418,12 +419,9 @@ def _validate_linear(m: LinearScm) -> list:
         if b.cov.shape != (len(b.coords), len(b.coords)):
             problems.append(f"block {b.name} covariance has shape {b.cov.shape}")
             continue
-        if not np.allclose(b.cov, b.cov.T, atol=tol):
-            problems.append(f"block {b.name} covariance is not symmetric")
-            continue
-        eigvals = np.linalg.eigvalsh((b.cov + b.cov.T) / 2)
-        if eigvals.size and eigvals.min() < -tol:
-            problems.append(f"block {b.name} covariance is not positive semi-definite")
+        problem = covariance_problem(b.cov)
+        if problem:
+            problems.append(f"block {b.name} covariance is {problem}")
     return problems
 
 
@@ -504,49 +502,21 @@ def _finite_parents(m: FiniteScm, k: str) -> frozenset:
     return cache[k]
 
 
-def _zero_variance_level(cov) -> float:
-    """Variances and eigenvalues of a noise block at or below this level count
-    as zero: the tolerance times the block's largest eigenvalue, so the
-    verdict does not depend on the scale of the noise.  An all-zero block has
-    level 0, and all its coordinates count as zero."""
-    top = np.linalg.eigvalsh((cov + cov.T) / 2).max(initial=0.0)
-    return tolerance() * max(top, 0.0)
-
-
-def _zero_variance_coords(m: LinearScm) -> np.ndarray:
-    """Per noise coordinate, in ``coord_names`` order: is its variance zero?"""
-    zero = [np.diag(b.cov) <= _zero_variance_level(b.cov) for b in m.blocks]
-    return np.concatenate(zero) if zero else np.zeros(0, dtype=bool)
-
-
 def _linear_parents(m: LinearScm, k: str) -> frozenset:
-    tol = tolerance()
+    """Rule (iii) of ``config``: a variable is a parent iff its coefficient is
+    not 0, a noise block iff a coordinate's gain and variance are not 0, and
+    k itself iff B_kk is within the tolerance of 1 (rule (i), 1x1)."""
     if k not in m.endogenous:
         raise UnknownNameError(f"unknown endogenous index {k!r}")
     cache = m._cache.setdefault("parents", {})
-    if k in cache:
-        return cache[k]
-    ki = m.endo_index(k)
-    bkk = m.B[ki, ki]
-    parents = set()
-    self_loop = abs(bkk - 1.0) <= tol
-    scale = 1.0 if self_loop else 1.0 / (1.0 - bkk)
-    if self_loop:
-        parents.add(k)
-    for j, name in enumerate(m.endogenous):
-        if j == ki:
-            continue
-        if abs(m.B[ki, j] * scale) > tol:
-            parents.add(name)
-    zero = _zero_variance_coords(m)
-    coords = m.coord_names
-    for b in m.blocks:
-        for c in b.coords:
-            ci = coords.index(c)
-            if abs(m.Gamma[ki, ci] * scale) > tol and not zero[ci]:
-                parents.add(b.name)
-                break
-    cache[k] = frozenset(parents)
+    if k not in cache:
+        ki = m.endo_index(k)
+        parents = {n for j, n in enumerate(m.endogenous) if j != ki and m.B[ki, j] != 0}
+        if unit_eigenvectors(m.B[ki:ki + 1, ki:ki + 1]).size:
+            parents.add(k)
+        moving = dict(zip(m.coord_names, (m.Gamma[ki] != 0) & (np.diag(m.noise_cov()) != 0)))
+        parents.update(b.name for b in m.blocks if any(moving[c] for c in b.coords))
+        cache[k] = frozenset(parents)
     return cache[k]
 
 
@@ -703,29 +673,23 @@ def _canonicalize_finite(m: FiniteScm) -> FiniteScm:
 
 
 def _canonicalize_linear(m: LinearScm) -> LinearScm:
-    tol = tolerance()
     B = m.B.copy()
     Gamma = m.Gamma.copy()
     c = m.c.copy()
     mean = m.noise_mean()
     # a zero-variance coordinate is a.s. constant: fold its contribution into
     # the intercept so the coefficient can be dropped
-    for ci in np.flatnonzero(_zero_variance_coords(m)):
+    for ci in np.flatnonzero(np.diag(m.noise_cov()) == 0):
         c += Gamma[:, ci] * mean[ci]
         Gamma[:, ci] = 0.0
-    for ki in range(len(m.endogenous)):
-        bkk = B[ki, ki]
-        if abs(bkk - 1.0) <= tol:
+    for ki, k in enumerate(m.endogenous):
+        if k in functional_parents(m, k):
             continue  # genuine self-loop, left untouched
-        if abs(bkk) > tol:
-            scale = 1.0 / (1.0 - bkk)
-            B[ki, :] *= scale
-            Gamma[ki, :] *= scale
-            c[ki] *= scale
+        scale = 1.0 / (1.0 - B[ki, ki])
+        B[ki, :] *= scale
+        Gamma[ki, :] *= scale
+        c[ki] *= scale
         B[ki, ki] = 0.0
-    B[np.abs(B) <= tol] = 0.0
-    Gamma[np.abs(Gamma) <= tol] = 0.0
-    c[np.abs(c) <= tol] = 0.0
     return LinearScm(m.endogenous, m.blocks, B, Gamma, c)
 
 

@@ -7,7 +7,7 @@ import itertools
 from typing import Mapping
 
 from .analysis import solve_map
-from .config import np
+from .config import np, snap
 from .errors import ScmError, UnknownNameError
 from .scm import FiniteScm, LinearScm, TabularMechanism
 
@@ -124,10 +124,13 @@ def marginalize(m, latent):
         oi = [m.endo_index(i) for i in sm.endo_args]
         li = [m.endo_index(i) for i in sm.targets]
         bol = m.B[np.ix_(oi, li)]
-        B = m.B[np.ix_(oi, oi)] + bol @ sm.A
-        Gamma = m.Gamma[oi, :] + bol @ sm.G
-        c = m.c[oi] + bol @ sm.d
-        return LinearScm(sm.endo_args, m.blocks, B, Gamma, c)
+
+        def substitute(own, solved):
+            # own + bol @ solved, snapped once by rule (ii) of ``config``
+            return snap(own + bol @ solved, np.abs(own) + np.abs(bol) @ np.abs(solved))
+
+        return LinearScm(sm.endo_args, m.blocks, substitute(m.B[np.ix_(oi, oi)], sm.A),
+                         substitute(m.Gamma[oi, :], sm.G), substitute(m.c[oi], sm.d))
     raise ScmError(f"not an SCM: {m!r}")
 
 

@@ -705,6 +705,15 @@ class TestCounterfactual:
         with pytest.raises(ScmError):
             counterfactual_distribution(m, {}, {}, {}, ["X2"])
 
+    def test_query_is_checked_before_the_twin_is_solved(self):
+        # the twin of this model has no solution, so the query is read first
+        m = intervene(zoo.unsolvable_selfloop(), {"X2": 1})
+        with pytest.raises(NotSolvable):
+            counterfactual_distribution(m, {}, {}, {}, ["X1'"])
+        for query in (["X1"], ["ZZ'"], ["X1'", "X3'"], "X2"):
+            with pytest.raises(UnknownNameError):
+                counterfactual_distribution(m, {}, {}, {}, query)
+
 
 class TestGaussianCondition:
     def test_independent_coordinates_unchanged(self):
@@ -746,22 +755,27 @@ class TestGaussianCondition:
             m = LinearScm(("X", "Y"), blocks, [[0, 0], [1, 0]], [[1, 0], [0, 1]])
             given_x = counterfactual_distribution(m, {}, {"X": 0.0}, {}, ["Y'"])
             given_y = counterfactual_distribution(m, {}, {"Y": 2 * sd}, {}, ["X'"])
-            answers.append([(d.mean / sd, d.cov / var, d.regularized) for d in (given_x, given_y)])
+            answers.append([(d.mean / sd, d.cov / var) for d in (given_x, given_y)])
         for other in answers[1:]:
-            for (mean, cov, reg), (mean0, cov0, reg0) in zip(other, answers[0]):
+            for (mean, cov), (mean0, cov0) in zip(other, answers[0]):
                 assert np.allclose(mean, mean0, rtol=0, atol=1e-9)
                 assert np.allclose(cov, cov0, rtol=0, atol=1e-9)
-                assert reg == reg0
-        (mean_y, cov_y, _), (mean_x, cov_x, _) = answers[0]
+        (mean_y, cov_y), (mean_x, cov_x) = answers[0]
         assert np.allclose([mean_y[0], cov_y[0, 0], mean_x[0], cov_x[0, 0]], [0.0, 1.0, 1.0, 0.5])
 
-    def test_badly_conditioned_block_is_regularized_and_flagged(self):
-        cov = [[1.0, 0.0, 0.0], [0.0, 1e16, 0.0], [0.0, 0.0, 1.0]]
-        d = GaussianDistribution(("A", "B", "C"), [0.0, 0.0, 0.0], cov)
-        c = gaussian_condition(d, {"B": 1.0, "C": 0.5})
-        assert c.regularized
-        well = gaussian_condition(d, {"C": 0.5})
-        assert not well.regularized
+    def test_conditioning_in_other_units_gives_the_rescaled_answer(self):
+        # B in units 1e8 times smaller: the observed block diag(1e16, 1) has
+        # the identity as its correlations, and A given B = 1e8, C = 0.5 is
+        # A given B = 1, C = 0.5 in the identity-block model
+        big = GaussianDistribution(("A", "B", "C"), [0.0, 0.0, 0.0],
+                                   [[1.0, 0.5e8, 0.0], [0.5e8, 1e16, 0.0], [0.0, 0.0, 1.0]])
+        unit = GaussianDistribution(("A", "B", "C"), [0.0, 0.0, 0.0],
+                                    [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        c = gaussian_condition(big, {"B": 1e8, "C": 0.5})
+        want = gaussian_condition(unit, {"B": 1.0, "C": 0.5})
+        assert c.close_to(want)
+        assert c.mean[0] == pytest.approx(0.5, abs=1e-12)
+        assert c.cov[0, 0] == pytest.approx(0.75, abs=1e-12)
 
 
 class TestDistributionPlumbing:

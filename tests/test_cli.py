@@ -158,6 +158,14 @@ class TestSepCommand:
         assert run(["sep", "--graph", str(path), "--a", "a", "--b", "b"]) == 2
         assert "is not a pair of nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"nodes": "abc", "directed": [["a", "b"]]}',
+                                      '{"nodes": ["a", "b"], "directed": [{"a": 1, "b": 2}]}'])
+    def test_container_that_is_not_an_array_is_a_model_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(["sep", "--graph", str(path), "--a", "a", "--b", "b"]) == 2
+        assert "malformed graph JSON" in capsys.readouterr().err
+
 
 class TestMarkovCommand:
     def test_table_output(self, capsys):
@@ -236,6 +244,15 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert run(["parse", "--frobnicate"]) == 2
+
+    def test_chain_with_a_large_gain(self, tmp_path, capsys):
+        # variables in different units: every acyclic model is uniquely solvable
+        path = tmp_path / "chain.scm"
+        path.write_text("model linear\nvar X1 X2\nnoise E1 : Normal(0, 1)\nnoise E2 : Normal(0, 1)\n"
+                        "eq X1 = 100000*X2 + E1\neq X2 = E2\n")
+        assert run(["check", str(path), "--unique", "X1,X2"]) == 0
+        assert run(["dist", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["cov"][0][0] == pytest.approx(1e10 + 1)
 
     def test_tolerance_env_var(self, capsys, monkeypatch):
         # a huge tolerance declares I - B singular even for the base model

@@ -17,6 +17,7 @@ from scmkit import (
     ScmError,
     TabulationError,
     functional_graph,
+    functional_parents,
     intervene,
     marginalize,
     mechanisms_equivalent,
@@ -212,6 +213,15 @@ class TestLinearParsing:
         text = "model linear\nvar X\nnoise E1 E2 : Normal(0, 1)\neq X = 1*E1\n"
         with pytest.raises(ParseError, match="single-coordinate"):
             parse(text)
+
+    def test_repeated_terms_are_summed_exactly(self):
+        # 0.1 + 0.2 - 0.3 is 5.6e-17 in floats and 0 as decimals
+        text = ("model linear\nvar X Y\nnoise E : Normal(0, 1)\n"
+                "eq X = 0.1*Y + 0.2*Y - 0.3*Y + 1*E + 0.1 + 0.2 - 0.3\neq Y = 0.1*E + 0.2*E + 1/3*E\n")
+        model = parse(text)
+        assert model.B[0, 1] == 0.0 and model.c[0] == 0.0
+        assert model.Gamma[1, 0] == float(Fraction(3, 10) + Fraction(1, 3))
+        assert functional_parents(model, "X") == {"E"}
 
     def test_intercept_and_signs(self):
         text = "model linear\nvar X\nnoise E : Normal(0, 1)\neq X = -0.5*E + 2 - 1\n"

@@ -137,9 +137,17 @@ class TestMalformedEdges:
             MixedGraph(["a", "b", "c"], directed, bidirected)
 
     def test_malformed_json_edges_are_model_errors(self):
-        for edges in ('"directed": [["a", "b", "c"]]', '"bidirected": [["a"]]', '"directed": ["ab"]'):
+        for edges in ('"directed": [["a", "b", "c"]]', '"bidirected": [["a"]]', '"directed": ["ab"]',
+                      '"directed": [{"a": 1, "b": 2}]', '"bidirected": [{"a": 1, "c": 2}]',
+                      '"directed": "ab"', '"bidirected": {"a": "b"}'):
             with pytest.raises(ScmError):
                 MixedGraph.from_json('{"nodes": ["a", "b", "c"], %s}' % edges)
+
+    @pytest.mark.parametrize("text", ['{"nodes": "abc"}', '{"nodes": "abc", "directed": [["a", "b"]]}',
+                                      '{"nodes": {"a": 1, "b": 2}}', '["a", "b"]', '"abc"'])
+    def test_json_containers_must_be_arrays(self, text):
+        with pytest.raises(ScmError, match="malformed graph JSON"):
+            MixedGraph.from_json(text)
 
 
 class TestAcyclicity:
