@@ -184,9 +184,8 @@ class DiscreteDistribution:
 
 
 class GaussianDistribution:
-    """A Gaussian law over named real coordinates.  ``scale`` holds each
-    variable's uncancelled variance (by default the diagonal of ``cov``), its
-    unit for the zero rule of ``config``."""
+    """A Gaussian law over named real coordinates; ``scale``, each variable's
+    uncancelled variance (by default ``diag(cov)``), is its unit for ``config``."""
 
     __slots__ = ("vars", "mean", "cov", "scale")
 
@@ -196,8 +195,7 @@ class GaussianDistribution:
         self.mean = np.asarray(mean, dtype=float).reshape(n)
         self.cov = np.asarray(cov, dtype=float).reshape(n, n)
         self.scale = np.maximum(np.diag(self.cov) if scale is None else np.asarray(scale, dtype=float), 0.0)
-        problem = covariance_problem(self.cov, self.scale)
-        if problem:
+        if problem := covariance_problem(self.cov, self.scale):
             raise ScmError(f"covariance is {problem}")
         self.cov = (self.cov + self.cov.T) / 2
         for a in (self.mean, self.cov, self.scale):
@@ -211,10 +209,9 @@ class GaussianDistribution:
         return GaussianDistribution(tuple(names), self.mean[idx], self.cov[np.ix_(idx, idx)], self.scale[idx])
 
     def close_to(self, other: "GaussianDistribution", tol=None) -> bool:
-        """The one comparison of Gaussian laws, by rule (ii) of ``config``
-        with ``sd = sqrt(scale)`` of both laws as the unit: covariance
-        ``(i, j)`` may differ by ``tol`` times the sum of ``sd[i] * sd[j]``,
-        mean ``i`` by ``tol`` times the sum of ``|mean[i]|`` and ``sd[i]``."""
+        """The one comparison of Gaussian laws, rule (ii) of ``config`` with
+        ``sd = sqrt(scale)``: covariance ``(i, j)`` may differ by ``tol`` times
+        the sum of ``sd[i] * sd[j]``, mean ``i`` by that of ``|mean[i]|, sd[i]``."""
         sd1, sd2 = np.sqrt(self.scale), np.sqrt(other.scale)
         return self.vars == other.vars and bool(
             np.all(negligible(self.cov - other.cov, np.outer(sd1, sd1) + np.outer(sd2, sd2), tol))
@@ -508,24 +505,29 @@ def _finite_scan(m: FiniteScm, subset, need_unique: bool):
 
 
 def _linear_subsystem(m: LinearScm, subset):
-    """The subsystem on ``subset`` as ``(subset, idx, rest, inv, null)``: its
-    names, the indices of its variables and of all others, and either the
-    inverse of ``I - B_OO`` or, when a strongly connected component of
-    ``B_OO`` is singular by rule (i) of ``config``, its left null vectors.
-    Solved component by component, ``inv`` is exactly 0 where no chain of
-    nonzero coefficients leads."""
+    """``(subset, idx, rest, inv, comps)``, kept per model, subset and tolerance:
+    the names, the indices of the subset and of all others, the inverse of
+    ``I - B_OO`` (``None`` if a component is singular by rule (i) of ``config``;
+    exactly 0 where no chain of nonzero coefficients leads), and the strongly
+    connected components of ``B_OO``, each after the components it reads."""
     subset = _subset_names(m, subset)
+    cache, key = m._cache.setdefault("subsystems", {}), (subset, tolerance())
+    if key in cache:
+        return cache[key]
     idx = [m.endo_index(o) for o in subset]
     rest = [i for i, n in enumerate(m.endogenous_names) if n not in subset]
     n, b_oo = len(idx), m.B[np.ix_(idx, idx)]
-    # each component comes after the components it reads
-    comps = [list(c) for c in strong_components(range(n), {a: np.flatnonzero(b_oo[a]) for a in range(n)})]
-    if unit_eigenvectors(b_oo).size and any(unit_eigenvectors(b_oo[c][:, c]).size for c in comps):
-        return subset, idx, rest, None, _left_null(b_oo, comps)
-    mat, inv = np.eye(n) - b_oo, np.zeros((n, n))
-    for c in comps:
-        inv[c] = np.linalg.solve(mat[c][:, c], np.eye(n)[c] - mat[c] @ inv)
-    return subset, idx, rest, inv, None
+    nonzero = (b_oo != 0).tolist()
+    comps = [list(c) for c in strong_components(range(n), {a: [b for b in range(n) if nonzero[a][b]] for a in range(n)})]
+    singular = any(unit_eigenvectors(b_oo[c][:, c]).size for c in comps if len(c) > 1 or nonzero[c[0]][c[0]])
+    eye, inv = np.eye(n), None if singular else np.zeros((n, n))
+    for c in () if singular else comps:
+        if len(c) == 1:  # one step of forward substitution
+            inv[c[0]] = (eye[c[0]] + b_oo[c[0]] @ inv) / (1 - b_oo[c[0], c[0]])
+        else:
+            inv[c] = np.linalg.solve(eye[c][:, c] - b_oo[c][:, c], eye[c] + b_oo[c] @ inv)
+    cache[key] = subset, idx, rest, inv, comps
+    return cache[key]
 
 
 def _left_null(b_oo, comps):
@@ -542,20 +544,23 @@ def _left_null(b_oo, comps):
         for v in vectors.T:
             x = np.linalg.lstsq(np.vstack([a, v.conj()]), np.eye(len(a) + 1)[-1], rcond=None)[0]
             x = np.where(negligible(np.diag(a) * x, np.abs(a) @ np.abs(x)) & (np.diag(a) != 0), 0, x)
-            if np.linalg.matrix_rank(np.column_stack([out, x])) > out.shape[1]:
+            if not out.size or np.linalg.matrix_rank(np.column_stack([out, x])) > out.shape[1]:
                 out = np.column_stack([out, x])
         return out
 
     y = np.zeros((len(b_oo), 0), dtype=complex)
     for c in reversed(comps):
         block, b_cc = mat[c][:, c], b_oo[c][:, c]
+        left = unit_eigenvectors(b_cc.T)
+        if not (left.size or y.size):  # y_U = 0 below the first singular component
+            continue
         size = np.abs(mat[:, c].T) @ np.abs(y)
         rhs = snap(-(mat[:, c].T @ y), size)
-        left = unit_eigenvectors(b_cc.T)
         if not left.shape[1]:
             y[c] = np.linalg.solve(block.T, rhs)
             continue
-        left, right = null(block.T, left), null(block, unit_eigenvectors(b_cc))
+        # with no vectors built yet there is nothing for the right null vectors to constrain
+        left, right = null(block.T, left), null(block, unit_eigenvectors(b_cc) if y.size else b_cc[:, :0])
         k = snap(right.T @ rhs, np.abs(right.T) @ size)
         if np.any(k):
             _, s, vh = np.linalg.svd(k)
@@ -572,9 +577,10 @@ def _linear_solvable(m: LinearScm, subset):
     every context iff each left null vector y of ``I - B_OO`` annihilates
     each column r of ``[B_OR | Gamma_O Sigma | Gamma_O mu + c_O]`` (the noise
     lies in mu plus the span of Sigma), y^T r zero by rule (ii) of ``config``."""
-    subset, idx, rest, inv, null = _linear_subsystem(m, subset)
+    subset, idx, rest, inv, comps = _linear_subsystem(m, subset)
     if inv is not None:
         return SolvabilityResult(True, subset)
+    null = _left_null(m.B[np.ix_(idx, idx)], comps)
     b_or, gamma, c, mean, cov = m.B[np.ix_(idx, rest)], m.Gamma[idx, :], m.c[idx], m.noise_mean(), m.noise_cov()
     r = np.hstack([b_or, gamma @ cov, (gamma @ mean + c)[:, None]])
     size = np.hstack([np.abs(b_or), np.abs(gamma) @ np.abs(cov), (np.abs(gamma) @ np.abs(mean) + np.abs(c))[:, None]])
@@ -646,16 +652,15 @@ def solve_map(m, subset) -> SolveMap:
         subset_t, idx, rest, inv, _ = _linear_subsystem(m, subset)
         if inv is None:
             raise NotUniquelySolvable(subset_t, {"singular": "I - B_OO"})
-        b_or, gamma, c = m.B[np.ix_(idx, rest)], m.Gamma[idx, :], m.c[idx]
+        r = np.hstack([m.B[np.ix_(idx, rest)], m.Gamma[idx, :], m.c[idx, None]])
         # snapped here by rule (ii); inv = inv (I - B_OO) inv has that magnitude
         size = np.abs(inv) @ np.abs(np.eye(len(idx)) - m.B[np.ix_(idx, idx)]) @ np.abs(inv)
+        x = snap(inv @ r, size @ np.abs(r))
         return SolveMap(
             targets=subset_t,
             endo_args=tuple(m.endogenous_names[i] for i in rest),
             exo_args=m.coord_names,
-            A=snap(inv @ b_or, size @ np.abs(b_or)),
-            G=snap(inv @ gamma, size @ np.abs(gamma)),
-            d=snap(inv @ c, size @ np.abs(c)),
+            A=x[:, :len(rest)], G=x[:, len(rest):-1], d=x[:, -1],
         )
     if not isinstance(m, FiniteScm):
         raise ScmError(f"not an SCM: {m!r}")
@@ -722,17 +727,18 @@ def observational_distribution(m):
             if not res:
                 raise NotSolvable(m.endogenous_names, res.witness) from None
             raise NotUniquelySolvable(m.endogenous_names, {"singular": "I - B"}) from None
-        return _solution_law(m, sm)
+        return _solution_law(m, sm, sm.targets)
     raise ScmError(f"not an SCM: {m!r}")
 
 
-def _solution_law(m: LinearScm, sm: SolveMap) -> GaussianDistribution:
-    """The law of ``G e + d`` for the linear solve map ``sm``: the uncancelled
-    variances ``|G| |Sigma| |G|^T`` are its scale, its mean snapped by rule (ii)."""
-    mean, cov = m.noise_mean(), m.noise_cov()
-    scale = np.diag(np.abs(sm.G) @ np.abs(cov) @ np.abs(sm.G).T)
-    mean = snap(sm.G @ mean + sm.d, np.abs(sm.G) @ np.abs(mean) + np.abs(sm.d))
-    return GaussianDistribution(sm.targets, mean, sm.G @ cov @ sm.G.T, scale)
+def _solution_law(m: LinearScm, sm: SolveMap, names) -> GaussianDistribution:
+    """The law of ``G e + d`` over ``names`` for the linear solve map ``sm``: the
+    uncancelled variances ``|G| |Sigma| |G|^T`` are its scale, its mean snapped by rule (ii)."""
+    rows = [sm.targets.index(v) for v in names]
+    mean, cov, g, d = m.noise_mean(), m.noise_cov(), sm.G[rows], sm.d[rows]
+    scale = np.diag(np.abs(g) @ np.abs(cov) @ np.abs(g).T)
+    mean = snap(g @ mean + d, np.abs(g) @ np.abs(mean) + np.abs(d))
+    return GaussianDistribution(names, mean, g @ cov @ g.T, scale)
 
 
 def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> SelectorPolytope:
@@ -787,11 +793,9 @@ def counterfactual_distribution(m, factual_do, observed, cf_do, query):
 
     query = tuple([query] if isinstance(query, str) else query)
     _coordinates(tuple(v + "'" for v in m.endogenous_names), query)  # before any solve
-    tw = twin(m)
     iv = dict(factual_do)
-    for k, v in dict(cf_do).items():
-        iv[k + "'"] = v
-    dist = observational_distribution(intervene(tw, iv))
+    iv.update((k + "'", v) for k, v in dict(cf_do).items())
+    dist = observational_distribution(intervene(twin(m), iv))
     if observed:
         dist = dist.condition(observed) if isinstance(dist, DiscreteDistribution) else gaussian_condition(dist, observed)
     return dist.marginal(query)
@@ -820,5 +824,4 @@ def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float], t
         raise EvidenceError("observed block covariance is singular")
     k = (sab / sd) @ np.linalg.inv(corr) / sd
     mean = d.mean[ia] + k @ (values - d.mean[ib])
-    cov = d.cov[np.ix_(ia, ia)] - k @ sab.T
-    return GaussianDistribution(tuple(keep), mean, cov, d.scale[ia])
+    return GaussianDistribution(tuple(keep), mean, d.cov[np.ix_(ia, ia)] - k @ sab.T, d.scale[ia])

@@ -200,7 +200,7 @@ def _linear_do_law(m: LinearScm, targets, margin):
     rest = [v for v in margin if v not in targets]
     rows = [sm.targets.index(v) for v in rest]
     cols = [sm.endo_args.index(t) for t in targets]
-    return sm.A[np.ix_(rows, cols)], _solution_law(m, sm).marginal(rest)
+    return sm.A[np.ix_(rows, cols)], _solution_law(m, sm, rest)
 
 
 def _do_laws_equal(f1, f2) -> bool:

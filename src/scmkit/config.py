@@ -7,11 +7,12 @@ work never loads it; modules use it in place of ``import numpy as np``.
 
 The one zero rule of the linear path: the tolerance bounds only
 dimensionless numbers, so no verdict depends on the units of a variable or
-a noise.  (i) ``I - B_OO`` is singular iff ``B_OO`` has an eigenvalue within
-the tolerance of 1 (``unit_eigenvectors``); for one variable this is the
-self-loop test.  (ii) A computed value is zero iff it is at most the
-tolerance times its uncancelled magnitude, the same expression evaluated on
-absolute values (``negligible``, ``snap``), and two are equal iff their
+a noise.  (i) ``I - B_OO`` is singular iff a strongly connected component of
+``B_OO`` has an eigenvalue within the tolerance of 1, or within the rounding
+error of a multiple eigenvalue (``unit_eigenvectors``); for one variable
+this is the self-loop test.  (ii) A computed value is zero iff it is at most
+the tolerance times its uncancelled magnitude, the same expression evaluated
+on absolute values (``negligible``, ``snap``), and two are equal iff their
 difference is; a covariance is judged in correlation units
 (``covariance_problem``).  (iii) A coefficient, gain or variance of a model
 is zero only when it is exactly 0.
@@ -60,14 +61,17 @@ def snap(value, magnitude):
 
 
 def unit_eigenvectors(b):
-    """Rule (i): the eigenvectors, as columns, of the square matrix ``b``
-    whose eigenvalue is within the tolerance of 1.  Rounding moves a k-fold
-    eigenvalue by the k-th root of its error, so the k eigenvalues nearest 1
-    all count when each is within the k-th root of the tolerance."""
+    """Rule (i): the eigenvectors, as columns, of the square matrix ``b`` whose
+    eigenvalue is within the tolerance of 1.  Rounding moves a k-fold one by
+    about rho (n eps)^(1/k), rho the Perron root of ``|b|`` (unit-free), so the
+    k eigenvalues nearest 1 all count when each lies within that bound."""
+    tol, near = tolerance(), len(b) * np.finfo(float).eps
+    if len(b) == 1:  # the self-loop test
+        return np.ones((1, int(abs(b[0, 0] - 1) <= max(tol, abs(b[0, 0]) * near))))
     w, v = np.linalg.eig(b)
-    gap = np.abs(w - 1.0)
+    gap, rho = np.abs(w - 1.0), max(np.abs(np.linalg.eigvals(np.abs(b))))
     ranked = np.sort(gap)
-    k = max([i + 1 for i, g in enumerate(ranked) if g <= tolerance() ** (1 / (i + 1))], default=0)
+    k = max([i + 1 for i, g in enumerate(ranked) if g <= max(tol, rho * near ** (1 / (i + 1)))], default=0)
     return v[:, gap <= ranked[k - 1]] if k else v[:, :0]
 
 
@@ -78,9 +82,9 @@ def covariance_problem(cov, scale=None):
     cov = np.asarray(cov, dtype=float)
     sd = np.sqrt(np.maximum(np.diag(cov) if scale is None else scale, 0.0))
     unit = np.outer(sd, sd)
-    if not np.all(negligible(cov - cov.T, unit)):
+    if not negligible(cov - cov.T, unit).all():
         return "not symmetric"
     corr = cov / np.where(unit > 0, unit, 1.0)
-    if np.any((unit == 0) & (cov != 0)) or np.linalg.eigvalsh((corr + corr.T) / 2).min(initial=0.0) < -tolerance():
+    if ((unit == 0) & (cov != 0)).any() or np.linalg.eigvalsh((corr + corr.T) / 2).min(initial=0.0) < -tolerance():
         return "not positive semi-definite"
     return None

@@ -600,8 +600,7 @@ def _parse_normal(p: _Parser, size: int):
     cov = np.array(cov, dtype=float)
     if mean.shape != (size,) or cov.shape != (size, size):
         p.fail(f"Normal parameters do not match the {size} declared coordinate(s)")
-    problem = covariance_problem(cov)
-    if problem:
+    if problem := covariance_problem(cov):
         p.fail(f"covariance is {problem}")
     return mean, cov
 

@@ -50,19 +50,18 @@ def _finite_ci(dist: DiscreteDistribution, a, b, s) -> bool:
 
 
 def _gaussian_ci(dist: GaussianDistribution, a, b, s, tol) -> bool:
-    """Vanishing partial correlation, on unit variances, so no change of units
-    moves a verdict.  A variance or partial variance given S that is zero by
-    rule (ii) of ``config`` marks a constant or a function of S, independent
-    of everything; a partial covariance is zero by that rule or when its
-    partial correlation is at most ``tol``."""
+    """Vanishing partial correlation on unit variances, so no change of units
+    moves a verdict.  A (partial) variance zero by rule (ii) of ``config`` marks
+    a constant or a function of S, independent of everything; a partial
+    covariance is zero by that rule or when its correlation is at most ``tol``."""
     u = [dist.vars.index(v) for v in a + b]
     i_s = [dist.vars.index(v) for v in s]
     var = np.diag(dist.cov)
     sd = np.sqrt(np.where(negligible(var, dist.scale, tol), np.inf, var))
     corr = dist.cov / np.outer(sd, sd)
-    inv = np.linalg.pinv(corr[np.ix_(i_s, i_s)], tol)
-    partial = corr[np.ix_(u, u)] - corr[np.ix_(u, i_s)] @ inv @ corr[np.ix_(i_s, u)]
-    size = np.abs(corr[np.ix_(u, u)]) + np.abs(corr[np.ix_(u, i_s)]) @ np.abs(inv) @ np.abs(corr[np.ix_(i_s, u)])
+    cuu, cus, inv = corr[np.ix_(u, u)], corr[np.ix_(u, i_s)], np.linalg.pinv(corr[np.ix_(i_s, i_s)], tol)
+    partial = cuu - cus @ inv @ cus.T
+    size = np.abs(cuu) + np.abs(cus) @ np.abs(inv) @ np.abs(cus).T
     var = np.diag(partial)
     sd = np.sqrt(np.where(negligible(var, np.diag(size), tol), np.inf, var))
     zero = negligible(partial, size, tol) | (np.abs(partial / np.outer(sd, sd)) <= tol)

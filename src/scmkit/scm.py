@@ -4,9 +4,8 @@ extraction and canonicalization.
 
 Finite models are exact throughout (``fractions.Fraction`` probabilities,
 tabular mechanisms).  Linear models are real-valued with independent Gaussian
-noise blocks; their zero tests follow the one unit-free rule of ``config``:
-parents and canonicalization compare the model's coefficients with exactly 0,
-and only a loop gain is judged with the tolerance, as an eigenvalue near 1.
+noise blocks; by the one unit-free zero rule of ``config``, parents and
+canonicalization compare coefficients with exactly 0 and judge only loop gains.
 """
 
 from __future__ import annotations
@@ -419,8 +418,7 @@ def _validate_linear(m: LinearScm) -> list:
         if b.cov.shape != (len(b.coords), len(b.coords)):
             problems.append(f"block {b.name} covariance has shape {b.cov.shape}")
             continue
-        problem = covariance_problem(b.cov)
-        if problem:
+        if problem := covariance_problem(b.cov):
             problems.append(f"block {b.name} covariance is {problem}")
     return problems
 

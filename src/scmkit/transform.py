@@ -125,8 +125,7 @@ def marginalize(m, latent):
         li = [m.endo_index(i) for i in sm.targets]
         bol = m.B[np.ix_(oi, li)]
 
-        def substitute(own, solved):
-            # own + bol @ solved, snapped once by rule (ii) of ``config``
+        def substitute(own, solved):  # own + bol @ solved, snapped once by rule (ii) of ``config``
             return snap(own + bol @ solved, np.abs(own) + np.abs(bol) @ np.abs(solved))
 
         return LinearScm(sm.endo_args, m.blocks, substitute(m.B[np.ix_(oi, oi)], sm.A),

@@ -239,3 +239,54 @@ def test_a_double_unit_eigenvalue_inside_a_component_has_one_null_vector():
     m = LinearScm(tuple(f"X{k}" for k in range(6)), blocks, B, Gamma)
     assert solvable_wrt(m, m.endogenous_names)
     assert not uniquely_solvable_wrt(m, m.endogenous_names)
+
+
+def _ring(n, loop, gain):
+    # X_k = loop X_k + gain X_(k+1) + E_k around a cycle: eigenvalues loop + gain w^j
+    blocks = tuple(GaussianBlock(f"E{k}", (f"E{k}",), [0.0], [[1.0]]) for k in range(n))
+    B = loop * np.eye(n) + gain * np.roll(np.eye(n), 1, axis=1)
+    return LinearScm(tuple(f"X{k}" for k in range(n)), blocks, B, np.eye(n))
+
+
+NEAR_UNIT_LOOPS = [
+    # two self-loops linked by small gains: eigenvalues 1 - 1.9e-5 and 1 - 2.1e-5
+    _model([[1 - 2e-5, 1e-6], [1e-6, 1 - 2e-5]], np.eye(2), [1.0, 1.0]),
+    _ring(3, 0.9995, 1e-4),  # eigenvalues 4e-4 to 6e-4 from 1
+    _ring(5, 0.99, 1e-3),  # eigenvalues 9e-3 to 1.1e-2 from 1
+]
+
+
+@pytest.mark.parametrize("k", range(len(NEAR_UNIT_LOOPS)))
+def test_distinct_eigenvalues_near_one_are_not_a_singular_loop(k):
+    # each eigenvalue is farther from 1 than the tolerance and they are simple,
+    # so I - B is invertible in every unit and the verdict is that of the
+    # canonical form, although the n of them lie within the n-th root of the
+    # tolerance, which only bounds the rounding of an n-fold eigenvalue
+    m = NEAR_UNIT_LOOPS[k]
+    names = m.endogenous_names
+    for d in ([1.0] * len(names), [(1e6, 1e-6, 1.0)[v % 3] for v in range(len(names))]):
+        scaled = rescale(m, d, [1e-6] * len(names))
+        for model in (scaled, canonicalize(scaled)):
+            assert uniquely_solvable_wrt(model, names)
+            assert solvable_wrt(model, names)
+            assert observational_distribution(model)
+        assert all(v not in functional_parents(scaled, v) for v in names)
+        assert is_direct_cause(scaled, names[1], names[0])[0]
+
+
+@pytest.mark.parametrize("fold", [2, 3, 4])
+def test_a_defective_unit_eigenvalue_is_singular_in_any_units(fold):
+    # B = P J P^-1, J a Jordan block of eigenvalue 1 beside other eigenvalues:
+    # rounding splits the k-fold eigenvalue by about its k-th root of eps, and
+    # the block is still singular with every variable in other units
+    rng = np.random.default_rng(fold)
+    for _ in range(20):
+        n = fold + 1
+        J = np.diag(rng.uniform(-2.0, 0.5, n))
+        J[:fold, :fold] = np.eye(fold) + rng.uniform(0.3, 3.0) * np.eye(fold, k=1)
+        P = rng.normal(size=(n, n))
+        d = rng.choice(FACTORS, size=n)
+        B = d[:, None] * (P @ J @ np.linalg.inv(P)) / d[None, :]
+        blocks = tuple(GaussianBlock(f"E{k}", (f"E{k}",), [0.0], [[1.0]]) for k in range(n))
+        m = LinearScm(tuple(f"X{k}" for k in range(n)), blocks, B, np.eye(n))
+        assert not uniquely_solvable_wrt(m, m.endogenous_names)
