@@ -79,7 +79,7 @@ class DiscreteDistribution:
     exactly 1.
     """
 
-    __slots__ = ("vars", "domains", "probs", "_counts")
+    __slots__ = ("vars", "domains", "probs", "_codes", "_counts")
 
     def __init__(self, vars, domains: Mapping[str, FiniteDomain], probs: Mapping[tuple, Fraction]):
         self.vars = tuple(vars)
@@ -96,7 +96,7 @@ class DiscreteDistribution:
         if total != 1:
             raise ScmError(f"distribution not normalized: sums to {total}")
         self.probs = MappingProxyType(cleaned)
-        self._counts = None
+        self._codes = self._counts = None
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__; ``probs`` is a read-only view
@@ -113,27 +113,43 @@ class DiscreteDistribution:
     def __repr__(self):
         return f"DiscreteDistribution(vars={self.vars!r}, {len(self.probs)} cells)"
 
-    def counts(self) -> tuple:
-        """The law as exact integers: ``(den, n)`` with ``n[cell] == p * den``.
+    def _cell_codes(self) -> tuple:
+        """The cells of positive probability as exact integers: ``(den, n,
+        codes)`` with ``n[c] == p * den`` for the ``c``-th cell of ``probs``
+        and ``codes[c]`` its position in each variable's domain.
 
-        ``den`` is the lcm of the cell denominators; ``n`` has one axis per
-        variable, indexed in domain order.  Its dtype is ``int64`` while
-        ``den * den < 2**62``, so sums of cells and products of two such sums
-        cannot overflow, and ``object`` (Python ints) beyond.  Computed once
-        and cached; the array is read-only.
+        ``den`` is the lcm of the cell denominators.  The dtype of ``n`` is
+        ``int64`` while ``den * den < 2**62``, so sums of cells and products
+        of two such sums cannot overflow, and ``object`` (Python ints)
+        beyond.  Computed once and cached; the arrays are read-only.
         """
-        if self._counts is None:
+        if self._codes is None:
             den = math.lcm(*(p.denominator for p in self.probs.values()))
             index = [{v: i for i, v in enumerate(self.domains[x].values)} for x in self.vars]
-            n = np.zeros(
-                tuple(len(ix) for ix in index),
-                dtype=np.int64 if den * den < 2**62 else object,
-            )
-            for cell, p in self.probs.items():
+            codes = []
+            for cell in self.probs:
                 pos = tuple(ix.get(v) for ix, v in zip(index, cell))
                 if len(cell) != len(index) or None in pos:
                     raise ScmError(f"cell {cell!r} is not in the domains of {self.vars!r}")
-                n[pos] = p.numerator * (den // p.denominator)
+                codes.append(pos)
+            n = np.array([p.numerator * (den // p.denominator) for p in self.probs.values()],
+                         dtype=np.int64 if den * den < 2**62 else object)
+            codes = np.array(codes, dtype=np.intp).reshape(len(codes), len(index))
+            for a in (n, codes):
+                a.setflags(write=False)
+            self._codes = (den, n, codes)
+        return self._codes
+
+    def counts(self) -> tuple:
+        """The law as a dense integer tensor: ``(den, n)`` with one axis per
+        variable, indexed in domain order, and ``n[cell] == p * den``; zero
+        off the support.  Same ``den`` and dtype as ``_cell_codes``; computed once
+        and cached; the array is read-only."""
+        if self._counts is None:
+            den, weights, codes = self._cell_codes()
+            n = np.zeros(tuple(len(self.domains[x]) for x in self.vars), dtype=weights.dtype)
+            for pos, w in zip(codes.tolist(), weights):
+                n[tuple(pos)] = w
             n.setflags(write=False)
             self._counts = (den, n)
         return self._counts
@@ -295,10 +311,7 @@ def _dependency_components(m: FiniteScm, subset: tuple) -> list:
     variable's arguments).  Declared arguments are a superset of the
     functional parents, so this is a sound decomposition for fiber
     enumeration."""
-    cache = m._cache.setdefault("components", {})
-    if subset not in cache:
-        cache[subset] = strong_components(subset, {o: m.mechanisms[o].args for o in subset})
-    return cache[subset]
+    return strong_components(subset, {o: m.mechanisms[o].args for o in subset})
 
 
 def _cutset(m: FiniteScm, comp: tuple) -> tuple:
@@ -325,36 +338,32 @@ def _cutset(m: FiniteScm, comp: tuple) -> tuple:
     return best[1], best[2]
 
 
-def _component_solutions(m, comp, assign):
-    """Local solutions of the component ``comp`` given the values in
-    ``assign`` of its mechanisms' arguments outside it, in the product order
-    of the component's domains.
+def _component_solver(m, comp) -> tuple:
+    """``(inputs, solve)`` for the component ``comp``: the arguments of its
+    mechanisms outside it, and the function from their values to the local
+    solutions of the component, in the product order of its domains.
 
     Solved on a cycle cutset (``_cutset``): for each value of the cut, the
     other mechanisms are evaluated in topological order, a branch whose value
     falls outside its variable's domain is dropped, and the assignment is a
     solution iff every mechanism of the cut reproduces the cut's value.  A
     solve costs prod |D_f| over the cut, not prod |D_o| over the component:
-    3 instead of 3**5 on a ternary 5-ring.  The cutset and the solutions are
-    memoized per model and per distinct input, which is sound because models
-    are frozen."""
-    memo = m._cache.setdefault("component_solutions", {})
-    if comp not in memo:
-        inputs = tuple(dict.fromkeys(a for o in comp for a in m.mechanisms[o].args if a not in comp))
-        cut, rest = _cutset(m, comp)
-        # each domain as a dict, which maps a computed value to the domain's own
-        evaluate = tuple((o, m.mechanisms[o], {v: v for v in m.endogenous[o].values}) for o in rest)
-        # a cut that is not a prefix of ``comp`` enumerates in another order
-        rank = None if cut == comp[:len(cut)] else [
-            {v: r for r, v in enumerate(m.endogenous[o].values)} for o in comp
-        ]
-        memo[comp] = (inputs, cut, evaluate, rank, {})
-    inputs, cut, evaluate, rank, solved = memo[comp]
-    key = tuple(assign[a] for a in inputs)
-    if key not in solved:
+    3 instead of 3**5 on a ternary 5-ring."""
+    inputs = tuple(dict.fromkeys(a for o in comp for a in m.mechanisms[o].args if a not in comp))
+    cut, rest = _cutset(m, comp)
+    cut_values = [m.endogenous[o].values for o in cut]
+    cut_mechs = [(o, m.mechanisms[o]) for o in cut]
+    # each domain as a dict, which maps a computed value to the domain's own
+    evaluate = tuple((o, m.mechanisms[o], {v: v for v in m.endogenous[o].values}) for o in rest)
+    # a cut that is not a prefix of ``comp`` enumerates in another order
+    rank = None if cut == comp[:len(cut)] else [
+        {v: r for r, v in enumerate(m.endogenous[o].values)} for o in comp
+    ]
+
+    def solve(key):
         local = dict(zip(inputs, key))
         out = []
-        for combo in itertools.product(*(m.endogenous[o].values for o in cut)):
+        for combo in itertools.product(*cut_values):
             local.update(zip(cut, combo))
             for o, mech, domain in evaluate:
                 value = domain.get(mech(local), _OUTSIDE)
@@ -362,22 +371,42 @@ def _component_solutions(m, comp, assign):
                     break
                 local[o] = value
             else:
-                if all(local[o] == m.mechanisms[o](local) for o in cut):
+                if all(local[o] == mech(local) for o, mech in cut_mechs):
                     out.append(tuple(local[o] for o in comp))
         if rank is not None and len(out) > 1:
             out.sort(key=lambda sol: tuple(r[v] for r, v in zip(rank, sol)))
-        solved[key] = tuple(out)
-    return solved[key]
+        return tuple(out)
+
+    return inputs, solve
+
+
+def _fiber_plan(m: FiniteScm, subset: tuple) -> list:
+    """The components of ``subset`` (``_dependency_components``), each as
+    ``(comp, inputs, solved, solve)`` from ``_component_solver`` with
+    ``solved`` its memo from input values to solutions.  Plans are kept per
+    model and subset, and a component's memo is shared by every plan that
+    holds it, so each distinct component input is solved once per model;
+    this is sound because models are frozen."""
+    plans = m._cache.setdefault("fiber_plans", {})
+    if subset not in plans:
+        solvers = m._cache.setdefault("component_solvers", {})
+        comps = _dependency_components(m, subset)
+        for comp in comps:
+            if comp not in solvers:
+                inputs, solve = _component_solver(m, comp)
+                solvers[comp] = comp, inputs, {}, solve
+        plans[subset] = [solvers[comp] for comp in comps]
+    return plans[subset]
 
 
 def _fibers(m: FiniteScm, subset: tuple, base_assign: dict):
     """Yield every solution of the structural equations of ``subset`` given
     the context/noise values in ``base_assign``, solved per strongly
     connected component of the declared dependency graph in topological
-    order, the first component's local solutions varying slowest.  The
-    iterators of the components entered are kept on a list, not on the call
-    stack, so a chain of components has no depth limit."""
-    comps = _dependency_components(m, subset)
+    order (``_fiber_plan``), the first component's local solutions varying
+    slowest.  The iterators of the components entered are kept on a list,
+    not on the call stack, so a chain of components has no depth limit."""
+    plan = _fiber_plan(m, subset)
     assign = dict(base_assign)
     levels = [((), iter([()]))]  # an empty root level, then one per component
     while levels:
@@ -387,11 +416,15 @@ def _fibers(m: FiniteScm, subset: tuple, base_assign: dict):
             levels.pop()
             continue
         assign.update(zip(comp, combo))
-        if len(levels) > len(comps):
+        if len(levels) > len(plan):
             yield tuple(assign[o] for o in subset)
         else:
-            comp = comps[len(levels) - 1]
-            levels.append((comp, iter(_component_solutions(m, comp, assign))))
+            comp, inputs, solved, solve = plan[len(levels) - 1]
+            key = tuple([assign[a] for a in inputs])
+            sols = solved.get(key)
+            if sols is None:
+                sols = solved[key] = solve(key)
+            levels.append((comp, iter(sols)))
 
 
 def _relevant_exo(m: FiniteScm, subset) -> tuple:
@@ -411,10 +444,14 @@ def _relevant_ctx(m: FiniteScm, subset) -> tuple:
 
 def _noise_weights(m: FiniteScm, j: str) -> tuple:
     """The support of noise ``j`` with integer weights: ``(den, [(v, n),
-    ...])`` with P(j = v) = n / den, ``den`` the lcm of the denominators."""
-    probs = [(v, Fraction(m.measure[j][v])) for v in m.support(j)]
-    den = math.lcm(*(p.denominator for _, p in probs))
-    return den, [(v, p.numerator * (den // p.denominator)) for v, p in probs]
+    ...])`` with P(j = v) = n / den, ``den`` the lcm of the denominators;
+    kept per model."""
+    cache = m._cache.setdefault("noise_weights", {})
+    if j not in cache:
+        probs = [(v, Fraction(m.measure[j][v])) for v in m.support(j)]
+        den = math.lcm(*(p.denominator for _, p in probs))
+        cache[j] = den, [(v, p.numerator * (den // p.denominator)) for v, p in probs]
+    return cache[j]
 
 
 def _support_assignments(m: FiniteScm, exo_names):
@@ -430,11 +467,12 @@ def _support_assignments(m: FiniteScm, exo_names):
         yield {j: v for j, (v, _) in zip(exo_names, combo)}, n
 
 
-def _gamma_law(m: FiniteScm, margin, iv):
+def _gamma_law(m: FiniteScm, margin, iv, unique=False):
     """The law of Γ, the fiber of ``m`` under do(iv) projected to ``margin``:
     ``(den, law)`` with P(Γ = A) = law[A] / den for each set A of margin
     cells, ``den`` the sum of the integer weights of the support points,
-    which is their one denominator; ``None`` at the first empty fiber.  This
+    which is their one denominator; ``None`` at the first empty fiber, and
+    with ``unique`` at the first that is not a singleton.  This
     is the one finite push-forward of the noise law: one pass over the
     support of the noises that the variables outside ``iv`` read.  The
     targets of ``iv`` are held as context and read as their values, so every
@@ -452,7 +490,7 @@ def _gamma_law(m: FiniteScm, margin, iv):
         cells = frozenset(sols) if pick is None else frozenset(
             tuple(x if i is None else sol[i] for x, i in pick) for sol in sols
         )
-        if not cells:
+        if not cells or unique and len(cells) > 1:
             return None
         law[cells] = law.get(cells, 0) + n
     return sum(law.values()), law
@@ -705,14 +743,15 @@ def solve_map(m, subset) -> SolveMap:
 def observational_distribution(m):
     """The law of the unique solution.  Finite SCMs: the Γ-law of all
     variables (``_gamma_law``), one exact pass over the noises the model
-    reads, whose focal sets must all be singletons; otherwise ``NotSolvable``
-    or ``NotUniquelySolvable`` names the first noise value, restricted to
-    those noises, with an empty or a larger fiber.  Linear SCMs: the
+    reads, whose focal sets must all be singletons; the pass stops at the
+    first that is not, and ``NotSolvable`` or ``NotUniquelySolvable`` names
+    that noise value, restricted to those noises, with its empty or larger
+    fiber.  Linear SCMs: the
     closed-form Gaussian."""
     if isinstance(m, FiniteScm):
         endo = m.endogenous_names
-        g = _gamma_law(m, endo, {})
-        if g is None or any(len(cells) != 1 for cells in g[1]):
+        g = _gamma_law(m, endo, {}, unique=True)
+        if g is None:
             witness = _finite_scan(m, endo, need_unique=True).witness
             if not witness["fiber"]:
                 raise NotSolvable(endo, {"e": witness["e"]})

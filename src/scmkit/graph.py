@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import ScmError, UnknownNameError
 
@@ -81,9 +82,13 @@ def strong_components(nodes, step) -> list:
 
 
 class MixedGraph:
-    """A directed mixed graph (nodes, directed edges, bidirected edges)."""
+    """A directed mixed graph (nodes, directed edges, bidirected edges).
 
-    __slots__ = ("_nodes", "_directed", "_bidirected", "_pa", "_ch", "_scc")
+    Immutable: attribute assignment raises, so the structures derived on
+    first use (components, SCC map, neighbour lists) can never go stale.
+    """
+
+    __slots__ = ("_nodes", "_directed", "_bidirected", "_pa", "_ch", "_scc", "_scc_of", "_adj")
 
     def __init__(self, nodes: Iterable[str], directed=(), bidirected=()):
         ordered = []
@@ -94,7 +99,6 @@ class MixedGraph:
             if n not in seen:
                 seen.add(n)
                 ordered.append(n)
-        self._nodes = tuple(ordered)
         node_set = seen
 
         d = set()
@@ -103,7 +107,6 @@ class MixedGraph:
             if tail not in node_set or head not in node_set:
                 raise UnknownNameError(f"directed edge ({tail}, {head}) has an endpoint outside the node set")
             d.add((tail, head))
-        self._directed = frozenset(d)
 
         b = set()
         for pair in bidirected:
@@ -113,16 +116,22 @@ class MixedGraph:
             if u == v:
                 raise ScmError(f"bidirected edge endpoints must be distinct, got ({u}, {v})")
             b.add((u, v) if u < v else (v, u))
-        self._bidirected = frozenset(b)
 
-        pa = {n: set() for n in self._nodes}
-        ch = {n: set() for n in self._nodes}
-        for tail, head in self._directed:
+        pa = {n: set() for n in ordered}
+        ch = {n: set() for n in ordered}
+        for tail, head in d:
             pa[head].add(tail)
             ch[tail].add(head)
-        self._pa = pa
-        self._ch = ch
-        self._scc = None
+        fields = (tuple(ordered), frozenset(d), frozenset(b), pa, ch, None, None, None)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MixedGraph is immutable; build a new graph")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; the derived structures do not travel
+        return MixedGraph, (self._nodes, sorted(self._directed), sorted(self._bidirected))
 
     # --- basic structure -------------------------------------------------
 
@@ -221,16 +230,39 @@ class MixedGraph:
         (``strong_components`` over the parent sets): each is a tuple in
         node order and comes after every component with an edge into it."""
         if self._scc is None:
-            self._scc = strong_components(self._nodes, self._pa)
+            object.__setattr__(self, "_scc", strong_components(self._nodes, self._pa))
         return self._scc
 
     def scc_of(self, node: str) -> frozenset:
         self._check_known([node])
-        return next(frozenset(c) for c in self.components() if node in c)
+        return self.scc_map()[node]
 
-    def scc_map(self) -> dict:
-        """Map every node to its strongly connected component (as a frozenset)."""
-        return {n: frozenset(c) for c in self.components() for n in c}
+    def scc_map(self) -> Mapping:
+        """Map every node to its strongly connected component (as a frozenset);
+        built once, read-only."""
+        if self._scc_of is None:
+            scc_of = {n: frozenset(c) for c in self.components() for n in c}
+            object.__setattr__(self, "_scc_of", MappingProxyType(scc_of))
+        return self._scc_of
+
+    def _neighbours(self) -> dict:
+        """Each node's neighbours other than itself in sorted order, each as
+        ``(neighbour, kinds)`` with ``kinds`` the edges between them seen from
+        the node, in the order 'out', 'in', 'bi'; built once."""
+        if self._adj is None:
+            bi = {n: set() for n in self._nodes}
+            for u, v in self._bidirected:
+                bi[u].add(v)
+                bi[v].add(u)
+            adj = {}
+            for n in self._nodes:
+                ch, pa = self._ch[n], self._pa[n]
+                adj[n] = tuple(
+                    (v, tuple(k for k, edge in (("out", v in ch), ("in", v in pa), ("bi", v in bi[n])) if edge))
+                    for v in sorted((ch | pa | bi[n]) - {n})
+                )
+            object.__setattr__(self, "_adj", adj)
+        return self._adj
 
     def is_acyclic(self) -> bool:
         """True iff there is no directed cycle; a self-loop counts as a cycle."""
@@ -363,39 +395,26 @@ def _paths_between(g: MixedGraph, sources: frozenset, sinks: frozenset):
     'out' for nodes[k] -> nodes[k+1], 'in' for nodes[k] <- nodes[k+1],
     'bi' for nodes[k] <-> nodes[k+1].  A single node in both sets yields
     the length-0 path.  Parallel directed/bidirected edges yield distinct
-    paths because their collider status differs.
+    paths because their collider status differs.  Paths are extended
+    depth first from each source in sorted order, neighbours in sorted
+    order and edge kinds in the order above (``MixedGraph._neighbours``).
     """
-    directed = g.directed
-    bidirected = g.bidirected
-    neighbours = {n: set() for n in g.nodes}
-    for tail, head in directed:
-        neighbours[tail].add(head)
-        neighbours[head].add(tail)
-    for u, v in bidirected:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-
-    def steps_between(u, v):
-        if (u, v) in directed:
-            yield "out"
-        if (v, u) in directed:
-            yield "in"
-        if ((u, v) if u < v else (v, u)) in bidirected:
-            yield "bi"
-
+    neighbours = g._neighbours()
     for start in sorted(sources):
         if start in sinks:
             yield (start,), ()
-        stack = [((start,), (), {start})]
+        stack = [((start,), ())]
         while stack:
-            nodes, steps, seen = stack.pop()
-            for nxt in sorted(neighbours[nodes[-1]] - seen):
-                for kind in steps_between(nodes[-1], nxt):
-                    new_nodes = nodes + (nxt,)
+            nodes, steps = stack.pop()
+            for nxt, kinds in neighbours[nodes[-1]]:
+                if nxt in nodes:
+                    continue
+                new_nodes = nodes + (nxt,)
+                for kind in kinds:
                     new_steps = steps + (kind,)
                     if nxt in sinks:
                         yield new_nodes, new_steps
-                    stack.append((new_nodes, new_steps, seen | {nxt}))
+                    stack.append((new_nodes, new_steps))
 
 
 def _path_blocked(nodes, steps, cond, an_cond, scc):
@@ -426,6 +445,23 @@ def _path_blocked(nodes, steps, cond, an_cond, scc):
     return False
 
 
+def _open_sinks(g: MixedGraph, a: frozenset, candidates: frozenset, s: frozenset, sigma: bool) -> frozenset:
+    """The nodes of ``candidates`` that some path not blocked by ``s`` joins
+    to a node of ``a``: sigma-blocked if ``sigma``, else d-blocked.  One
+    search over the paths from ``a`` answers every candidate; it stops once
+    all of them are found.  ``a`` is d- (sigma-) separated from B given
+    ``s`` iff no node of B is returned for ``candidates`` = B."""
+    an_cond = g.ancestors_of(s) if s else frozenset()
+    scc = g.scc_map() if sigma else None
+    found = set()
+    for nodes, steps in _paths_between(g, a, candidates):
+        if nodes[-1] not in found and not _path_blocked(nodes, steps, s, an_cond, scc):
+            found.add(nodes[-1])
+            if len(found) == len(candidates):
+                break
+    return frozenset(found)
+
+
 def _separated(g, a, b, s, sigma):
     a = _as_node_set(a)
     b = _as_node_set(b)
@@ -434,12 +470,7 @@ def _separated(g, a, b, s, sigma):
         raise ScmError("separation needs nonempty node sets on both sides")
     for group in (a, b, s):
         g._check_known(group)
-    an_cond = g.ancestors_of(s) if s else frozenset()
-    scc = g.scc_map() if sigma else None
-    for nodes, steps in _paths_between(g, a, b):
-        if not _path_blocked(nodes, steps, s, an_cond, scc):
-            return False
-    return True
+    return not _open_sinks(g, a, b, s, sigma)
 
 
 def d_separated(g: MixedGraph, a, b, s) -> bool:

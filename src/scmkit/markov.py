@@ -2,14 +2,13 @@
 of the (general) directed global Markov property against the functional graph.
 
 Conditional independence of finite distributions is an exact cross-product
-check on integer counts; Gaussian distributions use vanishing partial
-correlation.
+check on integer counts, one Gram matrix per value of the conditioning set;
+Gaussian distributions use vanishing partial correlation.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .analysis import (
@@ -20,7 +19,7 @@ from .analysis import (
 )
 from .config import negligible, np, tolerance
 from .errors import ScmError, SolvabilityError, UnknownNameError
-from .graph import d_separated, sigma_separated
+from .graph import _open_sinks
 from .scm import LinearScm, functional_graph
 
 __all__ = ["MarkovReport", "conditional_independent", "verify_markov"]
@@ -33,20 +32,47 @@ def _disjoint(a, b, s):
     return tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(s))
 
 
-def _finite_ci(dist: DiscreteDistribution, a, b, s) -> bool:
-    """Exact test on the integer counts n = p * den of the joint law: A is
-    independent of B given S iff n(a, b, s) * n(s) == n(a, s) * n(b, s) for
-    every cell, which holds trivially where n(s) == 0."""
-    _, joint = dist.counts()
-    axes = [dist.vars.index(v) for v in a + b + s]
-    rest = [i for i in range(joint.ndim) if i not in axes]
-    table = joint.transpose(axes + rest).sum(axis=tuple(range(len(axes), joint.ndim)))
-    size = [math.prod(table.shape[:len(a)]), math.prod(table.shape[len(a):len(a) + len(b)])]
-    n_abs = table.reshape(size + [-1])
-    n_as = n_abs.sum(axis=1, keepdims=True)
-    n_bs = n_abs.sum(axis=0, keepdims=True)
-    n_s = n_as.sum(axis=0, keepdims=True)
-    return bool(np.array_equal(n_abs * n_s, n_as * n_bs))
+def _joint_code(dist: DiscreteDistribution, codes, names) -> tuple:
+    """``(code, size)``: each support cell's value of ``names`` as an integer
+    below ``size``, by mixed radix over their domains, renumbered in sorted
+    order whenever the radix would exceed the number of cells."""
+    code, size = None, 1
+    for v in names:
+        k, column = len(dist.domains[v]), codes[:, dist.vars.index(v)]
+        code, size = column if code is None else code * k + column, size * k
+        if size > len(codes):
+            values, code = np.unique(code, return_inverse=True)
+            size = len(values)
+    return np.zeros(len(codes), dtype=np.intp) if code is None else code, size
+
+
+def _finite_ci(dist: DiscreteDistribution, s, blocks):
+    """Exact test of every pair of ``blocks`` (disjoint tuples of variables
+    outside ``s``) for independence given ``s``, on the integer weights n
+    of the support cells (``DiscreteDistribution._cell_codes``).
+
+    The values of the blocks are the columns of one Gram matrix per value k
+    of S on the support: entry (i, j) of matrix k is n(i, j, k), the weight
+    of the cells with values i and j and S = k, so its diagonal holds n(i, k)
+    and one block's share of the diagonal sums to n(k).  Blocks p and q are
+    independent given S iff n(p, q, k) * n(k) == n(p, k) * n(q, k) in every
+    cell.  Returns the boolean matrix of those verdicts over pairs of blocks
+    (its diagonal means nothing).  The Gram matrices hold K * D**2 integers,
+    for K values of S and D block values on the support."""
+    _, n, codes = dist._cell_codes()
+    k, nk = _joint_code(dist, codes, s)
+    cols, offsets = [], [0]
+    for block in blocks:
+        code, size = _joint_code(dist, codes, block)
+        cols.append(code + offsets[-1])
+        offsets.append(offsets[-1] + size)
+    d, starts, cols = offsets[-1], offsets[:-1], np.array(cols)
+    gram = np.zeros((nk, d, d), dtype=n.dtype)
+    np.add.at(gram, (k, cols[:, None], cols[None, :]), n)
+    n_ik = gram.diagonal(0, 1, 2)
+    n_k = n_ik[:, :offsets[1]].sum(axis=1)
+    equal = (gram * n_k[:, None, None] == n_ik[:, :, None] * n_ik[:, None, :]).all(axis=0)
+    return np.logical_and.reduceat(np.logical_and.reduceat(equal, starts, axis=0), starts, axis=1)
 
 
 def _gaussian_ci(dist: GaussianDistribution, a, b, s, tol) -> bool:
@@ -77,7 +103,7 @@ def conditional_independent(dist, a, b, s=()) -> bool:
     if unknown:
         raise UnknownNameError(f"unknown coordinates {sorted(unknown)}")
     if isinstance(dist, DiscreteDistribution):
-        return _finite_ci(dist, a, b, s)
+        return bool(_finite_ci(dist, s, [a, b])[0, 1])
     return _gaussian_ci(dist, a, b, s, tolerance())
 
 
@@ -183,9 +209,15 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     By default A and B range over singletons, which suffices at desk scale;
     ``full_subsets=True`` enumerates all disjoint subset pairs (exponential).
 
-    Finite models: the observational law is tabulated once as an integer
-    tensor (``DiscreteDistribution.counts``), and each statement is an exact
-    integer cross-product test on sums of it, with no tolerance.  The
+    Cost: the statements are answered per conditioning set, not one by one.
+    One search over the paths from A (``graph._open_sinks``) finds every B
+    that an unblocked path reaches given S, so there is one path search per
+    (A, S).  On a finite law in singletons there is one integer Gram matrix
+    per value of S (``_finite_ci`` over the support cells of
+    ``DiscreteDistribution``, weights over one denominator), which decides
+    every pair outside S at once by exact cross products, with no
+    tolerance; ``full_subsets`` tests each (A, B) pair with the same kernel.
+    Linear models test each statement on partial correlations.  The
     precondition scan enumerates, for each strongly connected component of
     the functional graph, every support point of the noises it reads times
     every context (values of the endogenous variables outside it that it
@@ -205,7 +237,19 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     names = m.endogenous_names
     if max_conditioning is None:
         max_conditioning = len(names)
-    separated = sigma_separated if kind == "sigma" else d_separated
+    every = frozenset(names)
+    # one path search per (A, S) and, on a finite law in singletons, one
+    # Gram matrix per S: every B is read off them
+    joined, pairwise = {}, {}
+
+    def independent(a, b, s):
+        if full_subsets or not isinstance(dist, DiscreteDistribution):
+            return conditional_independent(dist, a, b, s)
+        if s not in pairwise:
+            free = [v for v in names if v not in s]
+            pairwise[s] = {v: i for i, v in enumerate(free)}, _finite_ci(dist, s, [(v,) for v in free])
+        pos, table = pairwise[s]
+        return bool(table[pos[a[0]], pos[b[0]]])
 
     report = MarkovReport(kind=kind, premise=premise)
     if full_subsets:
@@ -223,7 +267,8 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
         rest = [n for n in names if n not in a and n not in b]
         for size in range(0, min(max_conditioning, len(rest)) + 1):
             for s in itertools.combinations(rest, size):
-                sep = separated(graph, a, b, s)
-                ci = conditional_independent(dist, a, b, s)
-                report.entries.append(MarkovEntry(a, b, s, sep, ci))
+                if (a, s) not in joined:
+                    joined[a, s] = _open_sinks(graph, frozenset(a), every.difference(a, s), frozenset(s), kind == "sigma")
+                sep = joined[a, s].isdisjoint(b)
+                report.entries.append(MarkovEntry(a, b, s, sep, independent(a, b, s)))
     return report

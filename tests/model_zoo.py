@@ -608,6 +608,24 @@ def fraction_distribution(m):
     return probs
 
 
+def oracle_ci(dist, a, b, s) -> bool:
+    """Reference oracle for conditional independence: P(a, b, s) P(s) ==
+    P(a, s) P(b, s) for every value of A, B and S with P(s) > 0, each
+    probability a ``Fraction`` sum of the cells of ``dist.probs``."""
+    pos = {v: i for i, v in enumerate(dist.vars)}
+    p_abs, p_as, p_bs, p_s = {}, {}, {}, {}
+    for cell, p in dist.probs.items():
+        va, vb, vs = (tuple(cell[pos[v]] for v in names) for names in (a, b, s))
+        for table, key in ((p_abs, (va, vb, vs)), (p_as, (va, vs)), (p_bs, (vb, vs)), (p_s, vs)):
+            table[key] = table.get(key, F(0)) + p
+    return all(
+        p_abs.get((va, vb, vs), F(0)) * p_s[vs] == pa * pb
+        for (va, vs), pa in p_as.items()
+        for (vb, vs2), pb in p_bs.items()
+        if vs2 == vs
+    )
+
+
 # --- random model generation ---------------------------------------------------
 
 def random_finite_scm(rng: random.Random, max_endo=4, max_exo=2, max_card=3,

@@ -93,9 +93,10 @@ class TestFiber:
             assert fiber(m, subset, exo_assign, ctx) == frozenset(oracle)
 
 
-def brute_force_solutions(m, comp, assign):
-    """The exhaustive component solve, as ``_component_solutions`` answers."""
-    return tuple(zoo.exhaustive_fiber(m, comp, assign))
+def brute_force_solver(m, comp):
+    """The exhaustive component solve, in the form of ``_component_solver``."""
+    inputs = tuple(dict.fromkeys(a for o in comp for a in m.mechanisms[o].args if a not in comp))
+    return inputs, lambda key: tuple(zoo.exhaustive_fiber(m, comp, dict(zip(inputs, key))))
 
 
 def is_feedback_set(m, comp, cut) -> bool:
@@ -117,7 +118,7 @@ def is_feedback_set(m, comp, cut) -> bool:
 
 
 class TestCutsetSolver:
-    """The cutset solve of ``_component_solutions`` against the exhaustive
+    """The cutset solve of ``_component_solver`` against the exhaustive
     scan of each component's product of domains."""
 
     def test_component_fibers_match_the_exhaustive_scan_in_order(self):
@@ -152,7 +153,7 @@ class TestCutsetSolver:
             cases.append((r, tuple(rng.sample(names, rng.randint(1, len(names))))))
         runs = [(m, subset, unique) for m, subset in cases for unique in (False, True)]
         got = [_finite_scan(m.replace(), subset, unique) for m, subset, unique in runs]
-        monkeypatch.setattr(analysis, "_component_solutions", brute_force_solutions)
+        monkeypatch.setattr(analysis, "_component_solver", brute_force_solver)
         expected = [_finite_scan(m.replace(), subset, unique) for m, subset, unique in runs]
         assert got == expected
         assert sum(not r.ok for r in got) > 20 and sum(r.ok for r in got) > 20
@@ -584,6 +585,26 @@ class TestObservationalDistribution:
             with pytest.raises(NotSolvable) as err:
                 observational_distribution(m)
             assert err.value.witness == {"e": {}}
+
+    def test_the_pass_stops_at_the_first_fiber_that_is_not_a_singleton(self, monkeypatch):
+        # X1 = X1 beside six unread-by-X1 ternary noises: 729 support points,
+        # every fiber of size 2; the first point ends the pass and names the witness
+        lines = ["model finite", "var X1 : {0, 1}"] + [f"var Y{i} : {{0, 1, 2}}" for i in range(1, 7)]
+        lines += [f"noise E{i} : {{0, 1, 2}} ~ {{0: 1/6, 1: 1/3, 2: 1/2}}" for i in range(1, 7)]
+        lines += ["eq X1 = X1"] + [f"eq Y{i} = E{i}" for i in range(1, 7)]
+        m = parse("\n".join(lines) + "\n")
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return _fibers(*args)
+
+        monkeypatch.setattr(analysis, "_fibers", counted)
+        with pytest.raises(NotUniquelySolvable) as err:
+            observational_distribution(m)
+        assert err.value.witness == {"e": {f"E{i}": 0 for i in range(1, 7)},
+                                     "fiber": ((0,) + (0,) * 6, (1,) + (0,) * 6)}
+        assert len(calls) == 2  # one point of the pass, one of the witness scan
 
     def test_a_long_chain_needs_no_recursion(self):
         # X0 = E, Xi = X(i-1): one component per variable, 1,200 deep

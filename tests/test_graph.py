@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from scmkit import (
     relatives,
     sigma_separated,
 )
-from scmkit.graph import strong_components
+from scmkit.graph import _paths_between, strong_components
 
 
 def augmented_endo_graph():
@@ -332,3 +334,61 @@ class TestSerialization:
 
     def test_value_equality_ignores_node_order(self):
         assert MixedGraph(["a", "b"], [("a", "b")]) == MixedGraph(["b", "a"], [("a", "b")])
+
+
+def all_separations(g) -> list:
+    """Every sigma- and d-verdict for singletons a, b and S of at most two nodes."""
+    out = []
+    for a, b in itertools.combinations(sorted(g.nodes), 2):
+        rest = [n for n in sorted(g.nodes) if n not in (a, b)]
+        for s in (c for r in range(3) for c in itertools.combinations(rest, r)):
+            out.append((a, b, s, sigma_separated(g, [a], [b], s), d_separated(g, [a], [b], s)))
+    return out
+
+
+class TestDerivedStructures:
+    """Neighbour lists, components and the SCC map are built on first use and
+    kept in the graph's slots; none of that may show in a verdict, in the path
+    order, or in equality, hashing, copies and pickles."""
+
+    def test_edge_order_changes_no_answer_and_no_path_order(self):
+        rng = random.Random(41)
+        for trial in range(40):
+            nodes = [f"v{i}" for i in range(4 + trial % 3)]
+            directed = [(u, v) for u in nodes for v in nodes if rng.random() < 0.3]
+            bidirected = [(u, v) for u, v in itertools.combinations(nodes, 2) if rng.random() < 0.2]
+            g = MixedGraph(nodes, directed, bidirected)
+            shuffled = [list(directed), [(v, u) for u, v in bidirected]]
+            for edges in shuffled:
+                rng.shuffle(edges)
+            h = MixedGraph(rng.sample(nodes, len(nodes)), *shuffled)
+            assert g == h
+            assert all_separations(g) == all_separations(h)
+            for a in nodes[:2]:
+                sinks = frozenset(nodes) - {a}
+                assert list(_paths_between(g, frozenset([a]), sinks)) == list(_paths_between(h, frozenset([a]), sinks))
+
+    def test_queries_leave_equality_hash_copy_and_pickle_unchanged(self):
+        g = augmented_endo_graph()
+        before = (hash(g), pickle.dumps(g), copy.copy(g), copy.deepcopy(g))
+        assert g._adj is None and g._scc is None
+        verdicts = all_separations(g)
+        g.components()
+        assert g._adj is not None and g._scc is not None
+        assert (hash(g), pickle.dumps(g)) == before[:2]
+        assert g == before[2] == before[3] == pickle.loads(before[1])
+        for other in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+            assert other == g and hash(other) == hash(g)
+            assert other._adj is None
+            assert all_separations(other) == verdicts
+
+    def test_slots_cannot_be_assigned_from_outside(self):
+        g = cycle4()
+        verdicts = all_separations(g)
+        for name in ("_adj", "_scc", "_scc_of", "_pa", "_nodes", "_directed"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, {})
+        with pytest.raises(TypeError):
+            g.scc_map()["X1"] = frozenset()
+        assert all_separations(g) == verdicts
+        assert not sigma_separated(g, ["X1"], ["X3"], ["X2", "X4"])

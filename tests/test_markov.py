@@ -31,32 +31,6 @@ from scmkit.analysis import _fibers, _support_assignments
 F = Fraction
 
 
-def fraction_ci(dist, a, b, s):
-    """Reference oracle: the factorization check on ``Fraction`` marginals."""
-    joint = dist.marginal(a + b + s)
-    na, nb = len(a), len(b)
-    pac = {}
-    pbc = {}
-    psc = {}
-    pabc = {}
-    for cell, p in joint.probs.items():
-        av, bv, sv = cell[:na], cell[na : na + nb], cell[na + nb :]
-        pac[(av, sv)] = pac.get((av, sv), F(0)) + p
-        pbc[(bv, sv)] = pbc.get((bv, sv), F(0)) + p
-        psc[sv] = psc.get(sv, F(0)) + p
-        pabc[(av, bv, sv)] = pabc.get((av, bv, sv), F(0)) + p
-    for sv, ps in psc.items():
-        for (av, sv1), pa in pac.items():
-            if sv1 != sv:
-                continue
-            for (bv, sv2), pb in pbc.items():
-                if sv2 != sv:
-                    continue
-                if pabc.get((av, bv, sv), F(0)) * ps != pa * pb:
-                    return False
-    return True
-
-
 def check_against_oracles(m, report):
     """Every CI verdict of ``report`` equals the ``Fraction`` oracle's, and the
     memoized component solver equals the exhaustive fiber at every support
@@ -64,7 +38,7 @@ def check_against_oracles(m, report):
     dist = observational_distribution(m)
     verdicts = [0, 0]
     for e in report.entries:
-        assert fraction_ci(dist, e.a, e.b, e.s) == e.independent, (e.a, e.b, e.s)
+        assert zoo.oracle_ci(dist, e.a, e.b, e.s) == e.independent, (e.a, e.b, e.s)
         verdicts[not e.independent] += 1
     endo = m.endogenous_names
     for e_assign, _ in _support_assignments(m, m.exogenous_names):
