@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .graph import enumerate_loops, strong_components
 from .scm import (
+    _OUTSIDE,
     FiniteScm,
     FiniteDomain,
     LinearScm,
@@ -294,9 +296,6 @@ class SolveMap:
 
 # --- finite fibers ---------------------------------------------------------
 
-_OUTSIDE = object()  # a mechanism value outside its variable's domain
-
-
 def _subset_names(m, subset) -> tuple:
     names = set([subset]) if isinstance(subset, str) else set(subset)
     unknown = names - set(m.endogenous_names)
@@ -523,22 +522,39 @@ def fiber(m: FiniteScm, subset, e: Mapping[str, object], ctx: Mapping[str, objec
 # --- solvability ------------------------------------------------------------
 
 def _finite_scan(m: FiniteScm, subset, need_unique: bool):
+    """Every support point of the noises that ``subset`` reads, times every
+    context (values of the endogenous variables outside it that it reads), in
+    product order; the first point whose fiber is empty, or with
+    ``need_unique`` not a singleton, is the witness.  A subset that is one
+    dependency component is one loop over its solver's inputs, read from the
+    component memo; a subset of several walks the components per point
+    (``_fibers``)."""
     subset = _subset_names(m, subset)
     exo = _relevant_exo(m, subset)
     ctx_names = _relevant_ctx(m, subset)
-    for e_assign, _ in _support_assignments(m, exo):
-        for ctx_combo in itertools.product(*(m.endogenous[i].values for i in ctx_names)):
-            assign = dict(e_assign)
-            assign.update(zip(ctx_names, ctx_combo))
-            sols = _fibers(m, subset, assign)
-            sols = tuple(sols if need_unique else itertools.islice(sols, 1))
-            if not sols or len(sols) > 1:
-                witness = {
-                    "e": dict(e_assign),
-                    "ctx": dict(zip(ctx_names, ctx_combo)),
-                    "fiber": sols,
-                }
-                return SolvabilityResult(False, subset, witness)
+    order = exo + ctx_names
+    plan = _fiber_plan(m, subset)
+    if len(plan) == 1:
+        # the inputs of one component are exactly the noises and context it reads
+        _, inputs, solved, solve = plan[0]
+        key = operator.itemgetter(*map(order.index, inputs)) if len(inputs) > 1 else tuple
+
+        def fibers(point):
+            k = key(point)
+            sols = solved.get(k)
+            if sols is None:
+                sols = solved[k] = solve(k)
+            return sols
+    else:
+        def fibers(point):
+            sols = _fibers(m, subset, dict(zip(order, point)))
+            return tuple(sols if need_unique else itertools.islice(sols, 1))
+
+    for point in itertools.product(*(m.support(j) for j in exo), *(m.endogenous[i].values for i in ctx_names)):
+        sols = fibers(point)
+        if not sols or need_unique and len(sols) > 1:
+            witness = {"e": dict(zip(exo, point)), "ctx": dict(zip(ctx_names, point[len(exo):])), "fiber": sols}
+            return SolvabilityResult(False, subset, witness)
     return SolvabilityResult(True, subset)
 
 
@@ -662,7 +678,9 @@ def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:
     loops of the functional graph only."""
     g = functional_graph(m)
     if len(g.nodes) > max_nodes:
-        raise ScmError(f"uniquely_solvable_all_subsets bound exceeded ({len(g.nodes)} > {max_nodes})")
+        raise ScmError(
+            f"uniquely_solvable_all_subsets: {len(g.nodes)} variables, over the cap max_nodes={max_nodes}"
+        )
     loops = enumerate_loops(g, max_nodes=max_nodes)
     return all(bool(uniquely_solvable_wrt(m, sorted(loop))) for loop in loops)
 
@@ -795,7 +813,10 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
         points.append((n, sols))
         count *= len(sols)
         if count > max_selectors:
-            raise ScmError(f"selector polytope overflow: more than {max_selectors} candidate selectors")
+            raise ScmError(
+                f"selector polytope overflow: at least {count} candidate selectors, "
+                f"over the cap max_selectors={max_selectors}"
+            )
     den = sum(n for n, _ in points)
     vertices = []
     seen = set()

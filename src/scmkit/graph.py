@@ -377,7 +377,7 @@ def enumerate_loops(g: MixedGraph, max_nodes: int = 16) -> frozenset:
     exponential, hence the node-count bound.
     """
     if len(g.nodes) > max_nodes:
-        raise ScmError(f"enumerate_loops bound exceeded: {len(g.nodes)} nodes > {max_nodes}")
+        raise ScmError(f"enumerate_loops: {len(g.nodes)} nodes, over the cap max_nodes={max_nodes}")
     return frozenset(
         frozenset(subset)
         for r in range(1, len(g.nodes) + 1)

@@ -174,13 +174,19 @@ def _premise(m, graph, kind: str) -> str:
     """The case of the Markov theorem that applies to ``m``: the d-case
     accepts an acyclic graph or a linear model outright; otherwise every
     strongly connected component must be uniquely solvable, and the first
-    that is not, in the graph's topological order, is named."""
+    that is not, in the graph's topological order, is named.  A single
+    variable without a self-loop is not scanned: the functional graph has
+    no self-loop at k exactly when every section of k's equation over its
+    noises' support and its context has one solution, which is unique
+    solvability w.r.t. {k}."""
     if kind == "d":
         if graph.is_acyclic():
             return "acyclic"
         if isinstance(m, LinearScm):
             return "linear"
     for comp in graph.components():
+        if len(comp) == 1 and (comp[0], comp[0]) not in graph.directed:
+            continue
         res = uniquely_solvable_wrt(m, comp)
         if not res:
             raise SolvabilityError(
@@ -218,14 +224,17 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     every pair outside S at once by exact cross products, with no
     tolerance; ``full_subsets`` tests each (A, B) pair with the same kernel.
     Linear models test each statement on partial correlations.  The
-    precondition scan enumerates, for each strongly connected component of
-    the functional graph, every support point of the noises it reads times
-    every context (values of the endogenous variables outside it that it
-    reads).  Each fiber there, and in the distribution, is solved per
-    component of the declared dependencies on a cycle cutset, so it costs
-    support x context x prod |D_f| over the cutset, per component.  The
-    scan and the distribution share these solves, cached on the model per
-    distinct component input; the cache is sound because models are frozen.
+    functional graph costs one pass over each mechanism's table per
+    argument (``functional_parents``).  The precondition scan is one loop
+    per strongly connected component of the functional graph with more than
+    one variable or a self-loop, over every support point of the noises it
+    reads times every context (values of the endogenous variables outside
+    it that it reads), reading the component's memo.  Each fiber there, and
+    in the distribution, is solved per component of the declared
+    dependencies on a cycle cutset, so it costs support x context x
+    prod |D_f| over the cutset, per component.  The scan and the
+    distribution share these solves, cached on the model per distinct
+    component input; the cache is sound because models are frozen.
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")

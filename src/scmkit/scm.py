@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -78,7 +79,7 @@ class TabularMechanism(_Frozen):
     order used by the table keys.
     """
 
-    __slots__ = ("args", "table")
+    __slots__ = ("args", "table", "_key")
 
     def __init__(self, args, table: Mapping[tuple, object]):
         args = tuple(args)
@@ -86,9 +87,15 @@ class TabularMechanism(_Frozen):
             raise ScmError(f"duplicate mechanism arguments: {args!r}")
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "table", MappingProxyType({tuple(k): v for k, v in table.items()}))
+        # the table key of an assignment (itemgetter of one name returns the bare value)
+        if len(args) > 1:
+            key = operator.itemgetter(*args)
+        else:
+            key = (lambda a, n=args[0]: (a[n],)) if args else (lambda a: ())
+        object.__setattr__(self, "_key", key)
 
     def __call__(self, assignment: Mapping[str, object]):
-        key = tuple(assignment[a] for a in self.args)
+        key = self._key(assignment)
         try:
             return self.table[key]
         except KeyError:
@@ -434,69 +441,55 @@ def validate(m) -> ValidationReport:
 
 # --- relation-level machinery for finite SCMs ----------------------------
 
-def _relation_coords(m: FiniteScm, k: str):
-    """Coordinates the fixed-point relation of ``k`` can possibly involve:
-    declared arguments plus ``k`` itself."""
-    mech = m.mechanisms[k]
-    coords = list(mech.args)
-    if k not in coords:
-        coords.append(k)
-    return coords
-
-
-def _coord_values(m: FiniteScm, name: str, support_only: bool):
-    if name in m.exogenous and support_only:
-        return m.support(name)
-    return m.domain_of(name).values
+_OUTSIDE = object()  # a mechanism value outside its variable's domain
 
 
 def _relation_holds(mech: TabularMechanism, k: str, assign: dict) -> bool:
     return assign[k] == mech(assign)
 
 
-def _depends_on(m: FiniteScm, k: str, v: str) -> bool:
-    """Does the fixed-point relation of ``k`` genuinely depend on coordinate
-    ``v``?  Exogenous coordinates are quantified over their support only."""
-    mech = m.mechanisms[k]
-    coords = _relation_coords(m, k)
-    if v == k:
-        # self-dependence: some section over x_k is not a singleton
-        others = [c for c in coords if c != k]
-        k_values = m.endogenous[k].values
-        for combo in itertools.product(*(_coord_values(m, c, True) for c in others)):
-            assign = dict(zip(others, combo))
-            hits = 0
-            for xk in k_values:
-                assign[k] = xk
-                if _relation_holds(mech, k, assign):
-                    hits += 1
-            if hits != 1:
-                return True
-        return False
-    if v not in mech.args:
-        return False
-    others = [c for c in coords if c != v]
-    v_values = _coord_values(m, v, True)
-    if len(v_values) <= 1:
-        return False
-    for combo in itertools.product(*(_coord_values(m, c, True) for c in others)):
-        assign = dict(zip(others, combo))
-        truths = set()
-        for val in v_values:
-            assign[v] = val
-            truths.add(_relation_holds(mech, k, assign))
-            if len(truths) > 1:
-                return True
-    return False
-
-
 def _finite_parents(m: FiniteScm, k: str) -> frozenset:
+    """One pass over the rows of ``k``'s table per argument, exogenous values
+    over their support only.  The relation [x_k = f_k] at a row is read as
+    ``out == row[k]`` when k reads itself, and as the output otherwise (any
+    output outside D_k is one value: it holds for no x_k).  An argument v
+    is a parent iff two rows that differ only in v differ in that reading;
+    k is its own parent iff some section over x_k does not hold exactly one
+    fixed point, which, when k does not read itself, means some output lies
+    outside D_k."""
     if k not in m.endogenous:
         raise UnknownNameError(f"unknown endogenous index {k!r}")
     cache = m._cache.setdefault("parents", {})
-    if k not in cache:
-        candidates = set(m.mechanisms[k].args) | {k}
-        cache[k] = frozenset(v for v in candidates if _depends_on(m, k, v))
+    if k in cache:
+        return cache[k]
+    mech = m.mechanisms[k]
+    args = mech.args
+    values = [m.support(a) if a in m.exogenous else m.domain_of(a).values for a in args]
+    try:
+        rows = [(row, mech.table[row]) for row in itertools.product(*values)]
+    except KeyError as exc:
+        raise ScmError(f"mechanism table of {k} has no entry for {exc.args[0]!r}") from None
+    if k in args:
+        at = args.index(k)
+        reading = [(row, out == row[at]) for row, out in rows]
+        fixed = {}
+        for row, holds in reading:
+            key = row[:at] + row[at + 1:]
+            fixed[key] = fixed.get(key, 0) + holds
+        parents = {k} if any(n != 1 for n in fixed.values()) else set()
+    else:
+        domain = frozenset(m.endogenous[k].values)
+        reading = [(row, out if out in domain else _OUTSIDE) for row, out in rows]
+        parents = {k} if any(out is _OUTSIDE for _, out in reading) else set()
+    for p, v in enumerate(args):
+        if v == k:
+            continue
+        seen = {}
+        for row, value in reading:
+            if seen.setdefault(row[:p] + row[p + 1:], value) != value:
+                parents.add(v)
+                break
+    cache[k] = frozenset(parents)
     return cache[k]
 
 
@@ -529,6 +522,9 @@ def functional_parents(m, k: str) -> frozenset:
     the existence of an equivalent mechanism omitting v.  For v = k the same
     argument needs the sections over x_k to be singletons, i.e. unique
     solvability with respect to {k}.
+
+    Cost: finite, one pass over the rows of the mechanism's table per
+    argument; linear, one row of B and Gamma.  Kept per model.
     """
     if isinstance(m, FiniteScm):
         return _finite_parents(m, k)

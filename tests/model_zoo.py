@@ -559,6 +559,83 @@ def exhaustive_fiber(m, subset, assign):
     return out
 
 
+def _relation_coords(m, k):
+    """Coordinates the fixed-point relation of ``k`` can possibly involve:
+    declared arguments plus ``k`` itself."""
+    coords = list(m.mechanisms[k].args)
+    if k not in coords:
+        coords.append(k)
+    return coords
+
+
+def _coord_values(m, name, support_only):
+    if name in m.exogenous and support_only:
+        return m.support(name)
+    return m.domain_of(name).values
+
+
+def _relation_holds(mech, k, assign):
+    return assign[k] == mech(assign)
+
+
+def depends_on(m, k, v) -> bool:
+    """Reference oracle for finite functional parents: does the fixed-point
+    relation [x_k = f_k] genuinely depend on coordinate ``v``?  Every
+    combination of the other coordinates, each value of ``v`` (for v = k:
+    does some section over x_k hold other than one fixed point), through a
+    dict and a mechanism call per combination.  Exogenous coordinates range
+    over their support only."""
+    mech = m.mechanisms[k]
+    coords = _relation_coords(m, k)
+    if v == k:
+        others = [c for c in coords if c != k]
+        for combo in itertools.product(*(_coord_values(m, c, True) for c in others)):
+            assign = dict(zip(others, combo))
+            hits = 0
+            for xk in m.endogenous[k].values:
+                assign[k] = xk
+                hits += _relation_holds(mech, k, assign)
+            if hits != 1:
+                return True
+        return False
+    if v not in mech.args:
+        return False
+    others = [c for c in coords if c != v]
+    v_values = _coord_values(m, v, True)
+    for combo in itertools.product(*(_coord_values(m, c, True) for c in others)):
+        assign = dict(zip(others, combo))
+        truths = set()
+        for val in v_values:
+            assign[v] = val
+            truths.add(_relation_holds(mech, k, assign))
+            if len(truths) > 1:
+                return True
+    return False
+
+
+def exhaustive_parents(m, k) -> frozenset:
+    return frozenset(v for v in set(m.mechanisms[k].args) | {k} if depends_on(m, k, v))
+
+
+def exhaustive_scan(m, subset, need_unique):
+    """Reference oracle for finite (unique) solvability: ``None`` if every
+    fiber is non-empty (a singleton, with ``need_unique``), else the witness
+    of the first point that fails.  The points are the support of the noises
+    that ``subset`` reads times the domains of the other variables it reads,
+    each in declaration order, in product order; each fiber is
+    ``exhaustive_fiber``, in its product order."""
+    subset = tuple(n for n in m.endogenous_names if n in set(subset))
+    read = {a for o in subset for a in m.mechanisms[o].args}
+    exo = [j for j in m.exogenous_names if j in read]
+    ctx = [i for i in m.endogenous_names if i in read and i not in subset]
+    for combo in itertools.product(*(m.support(j) for j in exo), *(m.endogenous[i].values for i in ctx)):
+        sols = exhaustive_fiber(m, subset, dict(zip(exo + ctx, combo)))
+        if not sols or need_unique and len(sols) > 1:
+            return {"e": dict(zip(exo, combo)), "ctx": dict(zip(ctx, combo[len(exo):])),
+                    "fiber": tuple(sols) if need_unique else ()}
+    return None
+
+
 def exhaustive_direct_cause(m, i, j, laws=None):
     """Reference oracle for ``is_direct_cause`` on finite models: every
     context of all other variables, in product order, each contrast of two

@@ -27,6 +27,7 @@ from scmkit import (
     canonicalize,
     counterfactual_distribution,
     fiber,
+    functional_graph,
     gaussian_condition,
     intervene,
     interventional_distribution,
@@ -157,6 +158,36 @@ class TestCutsetSolver:
         expected = [_finite_scan(m.replace(), subset, unique) for m, subset, unique in runs]
         assert got == expected
         assert sum(not r.ok for r in got) > 20 and sum(r.ok for r in got) > 20
+
+    def test_scan_matches_the_per_point_oracle(self):
+        """Both solvers against ``zoo.exhaustive_scan``, verdict and witness,
+        on subsets that are one dependency component (one loop over the
+        component's inputs) and on subsets of several (the per-point walk,
+        whose fibers come in component order, so they are compared sorted)."""
+        rng = random.Random(89)
+        cases = []
+        for trial in range(60):
+            m = zoo.random_component_scm(rng, 1 + trial % 5, outside_p=0.2 if trial % 2 else 0.0)
+            cases.append((m, tuple(n for n in m.endogenous_names if n != "Z")))
+            r = zoo.random_finite_scm(rng, max_endo=5, self_arg_p=0.3)
+            names = list(r.endogenous_names)
+            cases.append((r, tuple(rng.sample(names, rng.randint(1, len(names))))))
+            cases += [(r, comp) for comp in functional_graph(r).components()]
+        seen = Counter()
+        for m, subset in cases:
+            one = len(analysis._dependency_components(m, analysis._subset_names(m, subset))) == 1
+            for unique, solver in ((False, solvable_wrt), (True, uniquely_solvable_wrt)):
+                got = solver(m.replace(), subset)
+                want = zoo.exhaustive_scan(m, subset, unique)
+                assert got.ok == (want is None), (subset, unique)
+                if want is not None:
+                    witness = dict(got.witness)
+                    if not one:
+                        witness["fiber"], want["fiber"] = sorted(witness["fiber"]), sorted(want["fiber"])
+                    assert witness == want, (subset, unique)
+                    seen[one, len(want["fiber"]) > 1] += 1
+                seen[one, "ok"] += got.ok
+        assert all(seen[one, case] for one in (True, False) for case in ("ok", False, True)), seen
 
     def test_cutset_is_a_smallest_feedback_set(self):
         rng = random.Random(73)
@@ -372,6 +403,12 @@ class TestStructuralAndAllSubsets:
                 for subset in itertools.combinations(names, r)
             )
             assert by_loops == brute
+
+    def test_all_subsets_cap_names_its_knob(self):
+        m = zoo.cycle4_scm()
+        with pytest.raises(ScmError, match=r"4 variables, over the cap max_nodes=3$"):
+            uniquely_solvable_all_subsets(m, max_nodes=3)
+        assert uniquely_solvable_all_subsets(m, max_nodes=4)
 
     def test_all_subsets_preserved_under_intervention(self):
         rng = random.Random(23)
@@ -656,7 +693,7 @@ class TestPolytope:
 
     def test_selector_cap_overflows_loudly(self):
         mi = intervene(zoo.intervention_unique(), {"X2": 2})
-        with pytest.raises(ScmError, match="overflow"):
+        with pytest.raises(ScmError, match=r"overflow: at least 2 candidate selectors, over the cap max_selectors=1$"):
             observational_polytope(mi, max_selectors=1)
 
 

@@ -268,8 +268,10 @@ class TestLoops:
 
     def test_bound(self):
         g = MixedGraph([f"n{i}" for i in range(17)])
-        with pytest.raises(ScmError):
+        with pytest.raises(ScmError, match=r"17 nodes, over the cap max_nodes=16$"):
             enumerate_loops(g)
+        with pytest.raises(ScmError, match=r"over the cap max_nodes=5$"):
+            enumerate_loops(g.induced([f"n{i}" for i in range(6)]), max_nodes=5)
 
 
 class TestDSeparation:

@@ -1,7 +1,9 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from scmkit import (
     sigma_separated,
     verify_markov,
 )
+from scmkit import markov
 from scmkit.analysis import _fibers, _support_assignments
 
 F = Fraction
@@ -165,6 +168,40 @@ class TestVerifyMarkov:
             out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                                  capture_output=True, text=True, check=True).stdout
             assert out.strip().endswith("component ['A']"), (seed, out)
+
+    def test_premise_matches_a_scan_of_every_component(self):
+        """The premise skips singletons without a self-loop; on random models
+        it still names the same first failing component, with the same
+        witness, as a scan of every component in topological order."""
+        rng = random.Random(97)
+        models = [zoo.random_finite_scm(rng, max_endo=5, self_arg_p=0.3) for _ in range(150)]
+        models += [zoo.random_component_scm(rng, 1 + trial % 3, outside_p=0.2) for trial in range(30)]
+        models += [zoo.random_linear_scm(rng, singular)[0] for singular in (False, True) * 10]
+        models.append(LinearScm(("X1", "X2"), zoo.std_blocks("E1"), [[0.0, 0.5], [0.0, 1.0]], [[1.0], [0.0]]))
+        seen = Counter()
+        for m in models:
+            graph = functional_graph(m)
+            failing = None
+            for comp in graph.components():
+                if isinstance(m, LinearScm):
+                    res = sk.uniquely_solvable_wrt(m, comp)
+                    witness = None if res else res.witness
+                else:
+                    witness = zoo.exhaustive_scan(m, comp, True)
+                if witness is not None:
+                    failing = comp, witness
+                    break
+            if failing is None:
+                assert markov._premise(m.replace(), graph, "sigma") == "scc_unique"
+            else:
+                with pytest.raises(SolvabilityError) as err:
+                    markov._premise(m.replace(), graph, "sigma")
+                assert (err.value.subset, err.value.witness) == (tuple(sorted(failing[0])), failing[1])
+            skipped = [c for c in graph.components() if len(c) == 1 and (c[0], c[0]) not in graph.directed]
+            seen[isinstance(m, LinearScm), failing is None, bool(skipped)] += 1
+        # every finite case, and linear models that pass and fail (each skips a singleton)
+        cases = [(False, ok, skip) for ok, skip in itertools.product((True, False), repeat=2)]
+        assert all(seen[case] for case in cases + [(True, True, True), (True, False, True)]), seen
 
     def test_negative_max_conditioning_is_rejected(self):
         with pytest.raises(ScmError, match="max_conditioning"):

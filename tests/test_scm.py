@@ -1,6 +1,8 @@
 import copy
+import itertools
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from scmkit import (
     GaussianBlock,
     LinearScm,
     MixedGraph,
+    ScmError,
     TabularMechanism,
     augmented_graph,
     canonicalize,
@@ -61,6 +64,19 @@ class TestValidate:
         block = GaussianBlock("W", ("E1", "E2"), [0, 0], [[1.0, 2.0], [2.0, 1.0]])
         m = LinearScm(("X",), (block,), [[0.0]], [[1.0, 0.0]])
         assert any("positive semi-definite" in p for p in validate(m).problems)
+
+
+class TestTabularMechanism:
+    @pytest.mark.parametrize("args", [(), ("E",), ("X", "E"), ("Y", "X", "E")])
+    def test_lookup_by_argument_names_survives_copy_and_pickle(self, args):
+        table = {combo: sum(combo) % 2 for combo in itertools.product((0, 1), repeat=len(args))}
+        mech = TabularMechanism(args, table)
+        for m in (mech, copy.copy(mech), copy.deepcopy(mech), pickle.loads(pickle.dumps(mech))):
+            for combo, out in table.items():
+                assert m({"Z": 5, **dict(zip(args, combo))}) == out
+        if args:
+            with pytest.raises(ScmError, match="no entry"):
+                mech({**dict.fromkeys(args, 0), args[0]: 9})
 
 
 class TestMechanismsEquivalent:
@@ -137,6 +153,49 @@ class TestFunctionalParents:
             },
         )
         assert "X" in functional_parents(m, "X")
+
+    def test_finite_parents_match_the_exhaustive_oracle(self):
+        """The one pass per table argument against ``zoo.depends_on``, which
+        evaluates the relation at every combination of the coordinates."""
+        rng = random.Random(83)
+        models = [zoo.random_finite_scm(rng, max_endo=5, max_card=4, self_arg_p=0.4) for _ in range(200)]
+        models += [zoo.random_component_scm(rng, 1 + trial % 4, outside_p=0.3) for trial in range(120)]
+        seen = Counter()
+        for m in models:
+            endo = set(m.endogenous_names)
+            parents = {k: zoo.exhaustive_parents(m, k) for k in m.endogenous_names}
+            edges = {(v, k) for k, pa in parents.items() for v in pa}
+            shared = {}
+            for k, pa in parents.items():
+                for j in pa - endo:
+                    shared.setdefault(j, []).append(k)
+            bidirected = {(u, v) for ks in shared.values() for u, v in itertools.combinations(sorted(ks), 2)}
+            for k in m.endogenous_names:
+                assert functional_parents(m, k) == parents[k], (m.mechanisms[k], k)
+            assert augmented_graph(m) == MixedGraph(m.endogenous_names + m.exogenous_names, edges)
+            assert functional_graph(m) == MixedGraph(
+                m.endogenous_names, {e for e in edges if e[0] in endo}, bidirected)
+            for k, pa in parents.items():
+                reads = set(m.mechanisms[k].args)
+                seen[k in pa, k in reads] += 1  # every self-loop case, read or not
+                seen["noise dropped"] += any(j in m.exogenous for j in reads - pa)
+                seen["variable dropped"] += any(v in endo for v in reads - pa - {k})
+        assert all(seen[case] for case in [(True, True), (True, False), (False, True), (False, False),
+                                           "noise dropped", "variable dropped"]), seen
+
+    def test_a_missing_table_row_fails_loudly(self):
+        dom = FiniteDomain((0, 1))
+        m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
+                      {"X": TabularMechanism(("E",), {(0,): 0})})
+        with pytest.raises(ScmError, match=r"table of X has no entry for \(1,\)"):
+            functional_parents(m, "X")
+
+    def test_outputs_outside_the_domain_are_one_value(self):
+        # x = 7 or x = 8: no fixed point either way, so E changes nothing
+        dom = FiniteDomain((0, 1))
+        m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
+                      {"X": TabularMechanism(("E",), {(0,): 7, (1,): 8})})
+        assert functional_parents(m, "X") == zoo.exhaustive_parents(m, "X") == {"X"}
 
     def test_linear_zero_variance_coordinate(self):
         blocks = (GaussianBlock("E1", ("E1",), [3.0], [[0.0]]),)
