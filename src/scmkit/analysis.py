@@ -4,8 +4,9 @@ Finite SCMs: all quantifiers over exogenous values range over the support of
 the product measure; everything is computed in exact rational arithmetic.
 Every finite law is one push-forward, ``_gamma_law``: one pass over the
 support of the noises that the non-intervened variables read, solving their
-fiber per noise value.  The selector polytope makes its own pass, as the
-hull that the equivalence tests compare against.
+fiber per noise value.  The selector polytope is read off it too: its
+vertices are the marginal vectors of the core of the belief function with
+mass P(Γ = A), found by one memo entry per family of unplaced focal sets.
 Linear SCMs: every verdict comes from one core, the block ``I - B_OO`` of the
 subset and its inverse or left null vectors, and every zero test is the one
 unit-free rule of ``config``.  ``solve_map`` is the one linear solve: the
@@ -37,6 +38,8 @@ from .scm import (
     FiniteScm,
     FiniteDomain,
     LinearScm,
+    _canonical_arg_order,
+    _pins,
     augmented_graph,
     functional_graph,
     functional_parents,
@@ -81,7 +84,7 @@ class DiscreteDistribution:
     exactly 1.
     """
 
-    __slots__ = ("vars", "domains", "probs", "_codes", "_counts")
+    __slots__ = ("vars", "domains", "probs", "_codes")
 
     def __init__(self, vars, domains: Mapping[str, FiniteDomain], probs: Mapping[tuple, Fraction]):
         self.vars = tuple(vars)
@@ -98,7 +101,7 @@ class DiscreteDistribution:
         if total != 1:
             raise ScmError(f"distribution not normalized: sums to {total}")
         self.probs = MappingProxyType(cleaned)
-        self._codes = self._counts = None
+        self._codes = None
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__; ``probs`` is a read-only view
@@ -141,20 +144,6 @@ class DiscreteDistribution:
                 a.setflags(write=False)
             self._codes = (den, n, codes)
         return self._codes
-
-    def counts(self) -> tuple:
-        """The law as a dense integer tensor: ``(den, n)`` with one axis per
-        variable, indexed in domain order, and ``n[cell] == p * den``; zero
-        off the support.  Same ``den`` and dtype as ``_cell_codes``; computed once
-        and cached; the array is read-only."""
-        if self._counts is None:
-            den, weights, codes = self._cell_codes()
-            n = np.zeros(tuple(len(self.domains[x]) for x in self.vars), dtype=weights.dtype)
-            for pos, w in zip(codes.tolist(), weights):
-                n[tuple(pos)] = w
-            n.setflags(write=False)
-            self._counts = (den, n)
-        return self._counts
 
     def prob(self, assignment: Mapping[str, object]) -> Fraction:
         """Probability of a (possibly partial) assignment."""
@@ -243,9 +232,11 @@ class GaussianDistribution:
 class SelectorPolytope:
     """Achievable observational distributions of a solvable finite SCM.
 
-    ``vertices`` are the distributions induced by deterministic selectors
-    (one fiber element per support point); the achievable set is exactly
-    their convex hull.
+    The achievable set is the core of the belief function with mass
+    P(Γ = A), Γ the fiber; ``vertices`` are its marginal vectors, each a
+    true vertex: the law that gives each focal set's mass to its first cell
+    in some order of the cells.  ``unique`` iff every focal set is a
+    singleton.
     """
 
     vars: tuple
@@ -687,20 +678,6 @@ def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:
 
 # --- solve maps --------------------------------------------------------------
 
-def _canonical_args(m, subset):
-    pa = set()
-    for o in subset:
-        pa |= functional_parents(m, o)
-    if isinstance(m, FiniteScm):
-        endo_all, exo_all = m.endogenous_names, m.exogenous_names
-    else:
-        endo_all, exo_all = m.endogenous_names, m.block_names
-    inside = set(subset)
-    endo_args = tuple(i for i in endo_all if i in pa and i not in inside)
-    exo_args = tuple(j for j in exo_all if j in pa)
-    return endo_args, exo_args
-
-
 def solve_map(m, subset) -> SolveMap:
     """The mapping g assigning to each input of the subsystem its unique
     solution; requires unique solvability with respect to ``subset``."""
@@ -725,17 +702,11 @@ def solve_map(m, subset) -> SolveMap:
     res = _finite_scan(m, subset_t, need_unique=True)
     if not res:
         raise NotUniquelySolvable(res.subset, res.witness)
-    endo_args, exo_args = _canonical_args(m, subset_t)
-    # non-parent declared arguments are pinned; the relation does not depend
-    # on them on the support
-    pin = {}
-    for i in _relevant_ctx(m, subset_t):
-        if i not in endo_args:
-            pin[i] = m.endogenous[i].first()
-    for j in _relevant_exo(m, subset_t):
-        if j not in exo_args:
-            sup = m.support(j)
-            pin[j] = sup[0] if sup else m.exogenous[j].first()
+    args = _canonical_arg_order(m, set().union(*(functional_parents(m, o) for o in subset_t)) - set(subset_t))
+    endo_args = tuple(a for a in args if a in m.endogenous)
+    exo_args = tuple(a for a in args if a in m.exogenous)
+    # declared arguments that are no functional parents are pinned
+    pin = _pins(m, [a for a in _relevant_ctx(m, subset_t) + _relevant_exo(m, subset_t) if a not in args])
 
     supports = {j: set(m.support(j)) for j in exo_args}
     table = {}
@@ -758,24 +729,30 @@ def solve_map(m, subset) -> SolveMap:
 
 # --- distributions of solutions ----------------------------------------------
 
+def _finite_law(m: FiniteScm, unique: bool):
+    """The Γ-law of all variables of ``m`` (``_gamma_law``).  Where the pass
+    stops, ``NotSolvable`` or, with ``unique``, ``NotUniquelySolvable`` names
+    that noise value, restricted to the noises that are read, with its empty
+    or larger fiber."""
+    endo = m.endogenous_names
+    g = _gamma_law(m, endo, {}, unique=unique)
+    if g is None:
+        witness = _finite_scan(m, endo, need_unique=unique).witness
+        if not witness["fiber"]:
+            raise NotSolvable(endo, {"e": witness["e"]})
+        raise NotUniquelySolvable(endo, {"e": witness["e"], "fiber": witness["fiber"]})
+    return g
+
+
 def observational_distribution(m):
     """The law of the unique solution.  Finite SCMs: the Γ-law of all
-    variables (``_gamma_law``), one exact pass over the noises the model
-    reads, whose focal sets must all be singletons; the pass stops at the
-    first that is not, and ``NotSolvable`` or ``NotUniquelySolvable`` names
-    that noise value, restricted to those noises, with its empty or larger
-    fiber.  Linear SCMs: the
+    variables, one exact pass over the noises the model reads, whose focal
+    sets must all be singletons (``_finite_law``).  Linear SCMs: the
     closed-form Gaussian."""
     if isinstance(m, FiniteScm):
-        endo = m.endogenous_names
-        g = _gamma_law(m, endo, {}, unique=True)
-        if g is None:
-            witness = _finite_scan(m, endo, need_unique=True).witness
-            if not witness["fiber"]:
-                raise NotSolvable(endo, {"e": witness["e"]})
-            raise NotUniquelySolvable(endo, {"e": witness["e"], "fiber": witness["fiber"]})
-        den, law = g
-        return DiscreteDistribution(endo, m.endogenous, {cell: Fraction(n, den) for (cell,), n in law.items()})
+        den, law = _finite_law(m, unique=True)
+        return DiscreteDistribution(m.endogenous_names, m.endogenous,
+                                    {cell: Fraction(n, den) for (cell,), n in law.items()})
     if isinstance(m, LinearScm):
         try:
             sm = solve_map(m, m.endogenous_names)
@@ -799,36 +776,52 @@ def _solution_law(m: LinearScm, sm: SolveMap, names) -> GaussianDistribution:
 
 
 def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> SelectorPolytope:
-    """All achievable observational distributions of a solvable finite SCM,
-    represented by the vertex distributions of deterministic selectors."""
+    """The achievable observational laws of a solvable finite SCM: the core
+    of the Γ-law of all variables (``_gamma_law``), whose vertices are its
+    marginal vectors (Shapley 1971).  A singleton focal set goes to its cell
+    in every order; the others are placed by a search over the families
+    ``rest`` still unplaced, where each cell c of their union gets the mass
+    of the sets holding it and the search moves on to those that do not.
+    Cost: one Γ-law pass plus one memo entry per family, at most 2**cells;
+    ``max_selectors`` caps the partial vectors held.  ``NotSolvable`` names
+    the first noise value, over the noises that are read, with no solution."""
     if not isinstance(m, FiniteScm):
         raise ScmError("the selector polytope is defined for finite SCMs")
     endo = m.endogenous_names
-    points = []
-    count = 1
-    for e_assign, n in _support_assignments(m, m.exogenous_names):
-        sols = tuple(_fibers(m, endo, e_assign))
-        if not sols:
-            raise NotSolvable(endo, {"e": e_assign})
-        points.append((n, sols))
-        count *= len(sols)
-        if count > max_selectors:
-            raise ScmError(
-                f"selector polytope overflow: at least {count} candidate selectors, "
-                f"over the cap max_selectors={max_selectors}"
-            )
-    den = sum(n for n, _ in points)
+    den, law = _finite_law(m, unique=False)
+    rank = [{x: r for r, x in enumerate(m.endogenous[v].values)} for v in endo]
+    singles = [(next(iter(a)), n) for a, n in law.items() if len(a) == 1]
+    # every family reachable from the non-singleton focal sets, with its moves,
+    # cells in domain order so that the count at an overflow is deterministic
+    root = frozenset(a for a in law if len(a) > 1)
+    moves, stack = {}, [root]
+    while stack:
+        rest = stack.pop()
+        if rest in moves:
+            continue
+        cells = sorted(set().union(*rest), key=lambda c: tuple(r[x] for r, x in zip(rank, c)))
+        moves[rest] = [(c, sum(law[a] for a in rest if c in a), frozenset(a for a in rest if c not in a))
+                       for c in cells]
+        stack.extend(child for _, _, child in moves[rest])
+    # each family after the smaller ones it moves to: a vector is a frozenset of (cell, n)
+    vectors, held = {}, 0
+    for rest in sorted(moves, key=len):
+        out = set() if rest else {frozenset()}
+        for c, n, child in moves[rest]:
+            out.update(v | {(c, n)} for v in vectors[child])
+            if held + len(out) > max_selectors:
+                raise ScmError(
+                    f"selector polytope overflow: at least {held + len(out)} candidate selectors, "
+                    f"over the cap max_selectors={max_selectors}"
+                )
+        vectors[rest] = out
+        held += len(out)
     vertices = []
-    seen = set()
-    for choice in itertools.product(*(sols for _, sols in points)):
+    for vector in vectors[root]:
         weights = {}
-        for (n, _), cell in zip(points, choice):
-            weights[cell] = weights.get(cell, 0) + n
-        dist = DiscreteDistribution(endo, m.endogenous, {c: Fraction(n, den) for c, n in weights.items()})
-        key = frozenset(dist.probs.items())
-        if key not in seen:
-            seen.add(key)
-            vertices.append(dist)
+        for c, n in itertools.chain(singles, vector):
+            weights[c] = weights.get(c, 0) + n
+        vertices.append(DiscreteDistribution(endo, m.endogenous, {c: Fraction(n, den) for c, n in weights.items()}))
     vertices.sort(key=lambda d: sorted((tuple(map(str, c)), str(p)) for c, p in d.probs.items()))
     return SelectorPolytope(vars=endo, vertices=tuple(vertices))
 

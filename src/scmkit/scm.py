@@ -72,6 +72,14 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable; use replace() or a new instance")
 
 
+def _items_at(keys):
+    """The function from a mapping or a row to its items at ``keys``, as a
+    tuple (``itemgetter`` of one key returns the bare item)."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return (lambda a, k=keys[0]: (a[k],)) if keys else (lambda a: ())
+
+
 class TabularMechanism(_Frozen):
     """A total lookup table from argument tuples to one output value.
 
@@ -87,12 +95,7 @@ class TabularMechanism(_Frozen):
             raise ScmError(f"duplicate mechanism arguments: {args!r}")
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "table", MappingProxyType({tuple(k): v for k, v in table.items()}))
-        # the table key of an assignment (itemgetter of one name returns the bare value)
-        if len(args) > 1:
-            key = operator.itemgetter(*args)
-        else:
-            key = (lambda a, n=args[0]: (a[n],)) if args else (lambda a: ())
-        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_key", _items_at(args))
 
     def __call__(self, assignment: Mapping[str, object]):
         key = self._key(assignment)
@@ -444,10 +447,6 @@ def validate(m) -> ValidationReport:
 _OUTSIDE = object()  # a mechanism value outside its variable's domain
 
 
-def _relation_holds(mech: TabularMechanism, k: str, assign: dict) -> bool:
-    return assign[k] == mech(assign)
-
-
 def _finite_parents(m: FiniteScm, k: str) -> frozenset:
     """One pass over the rows of ``k``'s table per argument, exogenous values
     over their support only.  The relation [x_k = f_k] at a row is read as
@@ -591,38 +590,45 @@ def _check_shared_signature(m1: FiniteScm, m2: FiniteScm):
 def mechanisms_equivalent(m1: FiniteScm, m2: FiniteScm) -> bool:
     """Componentwise equivalence: for every k and every exogenous assignment
     in the support, the fixed-point relations of the two mechanisms agree on
-    all endogenous values."""
+    all endogenous values.  One pass per k over the rows of the joint
+    coordinates (both sides' arguments and k), comparing the readings
+    ``row[k] == table[key]``, each side's key read off the row by position."""
     if not isinstance(m1, FiniteScm) or not isinstance(m2, FiniteScm):
         raise ScmError("mechanisms_equivalent is defined for finite SCMs")
     _check_shared_signature(m1, m2)
     for k in m1.endogenous_names:
-        f1 = m1.mechanisms[k]
-        f2 = m2.mechanisms[k]
-        coords = list(dict.fromkeys(list(f1.args) + list(f2.args)))
-        if k not in coords:
-            coords.append(k)
-        values = [
-            m1.support(c) if c in m1.exogenous else m1.domain_of(c).values
-            for c in coords
-        ]
-        for combo in itertools.product(*values):
-            assign = dict(zip(coords, combo))
-            if _relation_holds(f1, k, assign) != _relation_holds(f2, k, assign):
-                return False
+        f1, f2 = m1.mechanisms[k], m2.mechanisms[k]
+        coords = tuple(dict.fromkeys((*f1.args, *f2.args, k)))
+        at = coords.index(k)
+        (t1, key1), (t2, key2) = ((f.table, _items_at([coords.index(a) for a in f.args])) for f in (f1, f2))
+        values = [m1.support(c) if c in m1.exogenous else m1.domain_of(c).values for c in coords]
+        try:
+            for row in itertools.product(*values):
+                if (row[at] == t1[key1(row)]) != (row[at] == t2[key2(row)]):
+                    return False
+        except KeyError as exc:
+            raise ScmError(f"mechanism table of {k} has no entry for {exc.args[0]!r}") from None
     return True
 
 
 # --- canonicalization -----------------------------------------------------
 
-def _canonical_arg_order(m, names) -> tuple:
-    """Deterministic argument order: endogenous in declaration order, then
-    exogenous in declaration order."""
-    if isinstance(m, FiniteScm):
-        endo, exo = m.endogenous_names, m.exogenous_names
-    else:
-        endo, exo = m.endogenous_names, m.block_names
-    names = set(names)
-    return tuple([n for n in endo if n in names] + [n for n in exo if n in names])
+def _canonical_arg_order(m: FiniteScm, names) -> tuple:
+    """Deterministic argument order of the set ``names``: endogenous in
+    declaration order, then exogenous in declaration order."""
+    return tuple(n for n in (*m.endogenous_names, *m.exogenous_names) if n in names)
+
+
+def _pins(m: FiniteScm, names) -> dict:
+    """A value for each dropped argument in ``names``: an endogenous one at
+    its first domain value, a noise at its first support value, or at its
+    first domain value when the support is empty.  A relation that does not
+    depend on an argument on the support is unchanged there by pinning it."""
+    pins = {}
+    for a in names:
+        sup = m.support(a) if a in m.exogenous else ()
+        pins[a] = sup[0] if sup else m.domain_of(a).first()
+    return pins
 
 
 def _canonicalize_finite(m: FiniteScm) -> FiniteScm:
@@ -637,21 +643,11 @@ def _canonicalize_finite(m: FiniteScm) -> FiniteScm:
                 expressions[k] = m.expressions[k]
             continue
         new_args = _canonical_arg_order(m, parents)
-        # pin removed arguments: endogenous to the first domain value,
-        # exogenous to the first support value (the relation is invariant in
-        # them there, so the relation on the support is unchanged).  A removed
-        # self-argument is different: no self-loop means each section over x_k
-        # is a singleton, and the canonical value is that fixed point.
-        pinned = {}
+        # removed arguments are pinned (``_pins``).  A removed self-argument
+        # is different: no self-loop means each section over x_k is a
+        # singleton, and the canonical value is that fixed point.
+        pinned = _pins(m, [a for a in mech.args if a not in new_args and a != k])
         solve_self = k in mech.args and k not in new_args
-        for a in mech.args:
-            if a in new_args or a == k:
-                continue
-            if a in m.exogenous:
-                sup = m.support(a)
-                pinned[a] = sup[0] if sup else m.exogenous[a].first()
-            else:
-                pinned[a] = m.domain_of(a).first()
         table = {}
         for combo in itertools.product(*(m.domain_of(a).values for a in new_args)):
             assign = dict(zip(new_args, combo))

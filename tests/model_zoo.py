@@ -11,10 +11,13 @@ import random
 from fractions import Fraction
 
 from scmkit import (
+    DiscreteDistribution,
     FiniteDomain,
     FiniteScm,
     GaussianBlock,
     LinearScm,
+    NotSolvable,
+    ScmError,
     TabularMechanism,
 )
 
@@ -288,6 +291,15 @@ def with_unread_noise(m: FiniteScm) -> FiniteScm:
     measure = {j: dict(t) for j, t in m.measure.items()}
     measure["U"] = {0: F(1, 6), 1: F(1, 3), 2: F(1, 2)}
     return FiniteScm(m.endogenous, {**m.exogenous, "U": fd(0, 1, 2)}, measure, m.mechanisms)
+
+
+def identity_with_unread_noises() -> FiniteScm:
+    """X = X beside two fair noises that nothing reads: the achievable laws
+    are the whole simplex on {0, 1}, with 2 vertices, though the 4 support
+    points give 5 selector laws."""
+    dom = fd(0, 1)
+    return FiniteScm({"X": dom}, {"E1": dom, "E2": dom}, {"E1": uniform(0, 1), "E2": uniform(0, 1)},
+                     {"X": TabularMechanism(("X",), {(0,): 0, (1,): 1})})
 
 
 def unique_ancestral() -> FiniteScm:
@@ -613,6 +625,20 @@ def depends_on(m, k, v) -> bool:
     return False
 
 
+def exhaustive_mechanisms_equivalent(m1, m2) -> bool:
+    """Reference oracle for ``mechanisms_equivalent`` (signatures assumed
+    shared): every combination of each k's joint coordinates, noises over
+    their support, through a dict and a mechanism call per side."""
+    for k in m1.endogenous_names:
+        f1, f2 = m1.mechanisms[k], m2.mechanisms[k]
+        coords = list(dict.fromkeys(list(f1.args) + list(f2.args) + [k]))
+        for combo in itertools.product(*(_coord_values(m1, c, True) for c in coords)):
+            assign = dict(zip(coords, combo))
+            if _relation_holds(f1, k, assign) != _relation_holds(f2, k, assign):
+                return False
+    return True
+
+
 def exhaustive_parents(m, k) -> frozenset:
     return frozenset(v for v in set(m.mechanisms[k].args) | {k} if depends_on(m, k, v))
 
@@ -683,6 +709,37 @@ def fraction_distribution(m):
             return None
         probs[sols[0]] = probs.get(sols[0], F(0)) + p
     return probs
+
+
+def exhaustive_selector_laws(m, max_selectors=10**6):
+    """Reference oracle for the selector polytope: the distinct laws of every
+    selector, one fiber element per support point of all the noises, each
+    fiber by ``exhaustive_fiber``; their hull is the achievable set.  Raises
+    ``NotSolvable`` at an empty fiber and ``ScmError`` once the product of
+    the fiber sizes so far exceeds ``max_selectors``."""
+    endo, names = m.endogenous_names, m.exogenous_names
+    points = []
+    count = 1
+    for combo in itertools.product(*(m.support(j) for j in names)):
+        p = F(1)
+        for j, v in zip(names, combo):
+            p *= F(m.measure[j][v])
+        sols = exhaustive_fiber(m, endo, dict(zip(names, combo)))
+        if not sols:
+            raise NotSolvable(endo, {"e": dict(zip(names, combo))})
+        points.append((p, sols))
+        count *= len(sols)
+        if count > max_selectors:
+            raise ScmError(f"selector polytope overflow: at least {count} candidate selectors, "
+                           f"over the cap max_selectors={max_selectors}")
+    laws = {}
+    for choice in itertools.product(*(sols for _, sols in points)):
+        probs = {}
+        for (p, _), cell in zip(points, choice):
+            probs[cell] = probs.get(cell, F(0)) + p
+        dist = DiscreteDistribution(endo, m.endogenous, probs)
+        laws.setdefault(dist, None)
+    return tuple(laws)
 
 
 def oracle_ci(dist, a, b, s) -> bool:

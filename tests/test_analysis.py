@@ -691,6 +691,25 @@ class TestPolytope:
         with pytest.raises(NotSolvable):
             observational_polytope(intervene(m, {"X2": 1}))
 
+    def test_unsolvable_witness_reads_only_the_noises_read(self):
+        m = zoo.with_unread_noise(intervene(zoo.unsolvable_selfloop(), {"X2": 1}))
+        with pytest.raises(NotSolvable) as poly_err:
+            observational_polytope(m)
+        with pytest.raises(NotSolvable) as dist_err:
+            observational_distribution(m)
+        assert poly_err.value.witness == dist_err.value.witness == {"e": {}}
+
+    @pytest.mark.parametrize("build, count", [
+        (zoo.identity_with_unread_noises, 2),
+        (lambda: zoo.gated_selfloop(3), 3),
+        (lambda: zoo.two_gated_selfloops(2), 16),
+        (lambda: zoo.two_gated_selfloops(3), 223),
+    ])
+    def test_vertex_counts(self, build, count):
+        # the selectors' laws number 5, 9, 2,529 and over 10**6; the marginal
+        # vectors of the core are the true vertices among them
+        assert len(observational_polytope(build()).vertices) == count
+
     def test_selector_cap_overflows_loudly(self):
         mi = intervene(zoo.intervention_unique(), {"X2": 2})
         with pytest.raises(ScmError, match=r"overflow: at least 2 candidate selectors, over the cap max_selectors=1$"):

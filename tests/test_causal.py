@@ -109,7 +109,7 @@ def integer_rows(rows, rhs):
     return [r[:-1] for r in out], [r[-1] for r in out]
 
 
-# --- the selector-hull oracle: vertex enumeration and an integer simplex -----
+# --- the selector-hull oracle: an integer simplex over the selector laws -----
 
 def lp_feasible(rows, rhs) -> bool:
     """Exact feasibility of ``rows @ x = rhs, x >= 0`` (entries ``int`` or
@@ -203,13 +203,13 @@ def first_outside(vs1, vs2):
 
 
 def achievable_marginals(m, margin, max_selectors=10**6):
-    """Vertex distributions of the achievable set projected to the margin;
-    ``()`` when the model has no solution at all."""
+    """The selector laws of the oracle projected to the margin, whose hull is
+    the achievable set there; ``()`` when the model has no solution at all."""
     try:
-        poly = observational_polytope(m, max_selectors)
+        laws = zoo.exhaustive_selector_laws(m, max_selectors)
     except NotSolvable:
         return ()
-    return tuple(dict.fromkeys(v.marginal(margin) for v in poly.vertices))
+    return tuple(dict.fromkeys(v.marginal(margin) for v in laws))
 
 
 def hull_verdict(vs1, vs2) -> bool:
@@ -356,11 +356,13 @@ class TestObservationalEquivalence:
                                  base.endogenous)
 
     def test_selector_overflow_pair_gets_a_verdict(self):
-        # 3**16 selectors: the vertex enumeration gives up, the law of the
-        # projected fiber set needs one pass over 16 support points
+        # 3**16 selectors: the selector enumeration gives up, while the law of
+        # the projected fiber set needs one pass over 16 support points and
+        # its core has 223 vertices
         base, other = zoo.two_gated_selfloops(), zoo.two_gated_selfloops(q=F(3, 8))
         with pytest.raises(ScmError, match="overflow"):
-            observational_polytope(base)
+            zoo.exhaustive_selector_laws(base)
+        assert len(observational_polytope(base).vertices) == 223
         assert observationally_equivalent(base, other, ["X1"]).verdict
         rep = observationally_equivalent(base, other, ["X1", "X2"])
         assert not rep.verdict and rep.rule == "gamma_law"
@@ -574,6 +576,53 @@ class TestGammaLaw:
                     seen[rep["level"], rep["verdict"]] += 1
         assert all(seen[level, verdict] for level in ("observational", "interventional", "counterfactual")
                    for verdict in (True, False)), seen
+
+
+class TestPolytopeVertices:
+    """The vertices of ``observational_polytope``, the marginal vectors of the
+    Γ-law's core, against the selector laws of ``zoo.exhaustive_selector_laws``."""
+
+    @staticmethod
+    def check(m, max_selectors=2000):
+        """``None`` if the oracle overflows; otherwise the numbers of oracle
+        laws and of vertices, after checking that the vertices are oracle
+        laws, that they span every oracle law and that none lies in the hull
+        of the others.  An unsolvable model raises on both sides: ``(0, 0)``."""
+        try:
+            laws = zoo.exhaustive_selector_laws(m, max_selectors)
+        except NotSolvable:
+            with pytest.raises(NotSolvable):
+                observational_polytope(m)
+            return 0, 0
+        except ScmError:
+            return None
+        vertices = observational_polytope(m).vertices
+        assert set(vertices) <= set(laws), m
+        cells = hull_cells(vertices, laws)
+        assert all(law in vertices or hull_contains(vertices, law, cells) for law in laws), m
+        for i, v in enumerate(vertices):
+            assert not hull_contains(vertices[:i] + vertices[i + 1:], v, cells), (m, v)
+        return len(laws), len(vertices)
+
+    @staticmethod
+    def tally(counts):
+        seen = Counter()
+        for c in counts:
+            seen["overflow" if c is None else "unsolvable" if c == (0, 0)
+                 else "interior" if c[0] > c[1] else "several" if c[1] > 1 else "one"] += 1
+        return seen
+
+    def test_corpus_vertices_are_the_extreme_selector_laws(self):
+        seen = self.tally(self.check(m) for m in finite_corpus().values())
+        assert not seen["overflow"] and seen["several"] >= 2 and seen["one"] >= 10, seen
+
+    def test_random_vertices_are_the_extreme_selector_laws(self):
+        rng = random.Random(113)
+        models = [zoo.random_finite_scm(rng, self_arg_p=0.4) for _ in range(250)]
+        models += [zoo.random_component_scm(rng, rng.randint(1, 3)) for _ in range(150)]
+        seen = self.tally(self.check(m) for m in models)
+        assert seen["one"] + seen["several"] + seen["interior"] >= 200, seen
+        assert seen["interior"] >= 20 and seen["several"] >= 40 and seen["overflow"] < 10, seen
 
 
 class TestInterventionalEquivalence:

@@ -98,6 +98,33 @@ class TestMechanismsEquivalent:
         with pytest.raises(DomainMismatchError):
             mechanisms_equivalent(m1, other)
 
+    def test_rows_match_the_walk_oracle(self):
+        # pairs that differ in one table row, half of them against the
+        # canonical model, whose mechanisms read other arguments in another order
+        rng = random.Random(131)
+        seen = Counter()
+        for _ in range(400):
+            m1 = zoo.random_finite_scm(rng, self_arg_p=0.4)
+            base = canonicalize(m1) if rng.random() < 0.5 else m1
+            k = rng.choice(m1.endogenous_names)
+            mech = base.mechanisms[k]
+            table = dict(mech.table)
+            table[rng.choice(sorted(table))] = rng.choice(m1.endogenous[k].values)
+            m2 = base.replace(mechanisms={**base.mechanisms, k: TabularMechanism(mech.args, table)})
+            verdict = mechanisms_equivalent(m1, m2)
+            assert verdict == zoo.exhaustive_mechanisms_equivalent(m1, m2), (m1, m2)
+            assert mechanisms_equivalent(m2, m1) == verdict, (m1, m2)
+            seen[verdict, base is m1, mech.args != m1.mechanisms[k].args] += 1
+        assert all(seen[v, True, False] >= 40 for v in (True, False)), seen
+        assert all(seen[v, False, True] >= 20 for v in (True, False)), seen
+
+    def test_a_missing_row_fails_loudly(self):
+        dom = FiniteDomain((0, 1))
+        m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
+                      {"X": TabularMechanism(("E",), {(0,): 0})})
+        with pytest.raises(ScmError, match=r"table of X has no entry for \(1,\)"):
+            mechanisms_equivalent(m, m.replace())
+
 
 class TestFunctionalParents:
     def test_constant_in_x(self):
