@@ -2,11 +2,14 @@
 
 Finite SCMs: all quantifiers over exogenous values range over the support of
 the product measure; everything is computed in exact rational arithmetic.
-Every finite law is one push-forward, ``_gamma_law``: one pass over the
-support of the noises that the non-intervened variables read, solving their
-fiber per noise value.  The selector polytope is read off it too: its
-vertices are the marginal vectors of the core of the belief function with
-mass P(Γ = A), found by one memo entry per family of unplaced focal sets.
+Every finite law is one push-forward, ``_gamma_law``: one forward pass over
+the strongly connected components in topological order, each enumerating the
+noises it is the first to read and merging the noise values that lead to the
+same partial solutions, as in variable elimination.  Its integer law goes
+straight to ``DiscreteDistribution._from_counts``.  The selector polytope is
+read off it too: its vertices are the marginal vectors of the core of the
+belief function with mass P(Γ = A), found by one memo entry per family of
+unplaced focal sets.
 Linear SCMs: every verdict comes from one core, the block ``I - B_OO`` of the
 subset and its inverse or left null vectors, and every zero test is the one
 unit-free rule of ``config``.  ``solve_map`` is the one linear solve: the
@@ -84,7 +87,7 @@ class DiscreteDistribution:
     exactly 1.
     """
 
-    __slots__ = ("vars", "domains", "probs", "_codes")
+    __slots__ = ("vars", "domains", "probs", "_counts", "_codes")
 
     def __init__(self, vars, domains: Mapping[str, FiniteDomain], probs: Mapping[tuple, Fraction]):
         self.vars = tuple(vars)
@@ -101,7 +104,25 @@ class DiscreteDistribution:
         if total != 1:
             raise ScmError(f"distribution not normalized: sums to {total}")
         self.probs = MappingProxyType(cleaned)
+        self._counts = self._codes = None
+
+    @classmethod
+    def _from_counts(cls, vars, domains: Mapping[str, FiniteDomain], den: int, counts: Mapping[tuple, int]):
+        """The law with P(cell) = counts[cell] / den, from positive integer
+        counts over one denominator: normalization is checked in integers, and
+        ``den`` and the counts, divided by their gcd, are kept for
+        ``_cell_codes``, whose ``den`` they are."""
+        total = sum(counts.values())
+        if total != den:
+            raise ScmError(f"distribution not normalized: sums to {Fraction(total, den)}")
+        g = math.gcd(den, *counts.values())
+        self = cls.__new__(cls)
+        self.vars = tuple(vars)
+        self.domains = {v: domains[v] for v in self.vars}
+        self.probs = MappingProxyType({cell: Fraction(n, den) for cell, n in counts.items()})
+        self._counts = den // g, [n // g for n in counts.values()]
         self._codes = None
+        return self
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__; ``probs`` is a read-only view
@@ -123,13 +144,17 @@ class DiscreteDistribution:
         codes)`` with ``n[c] == p * den`` for the ``c``-th cell of ``probs``
         and ``codes[c]`` its position in each variable's domain.
 
-        ``den`` is the lcm of the cell denominators.  The dtype of ``n`` is
-        ``int64`` while ``den * den < 2**62``, so sums of cells and products
-        of two such sums cannot overflow, and ``object`` (Python ints)
-        beyond.  Computed once and cached; the arrays are read-only.
+        ``den`` is the lcm of the cell denominators, taken as it is from a
+        law built by ``_from_counts``.  The dtype of ``n`` is ``int64`` while
+        ``den * den < 2**62``, so sums of cells and products of two such sums
+        cannot overflow, and ``object`` (Python ints) beyond.  Computed once
+        and cached; the arrays are read-only.
         """
         if self._codes is None:
-            den = math.lcm(*(p.denominator for p in self.probs.values()))
+            if self._counts is None:
+                den = math.lcm(*(p.denominator for p in self.probs.values()))
+                self._counts = den, [p.numerator * (den // p.denominator) for p in self.probs.values()]
+            den, counts = self._counts
             index = [{v: i for i, v in enumerate(self.domains[x].values)} for x in self.vars]
             codes = []
             for cell in self.probs:
@@ -137,8 +162,7 @@ class DiscreteDistribution:
                 if len(cell) != len(index) or None in pos:
                     raise ScmError(f"cell {cell!r} is not in the domains of {self.vars!r}")
                 codes.append(pos)
-            n = np.array([p.numerator * (den // p.denominator) for p in self.probs.values()],
-                         dtype=np.int64 if den * den < 2**62 else object)
+            n = np.array(counts, dtype=np.int64 if den * den < 2**62 else object)
             codes = np.array(codes, dtype=np.intp).reshape(len(codes), len(index))
             for a in (n, codes):
                 a.setflags(write=False)
@@ -457,30 +481,83 @@ def _support_assignments(m: FiniteScm, exo_names):
         yield {j: v for j, (v, _) in zip(exo_names, combo)}, n
 
 
+def _getter(positions):
+    """The function from a tuple to the tuple of its items at ``positions``."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda row: (row[i],)
+    return operator.itemgetter(*positions) if positions else lambda row: ()
+
+
+def _gamma_plan(m: FiniteScm, free: tuple, margin: tuple) -> tuple:
+    """The column plan of ``_gamma_law`` for the solved variables ``free``
+    and ``margin``, kept per model, free set and margin: ``(targets, stages,
+    final)``.  ``targets`` are the intervened variables that a component or
+    the margin reads, the columns of the first state.  Each stage is one
+    component of ``_fiber_plan(m, free)``: ``(points, key, solved, solve,
+    project)``, with ``points`` the weighted support points of the noises it
+    is the first to read (``_support_assignments``), ``key`` picking its
+    inputs from a row of the live columns and those noises, and ``project``
+    keeping, from that row and a local solution, the columns that a later
+    stage or the margin reads.  ``final`` puts the last columns, the margin's,
+    in margin order, or is ``None`` where they already are."""
+    plans = m._cache.setdefault("gamma_plans", {})
+    if (free, margin) not in plans:
+        fiber_plan = _fiber_plan(m, free)
+        last = {a: k for k, (_, inputs, _, _) in enumerate(fiber_plan) for a in inputs}
+        last.update((v, len(fiber_plan)) for v in margin)
+        cols = targets = tuple(v for v in m.endogenous_names if v not in free and v in last)
+        stages = []
+        for k, (comp, inputs, solved, solve) in enumerate(fiber_plan):
+            new = tuple(j for j in m.exogenous_names if j in inputs and j not in cols)
+            at = {c: i for i, c in enumerate(cols + new + comp)}
+            points = [(tuple(a.values()), n) for a, n in _support_assignments(m, new)]
+            cols = tuple(c for c in at if last.get(c, -1) > k)
+            stages.append((points, _getter([at[a] for a in inputs]), solved, solve, _getter([at[c] for c in cols])))
+        plans[free, margin] = targets, stages, None if cols == margin else _getter([cols.index(v) for v in margin])
+    return plans[free, margin]
+
+
 def _gamma_law(m: FiniteScm, margin, iv, unique=False):
     """The law of Γ, the fiber of ``m`` under do(iv) projected to ``margin``:
     ``(den, law)`` with P(Γ = A) = law[A] / den for each set A of margin
-    cells, ``den`` the sum of the integer weights of the support points,
-    which is their one denominator; ``None`` at the first empty fiber, and
-    with ``unique`` at the first that is not a singleton.  This
-    is the one finite push-forward of the noise law: one pass over the
-    support of the noises that the variables outside ``iv`` read.  The
-    targets of ``iv`` are held as context and read as their values, so every
-    intervention shares the component memo of ``m`` and none builds a
-    model."""
+    cells, ``den`` the product of the denominators of the noises that the
+    variables outside ``iv`` read; ``None`` when some fiber is empty, and
+    with ``unique`` when some A is not a singleton.  This is the one finite
+    push-forward of the noise law, built one component at a time in
+    topological order, as in variable elimination (Zhang & Poole 1994): a
+    state is the set of partial solutions of a noise value over the live
+    columns (``_gamma_plan``), with its integer weight; each component
+    enumerates the noises it is the first to read, extends every partial
+    solution from its memo, drops the columns that nothing later reads, and
+    merges equal states.  A partial set that is empty ends the pass; one
+    with several solutions cannot, since they may have no extension later.
+    The targets of ``iv`` are held as columns, so every intervention shares
+    the component memo of ``m`` and none builds a model."""
     free = tuple(v for v in m.endogenous_names if v not in iv)
-    # the margin in the order of the solved variables is the fiber itself
-    pick = None if tuple(margin) == free else [
-        (iv[v], None) if v in iv else (None, free.index(v)) for v in margin
-    ]
+    targets, stages, final = _gamma_plan(m, free, tuple(margin))
+    state = {frozenset([tuple(iv[v] for v in targets)]): 1}
+    for points, key, solved, solve, project in stages:
+        merged = {}
+        for rows, n in state.items():
+            for values, w in points:
+                out = set()
+                for row in rows:
+                    read = row + values
+                    k = key(read)
+                    sols = solved.get(k)
+                    if sols is None:
+                        sols = solved[k] = solve(k)
+                    out.update(project(read + sol) for sol in sols)
+                if not out:
+                    return None
+                out = frozenset(out)
+                merged[out] = merged.get(out, 0) + n * w
+        state = merged
     law = {}
-    for assign, n in _support_assignments(m, _relevant_exo(m, free)):
-        assign.update(iv)
-        sols = _fibers(m, free, assign)
-        cells = frozenset(sols) if pick is None else frozenset(
-            tuple(x if i is None else sol[i] for x, i in pick) for sol in sols
-        )
-        if not cells or unique and len(cells) > 1:
+    for rows, n in state.items():
+        cells = rows if final is None else frozenset(map(final, rows))
+        if unique and len(cells) > 1:
             return None
         law[cells] = law.get(cells, 0) + n
     return sum(law.values()), law
@@ -730,10 +807,10 @@ def solve_map(m, subset) -> SolveMap:
 # --- distributions of solutions ----------------------------------------------
 
 def _finite_law(m: FiniteScm, unique: bool):
-    """The Γ-law of all variables of ``m`` (``_gamma_law``).  Where the pass
-    stops, ``NotSolvable`` or, with ``unique``, ``NotUniquelySolvable`` names
-    that noise value, restricted to the noises that are read, with its empty
-    or larger fiber."""
+    """The Γ-law of all variables of ``m`` (``_gamma_law``).  Where there is
+    none, ``NotSolvable`` or, with ``unique``, ``NotUniquelySolvable`` names
+    the first noise value in product order, over the noises that are read,
+    whose fiber is empty or larger (``_finite_scan``), with that fiber."""
     endo = m.endogenous_names
     g = _gamma_law(m, endo, {}, unique=unique)
     if g is None:
@@ -746,13 +823,13 @@ def _finite_law(m: FiniteScm, unique: bool):
 
 def observational_distribution(m):
     """The law of the unique solution.  Finite SCMs: the Γ-law of all
-    variables, one exact pass over the noises the model reads, whose focal
+    variables, one exact pass over the components of the model, whose focal
     sets must all be singletons (``_finite_law``).  Linear SCMs: the
     closed-form Gaussian."""
     if isinstance(m, FiniteScm):
         den, law = _finite_law(m, unique=True)
-        return DiscreteDistribution(m.endogenous_names, m.endogenous,
-                                    {cell: Fraction(n, den) for (cell,), n in law.items()})
+        return DiscreteDistribution._from_counts(m.endogenous_names, m.endogenous, den,
+                                                 {cell: n for (cell,), n in law.items()})
     if isinstance(m, LinearScm):
         try:
             sm = solve_map(m, m.endogenous_names)
@@ -821,7 +898,7 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
         weights = {}
         for c, n in itertools.chain(singles, vector):
             weights[c] = weights.get(c, 0) + n
-        vertices.append(DiscreteDistribution(endo, m.endogenous, {c: Fraction(n, den) for c, n in weights.items()}))
+        vertices.append(DiscreteDistribution._from_counts(endo, m.endogenous, den, weights))
     vertices.sort(key=lambda d: sorted((tuple(map(str, c)), str(p)) for c, p in d.probs.items()))
     return SelectorPolytope(vars=endo, vertices=tuple(vertices))
 

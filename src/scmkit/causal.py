@@ -7,13 +7,16 @@ the core of the belief function with mass m(A) = P(Γ = A) (Dempster 1967;
 Shafer 1976).  The core determines the belief function, its lower envelope,
 and the belief function its mass, so two sets are equal iff the two laws of
 Γ are equal.  Each law is ``analysis._gamma_law``, the one finite
-push-forward of the noise law: one exact pass over the support of the noises
-that the non-intervened variables read, per model and per intervention, at a
-cost of that support's size times the product of the cycle-cutset domains of
-each component; no selector is enumerated and no LP is solved.  A difference
-is witnessed by the smallest differing focal set S, its beliefs (the least
-achievable probabilities of S) on both sides, and the selector law that
-reaches the smaller one, which lies outside the other side's set.
+push-forward of the noise law: one exact pass over the strongly connected
+components in topological order, per model and per intervention, at a cost
+per component of its live states (distinct partial solutions of the noises
+read so far) times the support of the noises it is the first to read, each
+distinct input solved once on a cycle cutset; no selector is enumerated and
+no LP is solved.  A difference is witnessed by the smallest differing focal
+set S, its beliefs (the least achievable probabilities of S) on both sides,
+and the selector law that reaches the smaller one, which lies outside the
+other side's set, built from its integer counts
+(``DiscreteDistribution._from_counts``).
 Interventional equivalence quantifies over all perfect interventions inside
 the margin; counterfactual equivalence is interventional equivalence of the
 twin models.  Each report names the rule that decided it in ``rule``:
@@ -114,7 +117,7 @@ def _selector_law(margin, domains, den, law, order, event) -> DiscreteDistributi
         ranked = sorted(cells, key=order)
         cell = next((c for c in ranked if c not in event), ranked[0])
         weights[cell] = weights.get(cell, 0) + n
-    return DiscreteDistribution(margin, domains, {c: Fraction(n, den) for c, n in weights.items()})
+    return DiscreteDistribution._from_counts(margin, domains, den, weights)
 
 
 def _finite_equivalent(m1, m2, margin, iv) -> EquivalenceReport:
@@ -281,7 +284,7 @@ def is_direct_cause(m, i: str, j: str):
 
     Finite models return (verdict, witness) with the lexicographically first
     contrast found, each law of j being its Γ-law under do(V minus j), one
-    pass over the noises j reads.  The law of j under do(V minus j) reads
+    stage over the noises j reads.  The law of j under do(V minus j) reads
     only j's arguments: i outside j's functional parents is no direct cause.
     In a linear model every parent is one, since its coefficient is not 0.
     In a finite one the contrasts range over j's other declared arguments,

@@ -229,12 +229,15 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     per strongly connected component of the functional graph with more than
     one variable or a self-loop, over every support point of the noises it
     reads times every context (values of the endogenous variables outside
-    it that it reads), reading the component's memo.  Each fiber there, and
-    in the distribution, is solved per component of the declared
-    dependencies on a cycle cutset, so it costs support x context x
-    prod |D_f| over the cutset, per component.  The scan and the
-    distribution share these solves, cached on the model per distinct
-    component input; the cache is sound because models are frozen.
+    it that it reads), reading the component's memo.  Each fiber there is
+    solved per component of the declared dependencies on a cycle cutset, so
+    it costs support x context x prod |D_f| over the cutset, per component.
+    The distribution is built one component at a time (``_gamma_law``): per
+    component, its live states (distinct partial solutions) x the support
+    of the noises it is the first to read x one memo lookup, not the whole
+    support x every component.  The scan and the distribution share the
+    component solves, cached on the model per distinct component input;
+    the cache is sound because models are frozen.
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")

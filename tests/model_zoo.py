@@ -20,6 +20,7 @@ from scmkit import (
     ScmError,
     TabularMechanism,
 )
+from scmkit.analysis import _fibers, _relevant_exo, _support_assignments
 
 F = Fraction
 
@@ -740,6 +741,26 @@ def exhaustive_selector_laws(m, max_selectors=10**6):
         dist = DiscreteDistribution(endo, m.endogenous, probs)
         laws.setdefault(dist, None)
     return tuple(laws)
+
+
+def exhaustive_gamma_law(m, margin, iv, unique=False):
+    """Reference oracle for ``analysis._gamma_law``: one pass over every
+    support point of the noises that the variables outside ``iv`` read, in
+    product order, each fiber solved whole by ``_fibers`` and projected to
+    ``margin``.  ``(den, law)`` with ``den`` the sum of the points' integer
+    weights; ``None`` at the first empty fiber, and with ``unique`` at the
+    first whose projection is not a singleton."""
+    free = tuple(v for v in m.endogenous_names if v not in iv)
+    law = {}
+    for assign, n in _support_assignments(m, _relevant_exo(m, free)):
+        assign.update(iv)
+        cells = frozenset(
+            tuple(iv[v] if v in iv else sol[free.index(v)] for v in margin) for sol in _fibers(m, free, assign)
+        )
+        if not cells or unique and len(cells) > 1:
+            return None
+        law[cells] = law.get(cells, 0) + n
+    return sum(law.values()), law
 
 
 def oracle_ci(dist, a, b, s) -> bool:

@@ -10,6 +10,7 @@ import pytest
 
 import model_zoo as zoo
 from scmkit import (
+    DiscreteDistribution,
     EvidenceError,
     FiniteDomain,
     FiniteScm,
@@ -42,7 +43,7 @@ from scmkit import (
     uniquely_solvable_wrt,
 )
 from scmkit import analysis
-from scmkit.analysis import _cutset, _fibers, _finite_scan
+from scmkit.analysis import _cutset, _fiber_plan, _fibers, _finite_scan, _gamma_law
 from scmkit.dsl import parse
 
 F = Fraction
@@ -625,23 +626,31 @@ class TestObservationalDistribution:
 
     def test_the_pass_stops_at_the_first_fiber_that_is_not_a_singleton(self, monkeypatch):
         # X1 = X1 beside six unread-by-X1 ternary noises: 729 support points,
-        # every fiber of size 2; the first point ends the pass and names the witness
+        # every fiber of size 2.  The witness scan stops at the first point; the
+        # Γ pass cannot stop early, since a partial solution may have no
+        # extension in a later component, but it solves each distinct component
+        # input once: X1 once, each Yi once per value of Ei
         lines = ["model finite", "var X1 : {0, 1}"] + [f"var Y{i} : {{0, 1, 2}}" for i in range(1, 7)]
         lines += [f"noise E{i} : {{0, 1, 2}} ~ {{0: 1/6, 1: 1/3, 2: 1/2}}" for i in range(1, 7)]
         lines += ["eq X1 = X1"] + [f"eq Y{i} = E{i}" for i in range(1, 7)]
         m = parse("\n".join(lines) + "\n")
-        calls = []
+        solver, calls = analysis._component_solver, []
 
-        def counted(*args):
-            calls.append(args[1])
-            return _fibers(*args)
+        def counted(m, comp):
+            inputs, solve = solver(m, comp)
 
-        monkeypatch.setattr(analysis, "_fibers", counted)
+            def counted_solve(key):
+                calls.append((comp, key))
+                return solve(key)
+
+            return inputs, counted_solve
+
+        monkeypatch.setattr(analysis, "_component_solver", counted)
         with pytest.raises(NotUniquelySolvable) as err:
             observational_distribution(m)
         assert err.value.witness == {"e": {f"E{i}": 0 for i in range(1, 7)},
                                      "fiber": ((0,) + (0,) * 6, (1,) + (0,) * 6)}
-        assert len(calls) == 2  # one point of the pass, one of the witness scan
+        assert sorted(calls) == sorted([(("X1",), ())] + [((f"Y{i}",), (v,)) for i in range(1, 7) for v in range(3)])
 
     def test_a_long_chain_needs_no_recursion(self):
         # X0 = E, Xi = X(i-1): one component per variable, 1,200 deep
@@ -658,6 +667,48 @@ class TestObservationalDistribution:
     def test_cycle4_distribution_normalizes(self):
         dist = observational_distribution(zoo.cycle4_scm())
         assert sum(dist.probs.values()) == 1
+
+
+class TestGammaPass:
+    """The component-at-a-time Γ pass against the per-point oracle."""
+
+    @staticmethod
+    def compare(m, margin, iv, seen):
+        for unique in (False, True):
+            law = _gamma_law(m, margin, iv, unique)
+            assert law == zoo.exhaustive_gamma_law(m, margin, iv, unique), (m, margin, iv, unique)
+            if law is None:
+                seen["none", unique] += 1
+            elif any(len(a) > 1 for a in law[1]):
+                seen["several"] += 1
+
+    def test_corpus_laws_match_the_per_point_oracle(self):
+        rng, seen = random.Random(14), Counter()
+        for path in sorted(CORPUS.glob("*.scm")):
+            m = parse(path.read_text())
+            if not isinstance(m, FiniteScm):
+                continue
+            seen["models"] += 1
+            names = m.endogenous_names
+            for iv in [{}] + zoo.random_interventions(rng, m, 3):
+                for margin in [names] + [(v,) for v in names]:
+                    self.compare(m, margin, iv, seen)
+        assert seen["models"] >= 20 and seen["several"] and seen["none", False] and seen["none", True], seen
+
+    def test_random_laws_match_the_per_point_oracle(self):
+        rng, seen = random.Random(1401), Counter()
+        for _ in range(400):
+            m = zoo.random_finite_scm(rng, max_endo=5, max_exo=3, self_arg_p=0.3)
+            names = m.endogenous_names
+            readers = Counter(j for _, inputs, _, _ in _fiber_plan(m, names) for j in inputs if j in m.exogenous)
+            seen["shared noise"] += any(k > 1 for k in readers.values())
+            seen["zero mass"] += any(p == 0 for j in m.exogenous_names for p in m.measure[j].values())
+            for iv in [{}] + zoo.random_interventions(rng, m, 1):
+                margins = [names, (rng.choice(names),), tuple(rng.sample(names, 2))[::-1]]
+                for margin in margins:
+                    self.compare(m, margin, iv, seen)
+        assert seen["shared noise"] > 100 and seen["zero mass"] > 100, seen
+        assert seen["several"] > 100 and seen["none", False] > 100 and seen["none", True] > seen["none", False], seen
 
 
 class TestPolytope:
@@ -877,6 +928,28 @@ class TestDistributionPlumbing:
         for call in calls:
             with pytest.raises(UnknownNameError, match="ZZ"):
                 call()
+
+    def test_an_integer_law_keeps_the_counts_of_its_fractions(self):
+        # the law built from the Γ-law's integer counts equals the one built
+        # from its Fractions, with the same den, counts and dtype for the CI kernel
+        rng = random.Random(1402)
+        models = [zoo.big_denominator_scm(), zoo.ladder_scm(2)] + [zoo.random_finite_scm(rng) for _ in range(100)]
+        checked = 0
+        for m in models:
+            try:
+                dist = observational_distribution(m)
+            except ScmError:
+                continue
+            rebuilt = DiscreteDistribution(dist.vars, dist.domains, dict(dist.probs))
+            assert dist == rebuilt
+            (den, n, codes), (den2, n2, codes2) = dist._cell_codes(), rebuilt._cell_codes()
+            assert den == den2 and n.dtype == n2.dtype and n.tolist() == n2.tolist()
+            assert codes.tolist() == codes2.tolist()
+            checked += 1
+        assert checked > 40
+        dom = FiniteDomain((0, 1))
+        with pytest.raises(ScmError, match="not normalized: sums to 3/4"):
+            DiscreteDistribution._from_counts(("A",), {"A": dom}, 4, {(0,): 1, (1,): 2})
 
     def test_json_shapes(self):
         m, _ = zoo.equivalence_pair()

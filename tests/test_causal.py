@@ -355,6 +355,19 @@ class TestObservationalEquivalence:
             assert_event_witness(rep, achievable_marginals(base, ("X",)), achievable_marginals(other, ("X",)),
                                  base.endogenous)
 
+    def test_a_ladder_of_six_pairs_is_interventionally_equivalent_to_its_copy(self):
+        # 6**6 noise points in each of 6 laws per model; the pass carries at
+        # most 4 states of (A_i, B_i) from one pair to the next
+        m = zoo.ladder_scm(6)
+        rep = interventionally_equivalent(m, m.replace(), ["B6"])
+        assert rep.verdict and rep.rule == "single_law"
+
+    def test_a_ladder_of_twenty_pairs_is_observationally_equivalent_to_its_copy(self):
+        # 6**20 noise points, which no per-point walk reaches
+        m = zoo.ladder_scm(20)
+        rep = observationally_equivalent(m, m.replace(), ["B20"])
+        assert rep.verdict and rep.rule == "single_law"
+
     def test_selector_overflow_pair_gets_a_verdict(self):
         # 3**16 selectors: the selector enumeration gives up, while the law of
         # the projected fiber set needs one pass over 16 support points and

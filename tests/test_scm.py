@@ -376,6 +376,17 @@ class TestCanonicalize:
             # idempotent up to mechanism equivalence
             assert mechanisms_equivalent(cm, canonicalize(cm))
 
+    def test_a_dropped_noise_is_pinned_at_its_first_support_value(self):
+        # X = X on {0, 1} whatever E is, so E is no functional parent, but the
+        # self-loop stays and its table row at X = 2 reads E: 1 at E = 0 (no
+        # mass), 0 at E = 1 (the first support value) and 1 at E = 2
+        x, e = zoo.fd(0, 1, 2), zoo.fd(0, 1, 2)
+        mech = zoo.postab({"X": x, "E": e}, ("X", "E"), lambda X, E: X if X < 2 else (1, 0, 1)[E])
+        m = FiniteScm({"X": x}, {"E": e}, {"E": {0: F(0), 1: F(1, 2), 2: F(1, 2)}}, {"X": mech})
+        cm = canonicalize(m)
+        assert dict(cm.mechanisms["X"].table) == {(0,): 0, (1,): 1, (2,): 0}
+        assert mechanisms_equivalent(m, cm)
+
     def test_zero_variance_coordinate_folded_into_intercept(self):
         blocks = (GaussianBlock("E1", ("E1",), [3.0], [[0.0]]),)
         m = LinearScm(("X",), blocks, [[0.0]], [[2.0]])
