@@ -362,31 +362,46 @@ def _component_solver(m, comp) -> tuple:
     falls outside its variable's domain is dropped, and the assignment is a
     solution iff every mechanism of the cut reproduces the cut's value.  A
     solve costs prod |D_f| over the cut, not prod |D_o| over the component:
-    3 instead of 3**5 on a ternary 5-ring."""
+    3 instead of 3**5 on a ternary 5-ring.  The values live in one row over
+    ``inputs + comp``, and each table is read at its arguments' positions."""
     inputs = tuple(dict.fromkeys(a for o in comp for a in m.mechanisms[o].args if a not in comp))
     cut, rest = _cutset(m, comp)
+    at = {v: i for i, v in enumerate(inputs + comp)}
+
+    def reader(o):
+        mech = m.mechanisms[o]
+        return at[o], mech, mech.table, _getter([at[a] for a in mech.args])
+
     cut_values = [m.endogenous[o].values for o in cut]
-    cut_mechs = [(o, m.mechanisms[o]) for o in cut]
+    cut_at = [at[o] for o in cut]
+    cut_readers = [reader(o) for o in cut]
     # each domain as a dict, which maps a computed value to the domain's own
-    evaluate = tuple((o, m.mechanisms[o], {v: v for v in m.endogenous[o].values}) for o in rest)
+    evaluate = [reader(o) + ({v: v for v in m.endogenous[o].values},) for o in rest]
     # a cut that is not a prefix of ``comp`` enumerates in another order
     rank = None if cut == comp[:len(cut)] else [
         {v: r for r, v in enumerate(m.endogenous[o].values)} for o in comp
     ]
 
     def solve(key):
-        local = dict(zip(inputs, key))
+        row = list(key) + [None] * len(comp)
         out = []
-        for combo in itertools.product(*cut_values):
-            local.update(zip(cut, combo))
-            for o, mech, domain in evaluate:
-                value = domain.get(mech(local), _OUTSIDE)
-                if value is _OUTSIDE:
-                    break
-                local[o] = value
-            else:
-                if all(local[o] == mech(local) for o, mech in cut_mechs):
-                    out.append(tuple(local[o] for o in comp))
+        try:
+            for combo in itertools.product(*cut_values):
+                for i, v in zip(cut_at, combo):
+                    row[i] = v
+                for i, mech, table, get, domain in evaluate:
+                    value = domain.get(table[get(row)], _OUTSIDE)
+                    if value is _OUTSIDE:
+                        break
+                    row[i] = value
+                else:
+                    for i, mech, table, get in cut_readers:
+                        if row[i] != table[get(row)]:
+                            break
+                    else:
+                        out.append(tuple(row[len(inputs):]))
+        except KeyError as exc:
+            raise mech._missing_row(exc.args[0]) from None
         if rank is not None and len(out) > 1:
             out.sort(key=lambda sol: tuple(r[v] for r, v in zip(rank, sol)))
         return tuple(out)
@@ -469,16 +484,17 @@ def _noise_weights(m: FiniteScm, j: str) -> tuple:
 
 
 def _support_assignments(m: FiniteScm, exo_names):
-    """Yield ``(assignment dict, n)`` over the support of the product measure
-    restricted to ``exo_names``, in product order: the point has probability
-    ``n / den``, with ``n`` an integer and ``den`` the sum of all the weights,
-    the product of the noises' ``_noise_weights`` denominators."""
+    """Yield ``(values, n)`` over the support of the product measure
+    restricted to ``exo_names``, in product order: ``values`` is the tuple
+    of the noises' values in the order of ``exo_names``, and the point has
+    probability ``n / den``, with ``n`` an integer and ``den`` the sum of all
+    the weights, the product of the noises' ``_noise_weights`` denominators."""
     weighted = [_noise_weights(m, j)[1] for j in exo_names]
     for combo in itertools.product(*weighted):
         n = 1
         for _, w in combo:
             n *= w
-        yield {j: v for j, (v, _) in zip(exo_names, combo)}, n
+        yield tuple(v for v, _ in combo), n
 
 
 def _getter(positions):
@@ -511,7 +527,7 @@ def _gamma_plan(m: FiniteScm, free: tuple, margin: tuple) -> tuple:
         for k, (comp, inputs, solved, solve) in enumerate(fiber_plan):
             new = tuple(j for j in m.exogenous_names if j in inputs and j not in cols)
             at = {c: i for i, c in enumerate(cols + new + comp)}
-            points = [(tuple(a.values()), n) for a, n in _support_assignments(m, new)]
+            points = list(_support_assignments(m, new))
             cols = tuple(c for c in at if last.get(c, -1) > k)
             stages.append((points, _getter([at[a] for a in inputs]), solved, solve, _getter([at[c] for c in cols])))
         plans[free, margin] = targets, stages, None if cols == margin else _getter([cols.index(v) for v in margin])

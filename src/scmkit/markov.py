@@ -2,13 +2,17 @@
 of the (general) directed global Markov property against the functional graph.
 
 Conditional independence of finite distributions is an exact cross-product
-check on integer counts, one Gram matrix per value of the conditioning set;
-Gaussian distributions use vanishing partial correlation.
+check on integer counts.  One kernel (``_finite_ci``) decides a whole family
+of conditioning sets: one Gram tensor holds a slot per set and value of that
+set, and the sets are taken in runs that keep every array within a fixed
+entry budget (``_CI_BUDGET``).  Gaussian distributions use vanishing partial
+correlation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .analysis import (
@@ -32,47 +36,94 @@ def _disjoint(a, b, s):
     return tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(s))
 
 
-def _joint_code(dist: DiscreteDistribution, codes, names) -> tuple:
-    """``(code, size)``: each support cell's value of ``names`` as an integer
-    below ``size``, by mixed radix over their domains, renumbered in sorted
-    order whenever the radix would exceed the number of cells."""
-    code, size = None, 1
-    for v in names:
-        k, column = len(dist.domains[v]), codes[:, dist.vars.index(v)]
-        code, size = column if code is None else code * k + column, size * k
-        if size > len(codes):
+def _group_codes(dist: DiscreteDistribution, codes, groups) -> tuple:
+    """``(code, count)``: ``code[g, c]`` numbers the value of the group
+    ``groups[g]`` (a tuple of variables) at support cell c, densely over the
+    ``count`` pairs of a group and a value that occur, ordered by group, then
+    by the mixed-radix value; so the codes of each group are a run, and the
+    runs follow the order of ``groups``.  The codes are renumbered densely
+    whenever their range outgrows the number of (group, cell) pairs, so the
+    mixed radix cannot overflow."""
+    cells = len(codes)
+    wide = max(map(len, groups), default=0)
+    # the columns of each group, padded with an all-zero column
+    padded = np.zeros((len(dist.vars) + 1, cells), dtype=np.intp)
+    padded[:-1] = codes.T
+    at = {v: i for i, v in enumerate(dist.vars)}
+    members = np.array([[at[v] for v in g] + [len(at)] * (wide - len(g)) for g in groups],
+                       dtype=np.intp).reshape(len(groups), wide)
+    radix = max((len(dist.domains[v]) for v in dist.vars), default=1)
+    code, bound = np.repeat(np.arange(len(groups))[:, None], cells, axis=1), len(groups)
+    for i in range(wide):
+        if bound > len(groups) * cells:
             values, code = np.unique(code, return_inverse=True)
-            size = len(values)
-    return np.zeros(len(codes), dtype=np.intp) if code is None else code, size
+            bound = len(values)
+        code, bound = code.reshape(len(groups), cells) * radix + padded[members[:, i]], bound * radix
+    values, code = np.unique(code, return_inverse=True)
+    return code.reshape(len(groups), cells), len(values)
 
 
-def _finite_ci(dist: DiscreteDistribution, s, blocks):
-    """Exact test of every pair of ``blocks`` (disjoint tuples of variables
-    outside ``s``) for independence given ``s``, on the integer weights n
-    of the support cells (``DiscreteDistribution._cell_codes``).
+# The most entries that one array of ``_finite_ci`` may hold: the Gram tensor
+# of a run of conditioning sets, or its scatter index.  A set that needs more
+# on its own runs alone, at the cost of one set.
+_CI_BUDGET = 1 << 16
 
-    The values of the blocks are the columns of one Gram matrix per value k
-    of S on the support: entry (i, j) of matrix k is n(i, j, k), the weight
-    of the cells with values i and j and S = k, so its diagonal holds n(i, k)
-    and one block's share of the diagonal sums to n(k).  Blocks p and q are
-    independent given S iff n(p, q, k) * n(k) == n(p, k) * n(q, k) in every
-    cell.  Returns the boolean matrix of those verdicts over pairs of blocks
-    (its diagonal means nothing).  The Gram matrices hold K * D**2 integers,
-    for K values of S and D block values on the support."""
+
+def _ci_chunks(dist: DiscreteDistribution, sets, cells: int, pairs: int, width: int):
+    """Split ``sets`` into runs ``(start, stop)`` whose arrays in
+    ``_finite_ci`` stay within ``_CI_BUDGET`` entries: a set of S costs
+    ``cells * pairs`` scatter indices and at most min(cells, prod |D_v| over
+    S) slots of ``width`` Gram entries each.  A run holds at least one set."""
+    runs, start, index, tensor = [], 0, 0, 0
+    size = {v: len(dist.domains[v]) for v in dist.vars}
+    for t, s in enumerate(sets):
+        slots = min(cells, math.prod([size[v] for v in s])) * width
+        if t > start and (index + cells * pairs > _CI_BUDGET or tensor + slots > _CI_BUDGET):
+            runs.append((start, t))
+            start, index, tensor = t, 0, 0
+        index, tensor = index + cells * pairs, tensor + slots
+    if sets:
+        runs.append((start, len(sets)))
+    return runs
+
+
+def _finite_ci(dist: DiscreteDistribution, sets, blocks):
+    """Exact tests of every pair of ``blocks`` (disjoint tuples of variables)
+    for independence given each set of ``sets``, on the integer weights n of
+    the support cells (``DiscreteDistribution._cell_codes``): ``verdict[t, p,
+    q]`` is true iff blocks p and q are independent given ``sets[t]``.  It
+    means nothing where p == q or where a block meets the set.
+
+    The values of the blocks are the columns of one Gram tensor whose slots
+    are every pair of a set and a value k of it on the support: entry (i, j)
+    of slot k is n(i, j, k), the weight of the cells with values i and j and
+    S = k, so its diagonal holds n(i, k) and one block's share of the
+    diagonal sums to n(k).  One scatter-add of the cell weights fills it, one
+    cross-product comparison n(p, q, k) * n(k) == n(p, k) * n(q, k) tests
+    every cell, and ``reduceat`` gathers the verdicts per set and per block.
+    The sets are taken in runs (``_ci_chunks``) so that neither the tensor
+    nor its scatter index goes over ``_CI_BUDGET`` entries."""
     _, n, codes = dist._cell_codes()
-    k, nk = _joint_code(dist, codes, s)
-    cols, offsets = [], [0]
-    for block in blocks:
-        code, size = _joint_code(dist, codes, block)
-        cols.append(code + offsets[-1])
-        offsets.append(offsets[-1] + size)
-    d, starts, cols = offsets[-1], offsets[:-1], np.array(cols)
-    gram = np.zeros((nk, d, d), dtype=n.dtype)
-    np.add.at(gram, (k, cols[:, None], cols[None, :]), n)
-    n_ik = gram.diagonal(0, 1, 2)
-    n_k = n_ik[:, :offsets[1]].sum(axis=1)
-    equal = (gram * n_k[:, None, None] == n_ik[:, :, None] * n_ik[:, None, :]).all(axis=0)
-    return np.logical_and.reduceat(np.logical_and.reduceat(equal, starts, axis=0), starts, axis=1)
+    cells = len(codes)
+    cols, d = _group_codes(dist, codes, blocks)
+    starts = cols.min(axis=1)
+    # (p, q, cell) -> the cell's entry (i, j) in a slot of the tensor
+    pair = cols[:, None, :] * d + cols[None, :, :]
+    verdict = np.empty((len(sets), len(blocks), len(blocks)), dtype=bool)
+    for start, stop in _ci_chunks(dist, sets, cells, len(blocks) ** 2, d * d):
+        slot, slots = _group_codes(dist, codes, sets[start:stop])
+        gram = np.zeros(slots * d * d, dtype=n.dtype)
+        index = slot[:, None, None, :] * (d * d) + pair
+        # flat and with the weights laid out in full, add.at takes its fast
+        # loop (numpy 2.4 also misreads values it has to broadcast itself)
+        np.add.at(gram, index.ravel(), np.broadcast_to(n, index.shape).ravel())
+        gram = gram.reshape(slots, d, d)
+        n_ik = gram.diagonal(0, 1, 2)
+        n_k = n_ik[:, :cols[0].max() + 1].sum(axis=1)
+        equal = gram * n_k[:, None, None] == n_ik[:, :, None] * n_ik[:, None, :]
+        equal = np.logical_and.reduceat(equal, slot.min(axis=1), axis=0)
+        verdict[start:stop] = np.logical_and.reduceat(np.logical_and.reduceat(equal, starts, axis=1), starts, axis=2)
+    return verdict
 
 
 def _gaussian_ci(dist: GaussianDistribution, a, b, s, tol) -> bool:
@@ -103,7 +154,7 @@ def conditional_independent(dist, a, b, s=()) -> bool:
     if unknown:
         raise UnknownNameError(f"unknown coordinates {sorted(unknown)}")
     if isinstance(dist, DiscreteDistribution):
-        return bool(_finite_ci(dist, s, [a, b])[0, 1])
+        return bool(_finite_ci(dist, [s], [a, b])[0, 0, 1])
     return _gaussian_ci(dist, a, b, s, tolerance())
 
 
@@ -215,15 +266,18 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     By default A and B range over singletons, which suffices at desk scale;
     ``full_subsets=True`` enumerates all disjoint subset pairs (exponential).
 
-    Cost: the statements are answered per conditioning set, not one by one.
-    One search over the paths from A (``graph._open_sinks``) finds every B
-    that an unblocked path reaches given S, so there is one path search per
-    (A, S).  On a finite law in singletons there is one integer Gram matrix
-    per value of S (``_finite_ci`` over the support cells of
-    ``DiscreteDistribution``, weights over one denominator), which decides
-    every pair outside S at once by exact cross products, with no
-    tolerance; ``full_subsets`` tests each (A, B) pair with the same kernel.
-    Linear models test each statement on partial correlations.  The
+    Cost: the statements are answered in bulk, not one by one.  There is
+    one path search per (A, S) (``graph._open_sinks``), and it looks only
+    for the B that the table pairs with A (for singletons, the names after
+    A) outside S, so it stops once those are found.  On a finite law in
+    singletons one kernel call decides every S of the table
+    (``_finite_ci`` over the support cells of ``DiscreteDistribution``,
+    weights over one denominator): one Gram tensor with a slot per value of
+    each S, filled by one scatter-add and tested by exact cross products,
+    with no tolerance.  The sets run in chunks that keep the tensor and its
+    scatter index within ``_CI_BUDGET`` entries, so memory stays flat
+    however many sets the table holds.  ``full_subsets`` tests each (A, B)
+    pair with the same kernel, one S at a time.  Linear models test each statement on partial correlations.  The
     functional graph costs one pass over each mechanism's table per
     argument (``functional_parents``).  The precondition scan is one loop
     per strongly connected component of the functional graph with more than
@@ -249,20 +303,6 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     names = m.endogenous_names
     if max_conditioning is None:
         max_conditioning = len(names)
-    every = frozenset(names)
-    # one path search per (A, S) and, on a finite law in singletons, one
-    # Gram matrix per S: every B is read off them
-    joined, pairwise = {}, {}
-
-    def independent(a, b, s):
-        if full_subsets or not isinstance(dist, DiscreteDistribution):
-            return conditional_independent(dist, a, b, s)
-        if s not in pairwise:
-            free = [v for v in names if v not in s]
-            pairwise[s] = {v: i for i, v in enumerate(free)}, _finite_ci(dist, s, [(v,) for v in free])
-        pos, table = pairwise[s]
-        return bool(table[pos[a[0]], pos[b[0]]])
-
     report = MarkovReport(kind=kind, premise=premise)
     if full_subsets:
         pairs = []
@@ -275,12 +315,30 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
                             pairs.append((a, b))
     else:
         pairs = [((x,), (y,)) for x, y in itertools.combinations(names, 2)]
+    # each search from A looks only for the B that the pairs join to A
+    partners = {}
     for a, b in pairs:
+        partners.setdefault(a, set()).update(b)
+    joined = {}
+    bulk = not full_subsets and isinstance(dist, DiscreteDistribution)
+    if bulk:
+        # every S of the singleton table, decided by one kernel
+        sets = [s for size in range(min(max_conditioning, len(names) - 2) + 1)
+                for s in itertools.combinations(names, size)]
+        row = {s: t for t, s in enumerate(sets)}
+        # one list per pair, over the sets: the pairs in the order of the table
+        i, j = np.triu_indices(len(names), 1)
+        verdict = _finite_ci(dist, sets, [(v,) for v in names])[:, i, j].T.tolist()
+    for k, (a, b) in enumerate(pairs):
         rest = [n for n in names if n not in a and n not in b]
         for size in range(0, min(max_conditioning, len(rest)) + 1):
             for s in itertools.combinations(rest, size):
                 if (a, s) not in joined:
-                    joined[a, s] = _open_sinks(graph, frozenset(a), every.difference(a, s), frozenset(s), kind == "sigma")
+                    joined[a, s] = _open_sinks(graph, frozenset(a), partners[a].difference(s), frozenset(s), kind == "sigma")
                 sep = joined[a, s].isdisjoint(b)
-                report.entries.append(MarkovEntry(a, b, s, sep, independent(a, b, s)))
+                if bulk:
+                    independent = verdict[k][row[s]]
+                else:
+                    independent = conditional_independent(dist, a, b, s)
+                report.entries.append(MarkovEntry(a, b, s, sep, independent))
     return report

@@ -102,7 +102,11 @@ class TabularMechanism(_Frozen):
         try:
             return self.table[key]
         except KeyError:
-            raise ScmError(f"mechanism table has no entry for {dict(zip(self.args, key))!r}") from None
+            raise self._missing_row(key) from None
+
+    def _missing_row(self, key: tuple) -> ScmError:
+        """The error for an argument tuple ``key`` that the table lacks."""
+        return ScmError(f"mechanism table has no entry for {dict(zip(self.args, key))!r}")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__: the slots are closed to setattr
@@ -162,9 +166,13 @@ class FiniteScm(_Frozen):
         raise UnknownNameError(f"unknown index {name!r}")
 
     def support(self, j: str) -> tuple:
-        """Values of exogenous index ``j`` with positive probability, in domain order."""
-        table = self.measure[j]
-        return tuple(v for v in self.exogenous[j].values if table.get(v, 0) > 0)
+        """Values of exogenous index ``j`` with positive probability, in domain
+        order; kept in ``_cache``, which is sound because models are frozen."""
+        supports = self._cache.setdefault("supports", {})
+        if j not in supports:
+            table = self.measure[j]
+            supports[j] = tuple(v for v in self.exogenous[j].values if table.get(v, 0) > 0)
+        return supports[j]
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__ from plain dicts; the

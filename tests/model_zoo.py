@@ -751,9 +751,10 @@ def exhaustive_gamma_law(m, margin, iv, unique=False):
     weights; ``None`` at the first empty fiber, and with ``unique`` at the
     first whose projection is not a singleton."""
     free = tuple(v for v in m.endogenous_names if v not in iv)
+    exo = _relevant_exo(m, free)
     law = {}
-    for assign, n in _support_assignments(m, _relevant_exo(m, free)):
-        assign.update(iv)
+    for values, n in _support_assignments(m, exo):
+        assign = dict(zip(exo, values), **iv)
         cells = frozenset(
             tuple(iv[v] if v in iv else sol[free.index(v)] for v in margin) for sol in _fibers(m, free, assign)
         )

@@ -190,6 +190,18 @@ class TestCutsetSolver:
                 seen[one, "ok"] += got.ok
         assert all(seen[one, case] for one in (True, False) for case in ("ok", False, True)), seen
 
+    def test_a_missing_row_is_reported_as_the_mechanism_reports_it(self):
+        # X <-> Y, cut at X: X = 1 under E = 0 reads Y's missing row (1, 0)
+        b = FiniteDomain((0, 1))
+        mechs = {"X": TabularMechanism(("Y", "E"), {(y, e): y ^ e for y in (0, 1) for e in (0, 1)}),
+                 "Y": TabularMechanism(("X", "E"), {(0, 0): 0, (0, 1): 1, (1, 1): 0})}
+        m = FiniteScm({"X": b, "Y": b}, {"E": b}, {"E": {0: F(1, 2), 1: F(1, 2)}}, mechs)
+        assert _cutset(m, ("X", "Y")) == (("X",), ("Y",))
+        with pytest.raises(ScmError) as caught:
+            fiber(m, ("X", "Y"), {"E": 0})
+        assert str(caught.value) == "mechanism table has no entry for {'X': 1, 'E': 0}"
+        assert fiber(m, ("X", "Y"), {"E": 1}) == {(0, 1), (1, 0)}
+
     def test_cutset_is_a_smallest_feedback_set(self):
         rng = random.Random(73)
         for trial in range(120):
@@ -457,11 +469,11 @@ class TestSolveMap:
             from scmkit.analysis import _relevant_ctx, _support_assignments
 
             ctx_names = _relevant_ctx(m, subset)
-            for e_assign, _ in _support_assignments(m, m.exogenous_names):
+            for e_values, _ in _support_assignments(m, m.exogenous_names):
                 for ctx in itertools.product(
                     *(m.endogenous[i].values for i in ctx_names)
                 ):
-                    assign = dict(e_assign)
+                    assign = dict(zip(m.exogenous_names, e_values))
                     assign.update(zip(ctx_names, ctx))
                     assign.update(sm(assign))
                     for o in subset:

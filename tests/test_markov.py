@@ -44,7 +44,8 @@ def check_against_oracles(m, report):
         assert zoo.oracle_ci(dist, e.a, e.b, e.s) == e.independent, (e.a, e.b, e.s)
         verdicts[not e.independent] += 1
     endo = m.endogenous_names
-    for e_assign, _ in _support_assignments(m, m.exogenous_names):
+    for e_values, _ in _support_assignments(m, m.exogenous_names):
+        e_assign = dict(zip(m.exogenous_names, e_values))
         assert sorted(_fibers(m, endo, e_assign)) == sorted(zoo.exhaustive_fiber(m, endo, e_assign)), e_assign
     return verdicts
 
@@ -283,3 +284,98 @@ class TestVerifyMarkov:
         assert independent and dependent
         wide = build is zoo.big_denominator_scm
         assert (observational_distribution(m)._cell_codes()[1].dtype == object) == wide
+
+
+class TestChunkedKernel:
+    """``markov._finite_ci`` decides every conditioning set of a table in runs
+    that keep each array within ``markov._CI_BUDGET`` entries."""
+
+    @staticmethod
+    def runs(monkeypatch):
+        """Record the runs that every kernel call takes."""
+        seen, chunks = [], markov._ci_chunks
+
+        def recorded(*args):
+            seen.append(chunks(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(markov, "_ci_chunks", recorded)
+        return seen
+
+    @pytest.mark.parametrize("budget", [1, 10**12])
+    @pytest.mark.parametrize("build", [zoo.ladder_scm, zoo.ternary_ring_scm, zoo.big_denominator_scm,
+                                       zoo.cycle4_scm])
+    def test_one_set_per_run_and_one_run_give_the_oracle_reports(self, monkeypatch, budget, build):
+        from test_markov_oracle import rebuilt_entries
+
+        monkeypatch.setattr(markov, "_CI_BUDGET", budget)
+        seen = self.runs(monkeypatch)
+        m = build()
+        for kind in ("sigma", "d"):
+            for max_conditioning in (None, 1):
+                report = verify_markov(m, kind=kind, max_conditioning=max_conditioning)
+                assert report.to_json_obj()["entries"] == rebuilt_entries(m, kind, max_conditioning)
+                sets = seen[-1][-1][1]
+                assert seen[-1] == ([(t, t + 1) for t in range(sets)] if budget == 1 else [(0, sets)])
+        wide = observational_distribution(m)._cell_codes()[1].dtype == object
+        assert wide == (build is zoo.big_denominator_scm)
+
+    def test_no_kernel_array_goes_over_the_budget(self, monkeypatch):
+        # every array that the kernel hands to numpy or gets from it is
+        # recorded; the products of the Gram tensor have its shape
+        sizes = []
+
+        def record(fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                for x in args + (out if isinstance(out, tuple) else (out,)):
+                    if isinstance(x, np.ndarray):
+                        sizes.append(x.size)
+                return out
+            return call
+
+        class Recording:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if isinstance(attr, np.ufunc):
+                    return type("Ufunc", (), {m: staticmethod(record(getattr(attr, m))) for m in ("at", "reduceat")})
+                return record(attr) if callable(attr) and not isinstance(attr, type) else attr
+
+        seen = self.runs(monkeypatch)
+        monkeypatch.setattr(markov, "np", Recording())
+        m = zoo.ladder_scm(4)
+        report = verify_markov(m)
+        monkeypatch.undo()
+        assert report.to_json_obj() == verify_markov(m).to_json_obj()
+        (runs,) = seen
+        assert len(runs) > 5 and max(sizes) <= markov._CI_BUDGET
+        # one run would need a scatter index of sets x cells x pairs entries
+        cells, names = len(observational_distribution(m).probs), len(m.endogenous_names)
+        assert runs[-1][1] * cells * names**2 > 8 * markov._CI_BUDGET
+
+    def test_conditional_independent_goes_through_the_one_kernel(self, monkeypatch):
+        calls, kernel = [], markov._finite_ci
+
+        def recorded(dist, sets, blocks):
+            calls.append((sets, blocks))
+            return kernel(dist, sets, blocks)
+
+        monkeypatch.setattr(markov, "_finite_ci", recorded)
+        for m in (zoo.ladder_scm(2), zoo.big_denominator_scm(), zoo.ternary_ring_scm()):
+            dist = observational_distribution(m)
+            names = dist.vars
+            for a, b in itertools.combinations(names, 2):
+                rest = [v for v in names if v not in (a, b)]
+                for size in range(min(2, len(rest)) + 1):
+                    for s in itertools.combinations(rest, size):
+                        calls.clear()
+                        got = conditional_independent(dist, [a], [b], s)
+                        assert got == zoo.oracle_ci(dist, (a,), (b,), s), (a, b, s)
+                        assert calls == [([tuple(sorted(s))], [(a,), (b,)])]
+
+    def test_a_table_without_pairs_is_empty(self):
+        b = FiniteDomain((0, 1))
+        for endo in ({}, {"X": b}):
+            mechs = {v: sk.TabularMechanism(("E",), {(0,): 0, (1,): 1}) for v in endo}
+            m = sk.FiniteScm(endo, {"E": b}, {"E": {0: F(1, 2), 1: F(1, 2)}}, mechs)
+            assert verify_markov(m).entries == []

@@ -313,6 +313,14 @@ class TestGraphs:
         assert ("X2", "X3") not in functional_graph(changed).directed
         assert ("X2", "X3") in functional_graph(m).directed
 
+    def test_noise_support_is_kept_per_model(self):
+        t = FiniteDomain((0, 1, 2))
+        m = FiniteScm({"X": t}, {"E": t}, {"E": {0: F(1, 2), 1: F(0), 2: F(1, 2)}},
+                      {"X": TabularMechanism(("E",), {(e,): e for e in range(3)})})
+        support = m.support("E")
+        assert support == (0, 2) and m.support("E") is support
+        assert m.replace().support("E") == support
+
     def test_attributes_cannot_be_rebound(self):
         corpus = Path(__file__).parent / "corpus"
         m = parse((corpus / "ex_chain.scm").read_text())

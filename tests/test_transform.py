@@ -112,7 +112,8 @@ class TestTwin:
             tw = twin(m)
             from scmkit.analysis import _fibers, _support_assignments
 
-            for e_assign, _ in _support_assignments(m, m.exogenous_names):
+            for e_values, _ in _support_assignments(m, m.exogenous_names):
+                e_assign = dict(zip(m.exogenous_names, e_values))
                 base = sorted(_fibers(m, m.endogenous_names, e_assign))
                 doubled = sorted(_fibers(tw, tw.endogenous_names, e_assign))
                 # twin fibers are exactly the pairs of base fiber elements
