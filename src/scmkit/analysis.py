@@ -27,7 +27,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .config import covariance_problem, negligible, np, snap, tolerance, unit_eigenvectors
+from .config import covariance_problem, negligible, np, perron_balance, snap, tolerance, unit_eigenvectors
 from .errors import (
     EvidenceError,
     NotSolvable,
@@ -672,7 +672,18 @@ def _left_null(b_oo, comps):
     """The left null vectors y of ``M = I - B_OO`` as columns, built over the
     components from the last to the first: ``M_UU^T y_U = -(M^T y)_U``; on a
     singular U that right-hand side, snapped by rule (ii), must be orthogonal
-    to U's right null vectors, which constrains y, and U's own join y."""
+    to U's right null vectors, which constrains y, and U's own join y.
+
+    The work is done in Perron-balanced coordinates, P B_OO P^-1 with p per
+    component from ``perron_balance``, which no change of units moves but for
+    one scale per component, and y is returned as P y~.  There each vector's
+    entries on U are also snapped against its largest entry on U, so an entry
+    whose every term is rounding noise is judged against the vector, not
+    against that noise."""
+    p = np.ones(len(b_oo))
+    for c in comps:
+        p[c] = perron_balance(b_oo[c][:, c])
+    b_oo = p[:, None] * b_oo / p[None, :]
     mat = np.eye(len(b_oo)) - b_oo
 
     def null(a, vectors):
@@ -696,18 +707,20 @@ def _left_null(b_oo, comps):
         rhs = snap(-(mat[:, c].T @ y), size)
         if not left.shape[1]:
             y[c] = np.linalg.solve(block.T, rhs)
-            continue
-        # with no vectors built yet there is nothing for the right null vectors to constrain
-        left, right = null(block.T, left), null(block, unit_eigenvectors(b_cc) if y.size else b_cc[:, :0])
-        k = snap(right.T @ rhs, np.abs(right.T) @ size)
-        if np.any(k):
-            _, s, vh = np.linalg.svd(k)
-            basis = vh[np.count_nonzero(s > tolerance() * s[0]):].conj().T
-            y, rhs = y @ basis, rhs @ basis
-        y[c] = np.linalg.lstsq(block.T, rhs, rcond=None)[0]
-        y = np.hstack([y, np.zeros((len(b_oo), left.shape[1]))])
-        y[c, -left.shape[1]:] = left
-    return y
+        else:
+            # with no vectors built yet there is nothing for the right null vectors to constrain
+            left, right = null(block.T, left), null(block, unit_eigenvectors(b_cc) if y.size else b_cc[:, :0])
+            k = snap(right.T @ rhs, np.abs(right.T) @ size)
+            if np.any(k):
+                _, s, vh = np.linalg.svd(k)
+                basis = vh[np.count_nonzero(s > tolerance() * s[0]):].conj().T
+                y, rhs = y @ basis, rhs @ basis
+            y[c] = np.linalg.lstsq(block.T, rhs, rcond=None)[0]
+            y = np.hstack([y, np.zeros((len(b_oo), left.shape[1]))])
+            y[c, -left.shape[1]:] = left
+        # rule (ii) against each vector's largest entry on U
+        y[c] = np.where(negligible(y[c], np.abs(y[c]).max(axis=0)), 0, y[c])
+    return y * p[:, None]
 
 
 def _linear_solvable(m: LinearScm, subset):

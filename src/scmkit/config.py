@@ -14,8 +14,11 @@ this is the self-loop test.  (ii) A computed value is zero iff it is at most
 the tolerance times its uncancelled magnitude, the same expression evaluated
 on absolute values (``negligible``, ``snap``), and two are equal iff their
 difference is; a covariance is judged in correlation units
-(``covariance_problem``).  (iii) A coefficient, gain or variance of a model
-is zero only when it is exactly 0.
+(``covariance_problem``).  The left null vectors of ``I - B_OO`` are
+computed in the Perron-balanced coordinates of each component
+(``perron_balance``), where an entry is also zero when it is at most the
+tolerance times the vector's largest entry on its component.  (iii) A
+coefficient, gain or variance of a model is zero only when it is exactly 0.
 """
 
 import os
@@ -73,6 +76,22 @@ def unit_eigenvectors(b):
     ranked = np.sort(gap)
     k = max([i + 1 for i, g in enumerate(ranked) if g <= max(tol, rho * near ** (1 / (i + 1)))], default=0)
     return v[:, gap <= ranked[k - 1]] if k else v[:, :0]
+
+
+def perron_balance(b):
+    """The positive diagonal p for which diag(p) |b| diag(p)^-1 has equal left
+    and right Perron vectors, p = sqrt(u / v) for the left and right Perron
+    vectors u and v of ``|b|``, irreducible (a strongly connected component).
+    It undoes a change of units: for D b D^-1 it is p D^-1, so P b P^-1 is
+    the same in any units, P = diag(p)."""
+    if len(b) == 1:
+        return np.ones(1)
+
+    def perron(a):
+        w, v = np.linalg.eig(a)
+        return np.abs(v[:, np.argmax(w.real)].real)
+
+    return np.sqrt(perron(np.abs(b).T) / perron(np.abs(b)))
 
 
 def covariance_problem(cov, scale=None):

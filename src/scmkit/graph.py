@@ -417,49 +417,66 @@ def _paths_between(g: MixedGraph, sources: frozenset, sinks: frozenset):
                     stack.append((new_nodes, new_steps))
 
 
-def _path_blocked(nodes, steps, cond, an_cond, scc):
-    """``scc`` maps each node to its component for sigma-blocking; ``None`` d-blocks."""
-    if nodes[0] in cond or nodes[-1] in cond:
-        return True
+def _signature(nodes, steps, scc) -> tuple:
+    """What decides whether the path is blocked: its start and end, its
+    blocking non-colliders (blocking when conditioned on) and its colliders.
+    Every non-collider blocks for d-separation (``scc`` is ``None``); for
+    sigma-separation (``scc`` maps each node to its component) only one with
+    a child on the path outside its strongly connected component does."""
+    blockers, colliders = [], []
     for k in range(1, len(nodes) - 1):
-        node = nodes[k]
-        into_left = steps[k - 1] in ("out", "bi")
-        into_right = steps[k] in ("in", "bi")
-        if into_left and into_right:
-            # collider: blocks unless it has a descendant in (or is in) cond
-            if node not in an_cond:
-                return True
-        else:
-            # non-collider
-            if node not in cond:
-                continue
-            if scc is None:
-                return True
-            children_on_path = []
-            if steps[k - 1] == "in":
-                children_on_path.append(nodes[k - 1])
-            if steps[k] == "out":
-                children_on_path.append(nodes[k + 1])
-            if any(child not in scc[node] for child in children_on_path):
-                return True
-    return False
+        node, left, right = nodes[k], steps[k - 1], steps[k]
+        if left != "in" and right != "out":
+            colliders.append(node)
+        elif scc is None or (left == "in" and nodes[k - 1] not in scc[node]) or (
+                right == "out" and nodes[k + 1] not in scc[node]):
+            blockers.append(node)
+    return nodes[0], nodes[-1], frozenset(blockers), frozenset(colliders)
 
 
-def _open_sinks(g: MixedGraph, a: frozenset, candidates: frozenset, s: frozenset, sigma: bool) -> frozenset:
-    """The nodes of ``candidates`` that some path not blocked by ``s`` joins
-    to a node of ``a``: sigma-blocked if ``sigma``, else d-blocked.  One
-    search over the paths from ``a`` answers every candidate; it stops once
-    all of them are found.  ``a`` is d- (sigma-) separated from B given
-    ``s`` iff no node of B is returned for ``candidates`` = B."""
-    an_cond = g.ancestors_of(s) if s else frozenset()
+def _open_sinks(g: MixedGraph, a: frozenset, candidates: frozenset, sets, sigma: bool) -> list:
+    """For each conditioning set S of ``sets``, the nodes of ``candidates``
+    outside S that some path not blocked by S joins to a node of ``a``:
+    sigma-blocked if ``sigma``, else d-blocked.  ``a`` is d- (sigma-)
+    separated from B given S iff no node of B is returned for S when B is
+    among the candidates.
+
+    One walk over the simple paths from ``a`` (``_paths_between``) answers
+    every set.  Each path is reduced to its ``_signature``, and each distinct
+    signature is tested once per set: the path is open given S iff its start
+    and end are outside S, none of its blocking non-colliders is in S and
+    every collider is in an(S), which is found once per set, on first need.
+    The walk stops once every set has found all of its candidates, so for
+    one set it is the early-stopping search of a single separation query."""
+    an = {}
+    want = [len(candidates - s) for s in sets]
+    found = [set() for _ in sets]
+    todo = [t for t, n in enumerate(want) if n]
     scc = g.scc_map() if sigma else None
-    found = set()
-    for nodes, steps in _paths_between(g, a, candidates):
-        if nodes[-1] not in found and not _path_blocked(nodes, steps, s, an_cond, scc):
-            found.add(nodes[-1])
-            if len(found) == len(candidates):
+    seen = set()
+    for nodes, steps in _paths_between(g, a, candidates) if todo else ():
+        sig = _signature(nodes, steps, scc)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        start, end, blockers, colliders = sig
+        hit = False
+        for t in todo:
+            s = sets[t]
+            if end in found[t] or start in s or end in s or not s.isdisjoint(blockers):
+                continue
+            if colliders:
+                if t not in an:
+                    an[t] = g._closure(s, g._pa)
+                if not colliders <= an[t]:
+                    continue
+            found[t].add(end)
+            hit = True
+        if hit:
+            todo = [t for t in todo if len(found[t]) < want[t]]
+            if not todo:
                 break
-    return frozenset(found)
+    return [frozenset(f) for f in found]
 
 
 def _separated(g, a, b, s, sigma):
@@ -470,7 +487,7 @@ def _separated(g, a, b, s, sigma):
         raise ScmError("separation needs nonempty node sets on both sides")
     for group in (a, b, s):
         g._check_known(group)
-    return not _open_sinks(g, a, b, s, sigma)
+    return not _open_sinks(g, a, b, [s], sigma)[0]
 
 
 def d_separated(g: MixedGraph, a, b, s) -> bool:

@@ -4,9 +4,9 @@ of the (general) directed global Markov property against the functional graph.
 Conditional independence of finite distributions is an exact cross-product
 check on integer counts.  One kernel (``_finite_ci``) decides a whole family
 of conditioning sets: one Gram tensor holds a slot per set and value of that
-set, and the sets are taken in runs that keep every array within a fixed
-entry budget (``_CI_BUDGET``).  Gaussian distributions use vanishing partial
-correlation.
+set, and the sets are taken in runs, a set too wide on its own in pieces,
+that keep the tensor and its scatter index within a fixed entry budget
+(``_CI_BUDGET``).  Gaussian distributions use vanishing partial correlation.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ def _group_codes(dist: DiscreteDistribution, codes, groups) -> tuple:
 
 # The most entries that one array of ``_finite_ci`` may hold: the Gram tensor
 # of a run of conditioning sets, or its scatter index.  A set that needs more
-# on its own runs alone, at the cost of one set.
+# on its own runs alone and is split further: its slots in pieces, the cells
+# of a piece in batches.  Only a single slot's d x d block, or one cell's
+# block pairs, can go over it.
 _CI_BUDGET = 1 << 16
 
 
@@ -73,7 +75,8 @@ def _ci_chunks(dist: DiscreteDistribution, sets, cells: int, pairs: int, width: 
     """Split ``sets`` into runs ``(start, stop)`` whose arrays in
     ``_finite_ci`` stay within ``_CI_BUDGET`` entries: a set of S costs
     ``cells * pairs`` scatter indices and at most min(cells, prod |D_v| over
-    S) slots of ``width`` Gram entries each.  A run holds at least one set."""
+    S) slots of ``width`` Gram entries each.  A run holds at least one set,
+    so a run over the budget is a single set, which ``_finite_ci`` splits."""
     runs, start, index, tensor = [], 0, 0, 0
     size = {v: len(dist.domains[v]) for v in dist.vars}
     for t, s in enumerate(sets):
@@ -102,27 +105,41 @@ def _finite_ci(dist: DiscreteDistribution, sets, blocks):
     cross-product comparison n(p, q, k) * n(k) == n(p, k) * n(q, k) tests
     every cell, and ``reduceat`` gathers the verdicts per set and per block.
     The sets are taken in runs (``_ci_chunks``) so that neither the tensor
-    nor its scatter index goes over ``_CI_BUDGET`` entries."""
+    nor its scatter index goes over ``_CI_BUDGET`` entries.  A set too wide
+    for that on its own is taken in pieces of its slots, each filled from the
+    cells that hold one of them, and its verdict is the AND of the pieces';
+    the cells of a piece are scattered in batches."""
     _, n, codes = dist._cell_codes()
     cells = len(codes)
     cols, d = _group_codes(dist, codes, blocks)
     starts = cols.min(axis=1)
-    # (p, q, cell) -> the cell's entry (i, j) in a slot of the tensor
-    pair = cols[:, None, :] * d + cols[None, :, :]
-    verdict = np.empty((len(sets), len(blocks), len(blocks)), dtype=bool)
-    for start, stop in _ci_chunks(dist, sets, cells, len(blocks) ** 2, d * d):
+    width, pairs = d * d, len(blocks) ** 2
+    step = max(1, _CI_BUDGET // max(1, width))
+    verdict = np.ones((len(sets), len(blocks), len(blocks)), dtype=bool)
+    for start, stop in _ci_chunks(dist, sets, cells, pairs, width):
         slot, slots = _group_codes(dist, codes, sets[start:stop])
-        gram = np.zeros(slots * d * d, dtype=n.dtype)
-        index = slot[:, None, None, :] * (d * d) + pair
-        # flat and with the weights laid out in full, add.at takes its fast
-        # loop (numpy 2.4 also misreads values it has to broadcast itself)
-        np.add.at(gram, index.ravel(), np.broadcast_to(n, index.shape).ravel())
-        gram = gram.reshape(slots, d, d)
-        n_ik = gram.diagonal(0, 1, 2)
-        n_k = n_ik[:, :cols[0].max() + 1].sum(axis=1)
-        equal = gram * n_k[:, None, None] == n_ik[:, :, None] * n_ik[:, None, :]
-        equal = np.logical_and.reduceat(equal, slot.min(axis=1), axis=0)
-        verdict[start:stop] = np.logical_and.reduceat(np.logical_and.reduceat(equal, starts, axis=1), starts, axis=2)
+        batch = max(1, _CI_BUDGET // max(1, pairs * (stop - start)))
+        # a run over the budget is one set (``_ci_chunks``): its slots go in
+        # pieces of ``step``, each over the cells that hold one of them
+        for lo in range(0, slots, step):
+            hi = min(lo + step, slots)
+            whole = hi - lo == slots
+            keep = slice(None) if whole else (slot[0] >= lo) & (slot[0] < hi)
+            at, value, weight = slot[:, keep] - lo, cols[:, keep], n[keep]
+            gram = np.zeros((hi - lo) * width, dtype=n.dtype)
+            for e in range(0, len(weight), batch):
+                part = slice(e, e + batch)
+                index = at[:, None, None, part] * width + (value[:, None, part] * d + value[None, :, part])
+                # flat and with the weights laid out in full, add.at takes its
+                # fast loop (numpy 2.4 also misreads values it has to broadcast itself)
+                np.add.at(gram, index.ravel(), np.broadcast_to(weight[part], index.shape).ravel())
+            gram = gram.reshape(hi - lo, d, d)
+            n_ik = gram.diagonal(0, 1, 2)
+            n_k = n_ik[:, :cols[0].max() + 1].sum(axis=1)
+            equal = gram * n_k[:, None, None] == n_ik[:, :, None] * n_ik[:, None, :]
+            # the slots of each set of the run (a piece's slots are all its one set's)
+            equal = np.logical_and.reduceat(equal, slot.min(axis=1) if whole else [0], axis=0)
+            verdict[start:stop] &= np.logical_and.reduceat(np.logical_and.reduceat(equal, starts, axis=1), starts, axis=2)
     return verdict
 
 
@@ -266,19 +283,25 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     By default A and B range over singletons, which suffices at desk scale;
     ``full_subsets=True`` enumerates all disjoint subset pairs (exponential).
 
-    Cost: the statements are answered in bulk, not one by one.  There is
-    one path search per (A, S) (``graph._open_sinks``), and it looks only
-    for the B that the table pairs with A (for singletons, the names after
-    A) outside S, so it stops once those are found.  On a finite law in
-    singletons one kernel call decides every S of the table
-    (``_finite_ci`` over the support cells of ``DiscreteDistribution``,
-    weights over one denominator): one Gram tensor with a slot per value of
-    each S, filled by one scatter-add and tested by exact cross products,
-    with no tolerance.  The sets run in chunks that keep the tensor and its
-    scatter index within ``_CI_BUDGET`` entries, so memory stays flat
-    however many sets the table holds.  ``full_subsets`` tests each (A, B)
-    pair with the same kernel, one S at a time.  Linear models test each statement on partial correlations.  The
-    functional graph costs one pass over each mechanism's table per
+    Cost: the statements are answered in bulk, not one by one.  The
+    separation half is one walk per A (``graph._open_sinks``) over the simple
+    paths from A, for every S that the table pairs with A at once.  Each path
+    is reduced to a signature (its ends, blocking non-colliders and
+    colliders), and each distinct signature is tested once per S against S
+    and an(S), found once per S when a path first needs it.  The walk looks
+    only for the B that the table pairs with A (for singletons, the names
+    after A), and it stops once every S has found all of them outside S; a
+    table in which some B is separated walks every path from A, once for all
+    its S.  On a finite law in singletons one kernel call decides every S of
+    the table (``_finite_ci`` over the support cells of
+    ``DiscreteDistribution``, weights over one denominator): one Gram tensor
+    with a slot per value of each S, filled by one scatter-add and tested by
+    exact cross products, with no tolerance.  The sets run in chunks, and a set too wide on its
+    own in pieces, that keep the tensor and its scatter index within
+    ``_CI_BUDGET`` entries, so memory stays flat however many sets the table
+    holds.  ``full_subsets`` tests each (A, B) pair with the same kernel, one
+    S at a time.  Linear models test each statement on partial correlations.
+    The functional graph costs one pass over each mechanism's table per
     argument (``functional_parents``).  The precondition scan is one loop
     per strongly connected component of the functional graph with more than
     one variable or a self-loop, over every support point of the noises it
@@ -315,11 +338,21 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
                             pairs.append((a, b))
     else:
         pairs = [((x,), (y,)) for x, y in itertools.combinations(names, 2)]
-    # each search from A looks only for the B that the pairs join to A
-    partners = {}
+    def conditioning(a, b):
+        rest = [n for n in names if n not in a and n not in b]
+        return itertools.chain.from_iterable(
+            itertools.combinations(rest, size) for size in range(min(max_conditioning, len(rest)) + 1))
+
+    # per A, the B that its pairs join to it and its conditioning sets in
+    # order of first use; one walk per A decides all of them
+    partners, sets_of = {}, {}
     for a, b in pairs:
         partners.setdefault(a, set()).update(b)
+        sets_of.setdefault(a, {}).update(dict.fromkeys(conditioning(a, b)))
     joined = {}
+    for a, a_sets in sets_of.items():
+        opened = _open_sinks(graph, frozenset(a), frozenset(partners[a]), [frozenset(s) for s in a_sets], kind == "sigma")
+        joined.update(zip([(a, s) for s in a_sets], opened))
     bulk = not full_subsets and isinstance(dist, DiscreteDistribution)
     if bulk:
         # every S of the singleton table, decided by one kernel
@@ -330,15 +363,7 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
         i, j = np.triu_indices(len(names), 1)
         verdict = _finite_ci(dist, sets, [(v,) for v in names])[:, i, j].T.tolist()
     for k, (a, b) in enumerate(pairs):
-        rest = [n for n in names if n not in a and n not in b]
-        for size in range(0, min(max_conditioning, len(rest)) + 1):
-            for s in itertools.combinations(rest, size):
-                if (a, s) not in joined:
-                    joined[a, s] = _open_sinks(graph, frozenset(a), partners[a].difference(s), frozenset(s), kind == "sigma")
-                sep = joined[a, s].isdisjoint(b)
-                if bulk:
-                    independent = verdict[k][row[s]]
-                else:
-                    independent = conditional_independent(dist, a, b, s)
-                report.entries.append(MarkovEntry(a, b, s, sep, independent))
+        for s in conditioning(a, b):
+            independent = verdict[k][row[s]] if bulk else conditional_independent(dist, a, b, s)
+            report.entries.append(MarkovEntry(a, b, s, joined[a, s].isdisjoint(b), independent))
     return report

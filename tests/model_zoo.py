@@ -16,6 +16,7 @@ from scmkit import (
     FiniteScm,
     GaussianBlock,
     LinearScm,
+    MixedGraph,
     NotSolvable,
     ScmError,
     TabularMechanism,
@@ -780,6 +781,86 @@ def oracle_ci(dist, a, b, s) -> bool:
         for (vb, vs2), pb in p_bs.items()
         if vs2 == vs
     )
+
+
+# --- separation oracle ----------------------------------------------------------
+
+def simple_paths(g, a, b):
+    """Reference enumerator: every simple path from a node of ``a`` to a
+    node of ``b`` as ``(nodes, steps)``, read off ``g.directed`` and
+    ``g.bidirected`` by recursion; ``steps[k]`` is 'out' for nodes[k] ->
+    nodes[k+1], 'in' for nodes[k] <- nodes[k+1] and 'bi' for <->.  A node in
+    both sets is the length-0 path.  Self-loops lie on no simple path."""
+    moves = {v: [] for v in g.nodes}
+    for u, v in g.directed:
+        if u != v:
+            moves[u].append((v, "out"))
+            moves[v].append((u, "in"))
+    for u, v in g.bidirected:
+        moves[u].append((v, "bi"))
+        moves[v].append((u, "bi"))
+
+    def extend(nodes, steps):
+        if nodes[-1] in b:
+            yield nodes, steps
+        for nxt, kind in moves[nodes[-1]]:
+            if nxt not in nodes:
+                yield from extend(nodes + (nxt,), steps + (kind,))
+
+    for start in a:
+        yield from extend((start,), ())
+
+
+def path_blocked(nodes, steps, cond, an_cond, scc) -> bool:
+    """Reference oracle: is the path blocked by ``cond``?  ``scc`` maps each
+    node to its strongly connected component for sigma-blocking; ``None``
+    d-blocks.  An end in ``cond`` blocks; a collider blocks unless it is in
+    an(cond); a non-collider in ``cond`` blocks, under sigma-blocking only
+    if a child of it on the path lies outside its component."""
+    if nodes[0] in cond or nodes[-1] in cond:
+        return True
+    for k in range(1, len(nodes) - 1):
+        node = nodes[k]
+        into_left = steps[k - 1] in ("out", "bi")
+        into_right = steps[k] in ("in", "bi")
+        if into_left and into_right:
+            if node not in an_cond:
+                return True
+        elif node in cond:
+            if scc is None:
+                return True
+            children_on_path = []
+            if steps[k - 1] == "in":
+                children_on_path.append(nodes[k - 1])
+            if steps[k] == "out":
+                children_on_path.append(nodes[k + 1])
+            if any(child not in scc[node] for child in children_on_path):
+                return True
+    return False
+
+
+def oracle_open_sinks(g, a, sets, sigma) -> list:
+    """Reference oracle: for each set S of ``sets``, the nodes that a path
+    not blocked by S joins to a node of ``a`` (sigma- or d-blocking), by
+    checking every simple path from ``a``; components come from
+    reachability, as ancestors ∩ descendants."""
+    scc = {v: g.ancestors_of(v) & g.descendants_of(v) for v in g.nodes} if sigma else None
+    paths = list(simple_paths(g, a, frozenset(g.nodes)))
+    out = []
+    for s in sets:
+        an_cond = g.ancestors_of(s) if s else frozenset()
+        out.append(frozenset(nodes[-1] for nodes, steps in paths if not path_blocked(nodes, steps, s, an_cond, scc)))
+    return out
+
+
+def random_mixed_graph(rng: random.Random, n: int, directed_p=0.25, bidirected_p=0.15):
+    """Nodes v0 .. v(n-1); each ordered pair, self-loops included, carries a
+    directed edge with probability ``directed_p`` and each unordered pair a
+    bidirected edge with probability ``bidirected_p``."""
+    nodes = [f"v{i}" for i in range(n)]
+    directed = [(u, v) for u in nodes for v in nodes if rng.random() < directed_p]
+    bidirected = [(u, v) for u, v in itertools.combinations(nodes, 2) if rng.random() < bidirected_p]
+    return MixedGraph(nodes, directed, bidirected)
 
 
 # --- random model generation ---------------------------------------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import model_zoo as zoo
 from scmkit import (
     MixedGraph,
     ScmError,
@@ -16,7 +17,7 @@ from scmkit import (
     relatives,
     sigma_separated,
 )
-from scmkit.graph import _paths_between, strong_components
+from scmkit.graph import _open_sinks, _paths_between, strong_components
 
 
 def augmented_endo_graph():
@@ -316,6 +317,59 @@ class TestSigmaSeparation:
         g = MixedGraph(["a", "b"])
         assert not sigma_separated(g, ["a"], ["a"], [])
         assert sigma_separated(g, ["a"], ["a"], ["a"])
+
+
+class TestSeparationOracle:
+    """``d_separated``, ``sigma_separated`` and the many-sets ``_open_sinks``
+    against ``zoo.oracle_open_sinks``, which checks every simple path from
+    its own enumerator, for every (A, B, S)."""
+
+    @staticmethod
+    def check(g, a_sets, max_conditioning, b_sets) -> list:
+        """Every A of ``a_sets``, every S off A with at most
+        ``max_conditioning`` nodes, every B that ``b_sets`` draws from the
+        rest; returns how many statements were separated and open."""
+        nodes, counts = frozenset(g.nodes), [0, 0]
+        for a in a_sets:
+            rest = sorted(nodes - a)
+            sets = [frozenset(c) for r in range(min(max_conditioning, len(rest)) + 1)
+                    for c in itertools.combinations(rest, r)]
+            for sigma, separated in ((True, sigma_separated), (False, d_separated)):
+                expected = zoo.oracle_open_sinks(g, a, sets, sigma)
+                assert _open_sinks(g, a, nodes - a, sets, sigma) == [e - a - s for e, s in zip(expected, sets)]
+                for s, opened in zip(sets, expected):
+                    for b in b_sets(sorted(nodes - a - s)):
+                        verdict = separated(g, a, b, s)
+                        assert verdict == opened.isdisjoint(b), (g, a, b, s, sigma)
+                        counts[verdict] += 1
+        return counts
+
+    def test_every_mixed_graph_on_three_nodes(self):
+        # 6 directed edges and 3 bidirected ones: 512 graphs (a self-loop
+        # lies on no simple path and joins no component)
+        nodes = ("x", "y", "z")
+        directed = list(itertools.permutations(nodes, 2))
+        bidirected = list(itertools.combinations(nodes, 2))
+        subsets = [frozenset(c) for r in (1, 2) for c in itertools.combinations(nodes, r)]
+        graphs = {MixedGraph(nodes, [e for k, e in enumerate(directed) if mask >> k & 1],
+                             [e for k, e in enumerate(bidirected) if mask >> 6 + k & 1]) for mask in range(1 << 9)}
+        assert len(graphs) == 512
+        counts = [0, 0]
+        for g in graphs:
+            got = self.check(g, subsets, 3, lambda rest: [set(c) for r in range(1, len(rest) + 1)
+                                                         for c in itertools.combinations(rest, r)])
+            counts = [x + y for x, y in zip(counts, got)]
+        assert all(counts), counts
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_seeded_random_mixed_graphs(self, n):
+        rng = random.Random(n)
+        counts = [0, 0]
+        for _ in range(8 if n < 7 else 3):
+            g = zoo.random_mixed_graph(rng, n)
+            got = self.check(g, [frozenset([v]) for v in g.nodes], 2, lambda rest: [{b} for b in rest])
+            counts = [x + y for x, y in zip(counts, got)]
+        assert all(counts), counts
 
 
 class TestSerialization:

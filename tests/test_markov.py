@@ -353,6 +353,36 @@ class TestChunkedKernel:
         cells, names = len(observational_distribution(m).probs), len(m.endogenous_names)
         assert runs[-1][1] * cells * names**2 > 8 * markov._CI_BUDGET
 
+    def test_a_set_over_the_budget_is_split_across_runs(self, monkeypatch):
+        # with full conditioning on ladder_scm(5), each |S| = 8 set takes 192
+        # values on the 256 support cells: 192 x 20^2 = 76,800 Gram entries
+        # on its own, so its slots are split and the partial verdicts ANDed
+        tensors, indices = [], []
+
+        def add_at(gram, index, values):
+            tensors.append(gram.size)
+            indices.append(index.size)
+            np.add.at(gram, index, values)
+
+        class Recorded:
+            def __getattr__(self, name):
+                return type("Add", (), {"at": staticmethod(add_at)}) if name == "add" else getattr(np, name)
+
+        seen = self.runs(monkeypatch)
+        monkeypatch.setattr(markov, "np", Recorded())
+        m = zoo.ladder_scm(5)
+        report = verify_markov(m)
+        monkeypatch.undo()
+        assert len(report.entries) == 11520 and report.ok
+        (runs,) = seen
+        # more scatter-adds than runs: some run was split
+        assert len(tensors) > len(runs) and max(tensors + indices) <= markov._CI_BUDGET
+        dist = observational_distribution(m)
+        widest = [e for e in report.entries if len(e.s) == 8]
+        assert len(widest) == 45
+        for e in widest:
+            assert e.independent == zoo.oracle_ci(dist, e.a, e.b, e.s), e
+
     def test_conditional_independent_goes_through_the_one_kernel(self, monkeypatch):
         calls, kernel = [], markov._finite_ci
 

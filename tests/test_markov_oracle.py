@@ -251,26 +251,24 @@ class TestReportsRebuiltPerStatement:
         assert check_reports(m)
 
 
-def random_mixed_graph(rng, n) -> MixedGraph:
-    nodes = [f"v{i}" for i in range(n)]
-    directed = [(u, v) for u in nodes for v in nodes if rng.random() < 0.25]
-    bidirected = [(u, v) for u, v in itertools.combinations(nodes, 2) if rng.random() < 0.15]
-    return MixedGraph(nodes, directed, bidirected)
-
-
 def test_open_sinks_match_one_call_per_candidate():
+    # one many-sets call per A and candidate set, against one public
+    # separation call per (candidate, S)
     rng = random.Random(29)
     found = [0, 0]
     for trial in range(150):
-        g = random_mixed_graph(rng, 5 + trial % 3)
+        g = zoo.random_mixed_graph(rng, 5 + trial % 3)
         nodes = list(g.nodes)
         a = frozenset(rng.sample(nodes, rng.randint(1, 2)))
-        s = frozenset(rng.sample([v for v in nodes if v not in a], rng.randint(0, 2)))
+        sets = [frozenset(rng.sample([v for v in nodes if v not in a], rng.randint(0, 2))) for _ in range(3)]
         for sigma, separated in ((True, sigma_separated), (False, d_separated)):
-            every = frozenset(nodes) - a - s
+            every = frozenset(nodes) - a
             some = frozenset(rng.sample(sorted(every), rng.randint(1, len(every))))
             for candidates in (every, some):
-                expected = {b for b in candidates if not separated(g, a, [b], s)}
-                assert _open_sinks(g, a, candidates, s, sigma) == expected, (g, a, s, sigma)
-                found[bool(expected)] += 1
+                got = _open_sinks(g, a, candidates, sets, sigma)
+                assert len(got) == len(sets)
+                for s, opened in zip(sets, got):
+                    expected = {b for b in candidates - s if not separated(g, a, [b], s)}
+                    assert opened == expected, (g, a, s, sigma)
+                    found[bool(expected)] += 1
     assert all(found), found
