@@ -14,8 +14,7 @@ import sys
 import traceback
 
 from . import analysis, causal, dsl, markov, transform
-from .config import np
-from .errors import ScmError
+from .errors import ParseError, ScmError
 from .graph import MixedGraph, d_separated, sigma_separated
 from .scm import FiniteScm, augmented_graph, functional_graph
 
@@ -39,8 +38,11 @@ def _parse_assignments(m, text: str) -> dict:
         if "=" not in part:
             raise ScmError(f"malformed assignment {part!r}; expected NAME=value")
         name, _, raw = part.partition("=")
-        name = name.strip()
-        value = dsl.parse_value_literal(raw.strip())
+        name, raw = name.strip(), raw.strip()
+        try:
+            value = dsl.parse_value_literal(raw)
+        except ParseError:
+            raise ScmError(f"malformed value {raw!r} in {part}; expected an integer, p/q or decimal") from None
         if isinstance(m, FiniteScm):
             if name not in m.endogenous:
                 raise ScmError(f"unknown variable {name!r}")
@@ -293,10 +295,9 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    """The ``scmkit`` command.  It loads numpy before reading its arguments,
-    so a call's start-up cost does not depend on whether the files it reads
-    are finite or linear; ``run`` loads numpy only when the command needs it."""
-    np.ndarray  # the handle imports numpy on first access
+    """The ``scmkit`` command.  Like ``run``, it loads numpy only when the
+    command needs it: finite files run without it, except under ``markov``,
+    whose independence kernel uses numpy; linear files load it on first use."""
     sys.exit(run())
 
 

@@ -131,6 +131,22 @@ class TestDistCommands:
         assert obj["mean"][0] == pytest.approx(1 / 3 + 1.0, abs=1e-9)
 
 
+class TestMalformedValues:
+    @pytest.mark.parametrize("file", ["ex_chain.scm", "ex_lingauss.scm"])
+    @pytest.mark.parametrize("argv", [
+        ["intervene", "--set"],
+        ["dist", "--do"],
+        ["counterfactual", "--query", "X2'", "--observe"],
+        ["counterfactual", "--query", "X2'", "--cf-do"],
+    ])
+    @pytest.mark.parametrize("raw", ["", "abc", "1/", "1 2"])
+    def test_names_the_assignment_not_a_position(self, capsys, file, argv, raw):
+        assert run([argv[0], corpus(file), *argv[1:], f"X1={raw}"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"scmkit: error: malformed value {raw!r} in X1={raw}; "
+                       "expected an integer, p/q or decimal\n")
+
+
 class TestSepCommand:
     def test_graph_json_input(self, tmp_path, capsys):
         from scmkit import MixedGraph

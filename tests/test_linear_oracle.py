@@ -24,12 +24,13 @@ from scmkit import (
     GaussianBlock,
     LinearScm,
     NotUniquelySolvable,
+    conditional_independent,
     observational_distribution,
     parse,
     solvable_wrt,
     uniquely_solvable_wrt,
 )
-from test_units import FACTORS, rescale
+from test_units import FACTORS, rescale, unscale
 
 F = Fraction
 DYADIC = tuple(F(sign * 2**k) for sign in (1, -1) for k in (-2, -1, 0, 1))
@@ -127,15 +128,25 @@ def oracle(B, gamma, c, mean, cov, subset) -> tuple:
     return det != 0, eliminate(augmented)[0] == rank
 
 
+def battery(seed):
+    """The 60 seeded models of ``seed``: ``(m, d, s, exact)``, with ``d`` and
+    ``s`` the factors that put ``m`` in other units (``rescale``) and
+    ``exact`` its coefficients ``(B, Gamma, c, mean, cov)``."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        m, *exact = dyadic_model(rng)
+        # and in other units: each variable and noise coordinate by 1e-6, 1 or 1e6
+        d = [rng.choice(FACTORS) for _ in m.endogenous_names]
+        s = [rng.choice(FACTORS) for _ in m.coord_names]
+        yield m, d, s, exact
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_solvability_verdicts_match_exact_elimination(seed):
-    rng = random.Random(seed)
     kinds = {}
-    for _ in range(60):
-        m, B, gamma, c, mean, cov = dyadic_model(rng)
+    for m, d, s, (B, gamma, c, mean, cov) in battery(seed):
         names = m.endogenous_names
-        # and in other units: each variable and noise coordinate by 1e-6, 1 or 1e6
-        other = rescale(m, [rng.choice(FACTORS) for _ in names], [rng.choice(FACTORS) for _ in m.coord_names])
+        other = rescale(m, d, s)
         for r in range(1, len(names) + 1):
             for subset in itertools.combinations(range(len(names)), r):
                 exact = oracle(B, gamma, c, mean, cov, list(subset))
@@ -148,6 +159,98 @@ def test_solvability_verdicts_match_exact_elimination(seed):
                 kinds[exact] = kinds.get(exact, 0) + 1
     # uniquely solvable, solvable but singular, and not solvable all occur
     assert set(kinds) == {(True, True), (False, True), (False, False)}, kinds
+
+
+def solve(mat, rhs) -> list:
+    """``X`` with ``mat X = rhs``, ``mat`` square and invertible, by
+    Gauss-Jordan elimination in ``Fraction``s."""
+    n = len(mat)
+    rows = [list(a) + list(r) for a, r in zip(mat, rhs)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def matmul(a, b) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def exact_law(B, gamma, c, mean, cov) -> tuple:
+    """``(mu, sigma, mu_size, sigma_size)``: the mean and covariance of the
+    unique solution ``(I - B)^-1 (Gamma e + c)``, and their uncancelled
+    magnitudes, the same products on absolute values (``cov`` is nonnegative)."""
+    n = len(B)
+    inv = solve([[F(i == j) - B[i][j] for j in range(n)] for i in range(n)],
+                [[F(i == j) for j in range(n)] for i in range(n)])
+    absolute = lambda rows: [[abs(x) for x in row] for row in rows]
+    g, k = matmul(inv, gamma), matmul(absolute(inv), absolute(gamma))
+    mu = matmul(inv, [[sum(x * y for x, y in zip(row, mean)) + ci] for row, ci in zip(gamma, c)])
+    mu_size = matmul(absolute(inv), [[sum(abs(x * y) for x, y in zip(row, mean)) + abs(ci)]
+                                     for row, ci in zip(gamma, c)])
+    transpose = lambda rows: [list(col) for col in zip(*rows)]
+    return ([r[0] for r in mu], matmul(matmul(g, cov), transpose(g)),
+            [r[0] for r in mu_size], matmul(matmul(k, cov), transpose(k)))
+
+
+def exact_ci(cov, a, b, s) -> bool:
+    """a independent of b given S, for the Gaussian with covariance ``cov``:
+    the Schur complement cov_ab - cov_aS cov_SS^-1 cov_Sb is exactly 0, with
+    S cut to a basis of its span (the rest of S is an affine function of it)."""
+    basis = []
+    for k in s:
+        if eliminate([[cov[i][j] for j in basis + [k]] for i in basis + [k]])[0] > len(basis):
+            basis.append(k)
+    x = solve([[cov[i][j] for j in basis] for i in basis], [[cov[i][b]] for i in basis])
+    return cov[a][b] == sum(cov[a][k] * row[0] for k, row in zip(basis, x))
+
+
+# (seed, draw): the units, "model" or "other", in which the Gaussian law or a
+# CI verdict of that uniquely solvable model is known to be wrong, by one of
+# two faults of the library.  Seed 3, draw 25, in other units: X0 is exactly
+# constant (X1 = X1 - 2 X0), but the solve of its 3-cycle leaves X0 a noise
+# row of about 1e-17 of its terms, which rule (ii) does not snap because the
+# row's uncancelled magnitude is made of the same rounding residue; X0 then
+# reads as dependent on X1 and X2.  Seed 3, draw 43, in both units: given
+# S = {X2, X4}, whose correlation is -0.999995, X0 and X1 have exact partial
+# correlation 1, yet their partial variances lie within the tolerance of
+# their magnitude through |corr_SS^-1|, so each reads as a function of S.
+KNOWN_WRONG = {3: {(25, "other"), (43, "model"), (43, "other")}}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gaussian_law_and_ci_match_exact_partial_covariances(seed):
+    """Every uniquely solvable model of the battery, in both units: the mean
+    and covariance against the exact law within the tolerance of their
+    uncancelled magnitude, and every CI statement a, b given S, |S| <= 2,
+    against an exact zero test of the partial covariance."""
+    wrong, statements = set(), 0
+    as_float = lambda rows: np.array(rows, dtype=float)
+    for draw, (m, d, s, (B, gamma, c, mean, cov)) in enumerate(battery(seed)):
+        n = len(B)
+        if oracle(B, gamma, c, mean, cov, list(range(n))) != (True, True):
+            continue
+        mu, sigma, mu_size, sigma_size = exact_law(B, gamma, c, mean, cov)
+        for units, model, scale in (("model", m, np.ones(n)), ("other", rescale(m, d, s), np.array(d))):
+            law = observational_distribution(model)
+            back = unscale(law, scale)  # in the units of the exact law
+            ok = (np.all(abs(back.mean - as_float(mu)) <= 1e-9 * as_float(mu_size))
+                  and np.all(abs(back.cov - as_float(sigma)) <= 1e-9 * as_float(sigma_size)))
+            names = model.endogenous_names
+            for a, b in itertools.combinations(range(n), 2):
+                rest = [k for k in range(n) if k not in (a, b)]
+                for given in itertools.chain.from_iterable(itertools.combinations(rest, r) for r in range(3)):
+                    got = conditional_independent(law, [names[a]], [names[b]], [names[k] for k in given])
+                    ok = ok and got == exact_ci(sigma, a, b, given)
+                    statements += 1
+            if not ok:
+                wrong.add((draw, units))
+    assert statements > 1000
+    assert wrong == KNOWN_WRONG.get(seed, set()), wrong
 
 
 # Both are solvable but not uniquely.  In the first, rows X1 and X3 both say
