@@ -27,7 +27,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .config import covariance_problem, negligible, np, perron_balance, snap, tolerance, unit_eigenvectors
+from .config import covariance_root, negligible, np, perron_balance, snap, tolerance, unit_eigenvectors
 from .errors import (
     EvidenceError,
     NotSolvable,
@@ -215,29 +215,42 @@ class DiscreteDistribution:
 
 
 class GaussianDistribution:
-    """A Gaussian law over named real coordinates; ``scale``, each variable's
-    uncancelled variance (by default ``diag(cov)``), is its unit for ``config``."""
+    """A Gaussian law over named real coordinates, ``mean + factor @ z`` for z
+    standard normal (``covariance_root`` if given by ``cov``); ``scale``, each
+    variable's uncancelled variance (by default ``diag(cov)``), is its unit
+    for ``config``."""
 
-    __slots__ = ("vars", "mean", "cov", "scale")
+    __slots__ = ("vars", "mean", "cov", "scale", "factor")
 
     def __init__(self, vars, mean, cov, scale=None):
-        self.vars = tuple(vars)
-        n = len(self.vars)
-        self.mean = np.asarray(mean, dtype=float).reshape(n)
-        self.cov = np.asarray(cov, dtype=float).reshape(n, n)
-        self.scale = np.maximum(np.diag(self.cov) if scale is None else np.asarray(scale, dtype=float), 0.0)
-        if problem := covariance_problem(self.cov, self.scale):
+        vars = tuple(vars)
+        cov = np.asarray(cov, dtype=float).reshape(len(vars), len(vars))
+        scale = np.maximum(np.diag(cov) if scale is None else np.asarray(scale, dtype=float), 0.0)
+        factor, problem = covariance_root(cov, scale)
+        if problem:
             raise ScmError(f"covariance is {problem}")
-        self.cov = (self.cov + self.cov.T) / 2
-        for a in (self.mean, self.cov, self.scale):
+        self._set(vars, mean, cov, scale, factor)
+
+    @classmethod
+    def _from_factor(cls, vars, mean, cov, scale, factor) -> "GaussianDistribution":
+        """The law ``mean + factor @ z``, with its covariance ``cov`` as given."""
+        return object.__new__(cls)._set(vars, mean, cov, scale, factor)
+
+    def _set(self, vars, mean, cov, scale, factor):
+        self.vars = tuple(vars)
+        self.mean = np.asarray(mean, dtype=float).reshape(len(self.vars))
+        self.cov, self.scale, self.factor = (cov + cov.T) / 2, scale, factor
+        for a in (self.mean, self.cov, self.scale, self.factor):
             a.setflags(write=False)
+        return self
 
     def __repr__(self):
         return f"GaussianDistribution(vars={self.vars!r})"
 
     def marginal(self, names) -> "GaussianDistribution":
         idx = _coordinates(self.vars, names)
-        return GaussianDistribution(tuple(names), self.mean[idx], self.cov[np.ix_(idx, idx)], self.scale[idx])
+        return GaussianDistribution._from_factor(names, self.mean[idx], self.cov[np.ix_(idx, idx)],
+                                                 self.scale[idx], self.factor[idx])
 
     def close_to(self, other: "GaussianDistribution", tol=None) -> bool:
         """The one comparison of Gaussian laws, rule (ii) of ``config`` with
@@ -872,13 +885,17 @@ def observational_distribution(m):
 
 
 def _solution_law(m: LinearScm, sm: SolveMap, names) -> GaussianDistribution:
-    """The law of ``G e + d`` over ``names`` for the linear solve map ``sm``: the
-    uncancelled variances ``|G| |Sigma| |G|^T`` are its scale, its mean snapped by rule (ii)."""
+    """The law of ``G e + d`` over ``names`` for the linear solve map ``sm``: its
+    noise factor ``G root(Sigma)`` (``covariance_root``), the uncancelled
+    variances ``|G| |Sigma| |G|^T`` its scale, its mean snapped by rule (ii)."""
     rows = [sm.targets.index(v) for v in names]
     mean, cov, g, d = m.noise_mean(), m.noise_cov(), sm.G[rows], sm.d[rows]
     scale = np.diag(np.abs(g) @ np.abs(cov) @ np.abs(g).T)
     mean = snap(g @ mean + d, np.abs(g) @ np.abs(mean) + np.abs(d))
-    return GaussianDistribution(names, mean, g @ cov @ g.T, scale)
+    root, problem = covariance_root(cov)
+    if problem:
+        raise ScmError(f"noise covariance is {problem}")
+    return GaussianDistribution._from_factor(names, mean, g @ cov @ g.T, scale, g @ root)
 
 
 def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> SelectorPolytope:
@@ -960,27 +977,38 @@ def counterfactual_distribution(m, factual_do, observed, cf_do, query):
     return dist.marginal(query)
 
 
+def _project(d: GaussianDistribution, ia, ib, tol) -> tuple:
+    """Condition ``d`` on its coordinates ``ib``: ``(rows, gain, rank)``.  With
+    ``x = mean + F z``, x_S fixes z in the row space of F_S, so the rows of
+    ``ia`` become F_A (I - Q Q^T) and their mean moves by ``gain @ (x_S -
+    mean_S)``; Q holds the ``rank`` right singular vectors of F_S's normalized
+    rows over ``tol`` times the largest singular value.  A row is 0 where its
+    variance is by rule (ii) of ``config`` or at most ``tol`` of its norm is left."""
+    f, tol, norm = d.factor, tolerance(tol), np.linalg.norm(d.factor, axis=1)
+    live = ~negligible(norm**2, d.scale, tol)
+    seen = [i for i in ib if live[i]]
+    u, s, vh = np.linalg.svd(f[seen] / norm[seen, None], full_matrices=False)
+    rank = np.count_nonzero(s > tol * s.max(initial=0.0))
+    along = f[ia] @ vh[:rank].T
+    rows = f[ia] - along @ vh[:rank]
+    rows[~live[ia] | negligible(np.linalg.norm(rows, axis=1), norm[ia], tol)] = 0.0
+    gain = np.zeros((len(ia), len(ib)))
+    gain[:, live[ib]] = (along / s[:rank]) @ u[:, :rank].T / norm[seen]
+    return rows, gain, rank
+
+
 def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float], tol=None) -> GaussianDistribution:
-    """Condition a Gaussian on exact values of some coordinates (Schur
-    complement).  A singular observed block is an error: a variance zero by
-    rule (ii) of ``config``, or correlations whose smallest singular value is
-    at most ``tol`` times the largest; so no change of units moves a verdict."""
-    tol = tolerance(tol)
+    """Condition a Gaussian on exact values of some coordinates, the Schur
+    complement taken on its noise factor (``_project``).  An observed block
+    whose rank there is below its size is singular, an error; no change of
+    units moves that verdict."""
     names = list(observed)
     ib = _coordinates(d.vars, names)
     if not names:
         return d
-    keep = [v for v in d.vars if v not in observed]
-    ia = [d.vars.index(v) for v in keep]
-    sab = d.cov[np.ix_(ia, ib)]
-    sbb = d.cov[np.ix_(ib, ib)]
-    values = np.array([float(observed[v]) for v in names])
-    var = np.diag(sbb)
-    sd = np.sqrt(np.where(negligible(var, d.scale[ib], tol), np.inf, var))  # a zero row if so
-    corr = sbb / np.outer(sd, sd)
-    s = np.linalg.svd(corr, compute_uv=False)
-    if s.min() <= tol * s.max():
+    ia = [i for i, v in enumerate(d.vars) if v not in observed]
+    rows, gain, rank = _project(d, ia, ib, tol)
+    if rank < len(ib):
         raise EvidenceError("observed block covariance is singular")
-    k = (sab / sd) @ np.linalg.inv(corr) / sd
-    mean = d.mean[ia] + k @ (values - d.mean[ib])
-    return GaussianDistribution(tuple(keep), mean, d.cov[np.ix_(ia, ia)] - k @ sab.T, d.scale[ia])
+    mean = d.mean[ia] + gain @ (np.array([float(observed[v]) for v in names]) - d.mean[ib])
+    return GaussianDistribution._from_factor([d.vars[i] for i in ia], mean, rows @ rows.T, d.scale[ia], rows)

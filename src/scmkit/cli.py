@@ -60,8 +60,11 @@ def _name_list(text: str) -> list:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScmError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

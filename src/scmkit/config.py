@@ -13,12 +13,14 @@ error of a multiple eigenvalue (``unit_eigenvectors``); for one variable
 this is the self-loop test.  (ii) A computed value is zero iff it is at most
 the tolerance times its uncancelled magnitude, the same expression evaluated
 on absolute values (``negligible``, ``snap``), and two are equal iff their
-difference is; a covariance is judged in correlation units
-(``covariance_problem``).  The left null vectors of ``I - B_OO`` are
-computed in the Perron-balanced coordinates of each component
-(``perron_balance``), where an entry is also zero when it is at most the
-tolerance times the vector's largest entry on its component.  (iii) A
-coefficient, gain or variance of a model is zero only when it is exactly 0.
+difference is; a covariance is judged, and factored, in correlation units
+(``covariance_root``), and Gaussian conditioning and CI project the
+normalized rows of that noise factor (``analysis._project``).  The left null
+vectors of ``I - B_OO`` are computed in the Perron-balanced coordinates of
+each component (``perron_balance``), where an entry is also zero when it is
+at most the tolerance times the vector's largest entry on its component.
+(iii) A coefficient, gain or variance of a model is zero only when it is
+exactly 0.
 """
 
 import os
@@ -94,16 +96,20 @@ def perron_balance(b):
     return np.sqrt(perron(np.abs(b).T) / perron(np.abs(b)))
 
 
-def covariance_problem(cov, scale=None):
-    """``None`` for a symmetric positive semi-definite covariance, otherwise
-    what is wrong with it, judged in correlation units: entry ``(i, j)`` over
-    ``sqrt(scale[i] * scale[j])``, ``scale`` the uncancelled variances."""
+def covariance_root(cov, scale=None):
+    """``(root, problem)``: ``root @ root.T == cov`` up to rounding, and ``None``
+    for a symmetric positive semi-definite covariance, else what is wrong with
+    it (and no root), judged in correlation units: entry ``(i, j)`` over
+    ``sqrt(scale[i] * scale[j])``, ``scale`` the uncancelled variances.  The
+    root is ``diag(sqrt(scale)) V sqrt(w)`` from one ``eigh`` of the
+    correlations, an eigenvalue zero by rule (ii) against the largest."""
     cov = np.asarray(cov, dtype=float)
     sd = np.sqrt(np.maximum(np.diag(cov) if scale is None else scale, 0.0))
     unit = np.outer(sd, sd)
     if not negligible(cov - cov.T, unit).all():
-        return "not symmetric"
+        return None, "not symmetric"
     corr = cov / np.where(unit > 0, unit, 1.0)
-    if ((unit == 0) & (cov != 0)).any() or np.linalg.eigvalsh((corr + corr.T) / 2).min(initial=0.0) < -tolerance():
-        return "not positive semi-definite"
-    return None
+    w, v = np.linalg.eigh((corr + corr.T) / 2)
+    if ((unit == 0) & (cov != 0)).any() or w.min(initial=0.0) < -tolerance():
+        return None, "not positive semi-definite"
+    return sd[:, None] * v * np.sqrt(snap(np.maximum(w, 0.0), w.max(initial=0.0))), None

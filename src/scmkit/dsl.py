@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 
-from .config import covariance_problem, np
+from .config import covariance_root, np
 from .errors import ParseError, ScmError, TabulationError
 from .scm import (
     FiniteDomain,
@@ -600,7 +600,7 @@ def _parse_normal(p: _Parser, size: int):
     cov = np.array(cov, dtype=float)
     if mean.shape != (size,) or cov.shape != (size, size):
         p.fail(f"Normal parameters do not match the {size} declared coordinate(s)")
-    if problem := covariance_problem(cov):
+    if problem := covariance_root(cov)[1]:
         p.fail(f"covariance is {problem}")
     return mean, cov
 

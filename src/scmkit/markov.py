@@ -2,11 +2,10 @@
 of the (general) directed global Markov property against the functional graph.
 
 Conditional independence of finite distributions is an exact cross-product
-check on integer counts.  One kernel (``_finite_ci``) decides a whole family
-of conditioning sets: one Gram tensor holds a slot per set and value of that
-set, and the sets are taken in runs, a set too wide on its own in pieces,
-that keep the tensor and its scatter index within a fixed entry budget
-(``_CI_BUDGET``).  Gaussian distributions use vanishing partial correlation.
+check on integer counts; one kernel (``_finite_ci``) decides a whole family
+of conditioning sets within a fixed entry budget (``_CI_BUDGET``).  A
+Gaussian law is tested on its noise factor projected off the conditioning
+set (``analysis._project``).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 from .analysis import (
     DiscreteDistribution,
     GaussianDistribution,
+    _project,
     observational_distribution,
     uniquely_solvable_wrt,
 )
@@ -144,22 +144,12 @@ def _finite_ci(dist: DiscreteDistribution, sets, blocks):
 
 
 def _gaussian_ci(dist: GaussianDistribution, a, b, s, tol) -> bool:
-    """Vanishing partial correlation on unit variances, so no change of units
-    moves a verdict.  A (partial) variance zero by rule (ii) of ``config`` marks
-    a constant or a function of S, independent of everything; a partial
-    covariance is zero by that rule or when its correlation is at most ``tol``."""
-    u = [dist.vars.index(v) for v in a + b]
-    i_s = [dist.vars.index(v) for v in s]
-    var = np.diag(dist.cov)
-    sd = np.sqrt(np.where(negligible(var, dist.scale, tol), np.inf, var))
-    corr = dist.cov / np.outer(sd, sd)
-    cuu, cus, inv = corr[np.ix_(u, u)], corr[np.ix_(u, i_s)], np.linalg.pinv(corr[np.ix_(i_s, i_s)], tol)
-    partial = cuu - cus @ inv @ cus.T
-    size = np.abs(cuu) + np.abs(cus) @ np.abs(inv) @ np.abs(cus).T
-    var = np.diag(partial)
-    sd = np.sqrt(np.where(negligible(var, np.diag(size), tol), np.inf, var))
-    zero = negligible(partial, size, tol) | (np.abs(partial / np.outer(sd, sd)) <= tol)
-    return bool(np.all(zero[: len(a), len(a):]))
+    """Vanishing partial correlations: the noise factor rows of A and B projected
+    off those of S (``analysis._project``) are independent when one is 0 or
+    their cosine is at most ``tol``, so no change of units moves a verdict."""
+    rows = _project(dist, [dist.vars.index(v) for v in a + b], [dist.vars.index(v) for v in s], tol)[0]
+    norm = np.linalg.norm(rows, axis=1)
+    return bool(np.all(negligible(rows[:len(a)] @ rows[len(a):].T, np.outer(norm[:len(a)], norm[len(a):]), tol)))
 
 
 def conditional_independent(dist, a, b, s=()) -> bool:
@@ -284,37 +274,20 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     ``full_subsets=True`` enumerates all disjoint subset pairs (exponential).
 
     Cost: the statements are answered in bulk, not one by one.  The
-    separation half is one walk per A (``graph._open_sinks``) over the simple
-    paths from A, for every S that the table pairs with A at once.  Each path
-    is reduced to a signature (its ends, blocking non-colliders and
-    colliders), and each distinct signature is tested once per S against S
-    and an(S), found once per S when a path first needs it.  The walk looks
-    only for the B that the table pairs with A (for singletons, the names
-    after A), and it stops once every S has found all of them outside S; a
-    table in which some B is separated walks every path from A, once for all
-    its S.  On a finite law in singletons one kernel call decides every S of
-    the table (``_finite_ci`` over the support cells of
-    ``DiscreteDistribution``, weights over one denominator): one Gram tensor
-    with a slot per value of each S, filled by one scatter-add and tested by
-    exact cross products, with no tolerance.  The sets run in chunks, and a set too wide on its
-    own in pieces, that keep the tensor and its scatter index within
-    ``_CI_BUDGET`` entries, so memory stays flat however many sets the table
-    holds.  ``full_subsets`` tests each (A, B) pair with the same kernel, one
-    S at a time.  Linear models test each statement on partial correlations.
-    The functional graph costs one pass over each mechanism's table per
-    argument (``functional_parents``).  The precondition scan is one loop
-    per strongly connected component of the functional graph with more than
-    one variable or a self-loop, over every support point of the noises it
-    reads times every context (values of the endogenous variables outside
-    it that it reads), reading the component's memo.  Each fiber there is
-    solved per component of the declared dependencies on a cycle cutset, so
-    it costs support x context x prod |D_f| over the cutset, per component.
-    The distribution is built one component at a time (``_gamma_law``): per
-    component, its live states (distinct partial solutions) x the support
-    of the noises it is the first to read x one memo lookup, not the whole
-    support x every component.  The scan and the distribution share the
-    component solves, cached on the model per distinct component input;
-    the cache is sound because models are frozen.
+    separation half is one walk per A (``graph._open_sinks``) for every S
+    that the table pairs with A at once; it looks only for the B that the
+    table pairs with A and stops once every S has found all of them outside
+    S.  On a finite law in singletons one ``_finite_ci`` call decides every S
+    of the table exactly, its memory held within ``_CI_BUDGET`` entries
+    however many sets the table holds; ``full_subsets`` tests each (A, B)
+    pair with the same kernel, one S at a time.  A linear law tests each
+    statement on its noise factor projected off S (``_gaussian_ci``), the
+    projection that conditions it.  The functional graph costs one pass over
+    each mechanism's table per argument (``functional_parents``).  The
+    premise scan (``_premise``) and the law (``_gamma_law``) go one strongly
+    connected component at a time and share its solves, one per distinct
+    component input, cached on the model; the cache is sound because models
+    are frozen.
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .config import covariance_problem, np, unit_eigenvectors
+from .config import covariance_root, np, unit_eigenvectors
 from .errors import DomainMismatchError, ScmError, UnknownNameError
 from .graph import MixedGraph
 
@@ -436,7 +436,7 @@ def _validate_linear(m: LinearScm) -> list:
         if b.cov.shape != (len(b.coords), len(b.coords)):
             problems.append(f"block {b.name} covariance has shape {b.cov.shape}")
             continue
-        if problem := covariance_problem(b.cov):
+        if problem := covariance_root(b.cov)[1]:
             problems.append(f"block {b.name} covariance is {problem}")
     return problems
 

@@ -55,6 +55,13 @@ class TestTransformCommands:
         assert run(["check", str(out), "--solvable", "X1,X2,X3"]) == 1
         assert run(["check", corpus("ex_interventions.scm"), "--solvable", "X1,X2,X3"]) == 0
 
+    def test_unwritable_output_is_a_model_error(self, tmp_path, capsys):
+        # one error line and exit 2, not a traceback and the false-verdict code 1
+        out = tmp_path / "missing" / "x.scm"
+        assert run(["intervene", corpus("ex_chain.scm"), "--set", "X1=1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scmkit: error: cannot write {out}") and err.count("\n") == 1
+
     def test_marginalize_emits_expected_equation(self, capsys):
         assert run(["marginalize", corpus("ex_marginalization.scm"), "--over", "X3,X4,X5"]) == 0
         text = capsys.readouterr().out

@@ -25,6 +25,7 @@ from scmkit import (
     LinearScm,
     NotUniquelySolvable,
     conditional_independent,
+    gaussian_condition,
     observational_distribution,
     parse,
     solvable_wrt,
@@ -197,6 +198,18 @@ def exact_law(B, gamma, c, mean, cov) -> tuple:
             [r[0] for r in mu_size], matmul(matmul(k, cov), transpose(k)))
 
 
+def exact_condition(mu, sigma, keep, given, values) -> tuple:
+    """The mean and covariance of the coordinates ``keep`` given those in
+    ``given`` at ``values``, by the Schur complement in ``Fraction``s:
+    mu_A + K (x_S - mu_S) and sigma_AA - sigma_AS K^T, K = sigma_AS sigma_SS^-1."""
+    k = solve([[sigma[i][j] for j in given] for i in given], [[sigma[i][a] for a in keep] for i in given])
+    mean = [mu[a] + sum(k[t][col] * (x - mu[i]) for t, (i, x) in enumerate(zip(given, values)))
+            for col, a in enumerate(keep)]
+    cov = [[sigma[a][b] - sum(sigma[a][i] * k[t][col] for t, i in enumerate(given)) for col, b in enumerate(keep)]
+           for a in keep]
+    return mean, cov
+
+
 def exact_ci(cov, a, b, s) -> bool:
     """a independent of b given S, for the Gaussian with covariance ``cov``:
     the Schur complement cov_ab - cov_aS cov_SS^-1 cov_Sb is exactly 0, with
@@ -205,28 +218,25 @@ def exact_ci(cov, a, b, s) -> bool:
     for k in s:
         if eliminate([[cov[i][j] for j in basis + [k]] for i in basis + [k]])[0] > len(basis):
             basis.append(k)
-    x = solve([[cov[i][j] for j in basis] for i in basis], [[cov[i][b]] for i in basis])
-    return cov[a][b] == sum(cov[a][k] * row[0] for k, row in zip(basis, x))
+    zero = [F(0)] * len(cov)
+    return exact_condition(zero, cov, [a, b], basis, zero[:len(basis)])[1][0][1] == 0
 
 
-# (seed, draw): the units, "model" or "other", in which the Gaussian law or a
-# CI verdict of that uniquely solvable model is known to be wrong, by one of
-# two faults of the library.  Seed 3, draw 25, in other units: X0 is exactly
-# constant (X1 = X1 - 2 X0), but the solve of its 3-cycle leaves X0 a noise
-# row of about 1e-17 of its terms, which rule (ii) does not snap because the
-# row's uncancelled magnitude is made of the same rounding residue; X0 then
-# reads as dependent on X1 and X2.  Seed 3, draw 43, in both units: given
-# S = {X2, X4}, whose correlation is -0.999995, X0 and X1 have exact partial
-# correlation 1, yet their partial variances lie within the tolerance of
-# their magnitude through |corr_SS^-1|, so each reads as a function of S.
-KNOWN_WRONG = {3: {(25, "other"), (43, "model"), (43, "other")}}
+# (seed, draw): the units, "model" or "other", in which the Gaussian law, a
+# CI verdict or a conditional law of that uniquely solvable model is known
+# to be wrong.  Seed 3, draw 25, in other units: X0 is exactly constant
+# (X1 = X1 - 2 X0), but the solve of its 3-cycle leaves X0 a noise row of
+# about 1e-17 of its terms, which rule (ii) does not snap because the row's
+# uncancelled magnitude is made of the same rounding residue; X0 then reads
+# as dependent on X1 and X2.
+KNOWN_WRONG = {3: {(25, "other")}}
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_gaussian_law_and_ci_match_exact_partial_covariances(seed):
     """Every uniquely solvable model of the battery, in both units: the mean
     and covariance against the exact law within the tolerance of their
-    uncancelled magnitude, and every CI statement a, b given S, |S| <= 2,
+    uncancelled magnitude, and every CI statement a, b given S, for every S,
     against an exact zero test of the partial covariance."""
     wrong, statements = set(), 0
     as_float = lambda rows: np.array(rows, dtype=float)
@@ -243,7 +253,7 @@ def test_gaussian_law_and_ci_match_exact_partial_covariances(seed):
             names = model.endogenous_names
             for a, b in itertools.combinations(range(n), 2):
                 rest = [k for k in range(n) if k not in (a, b)]
-                for given in itertools.chain.from_iterable(itertools.combinations(rest, r) for r in range(3)):
+                for given in itertools.chain.from_iterable(itertools.combinations(rest, r) for r in range(n - 1)):
                     got = conditional_independent(law, [names[a]], [names[b]], [names[k] for k in given])
                     ok = ok and got == exact_ci(sigma, a, b, given)
                     statements += 1
@@ -251,6 +261,64 @@ def test_gaussian_law_and_ci_match_exact_partial_covariances(seed):
                 wrong.add((draw, units))
     assert statements > 1000
     assert wrong == KNOWN_WRONG.get(seed, set()), wrong
+
+
+def conditioning_is_exact(model, units, exact, given, values) -> bool:
+    """Does ``gaussian_condition`` on ``model``, whose variable k is in
+    ``units[k]`` times the units of ``exact``, the ``exact_law`` of the model,
+    give the exact conditional law within 1e-9 of the unconditional standard
+    deviations?  A mean may also be off by 1e-9 of the uncancelled size of
+    its unconditional mean, as the unconditional law may: a constant's sd is 0."""
+    (mu, sigma, mu_size, _), names, units = exact, model.endogenous_names, np.asarray(units)
+    keep = [k for k in range(len(names)) if k not in given]
+    law = gaussian_condition(observational_distribution(model),
+                             {names[k]: units[k] * float(x) for k, x in zip(given, values)})
+    mean, cov = exact_condition(mu, sigma, keep, given, values)
+    sd, unit = np.sqrt([float(sigma[k][k]) for k in keep]), units[keep]
+    return bool(np.all(abs(law.mean / unit - np.array(mean, dtype=float))
+                       <= 1e-9 * (sd + np.array([float(mu_size[k]) for k in keep])))
+                and np.all(abs(law.cov / np.outer(unit, unit) - np.array(cov, dtype=float))
+                           <= 1e-9 * np.outer(sd, sd)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gaussian_conditioning_matches_the_exact_schur_complement(seed):
+    """Every uniquely solvable model of the battery, in both units, given
+    x_S = mu_S + 1 for every S, |S| <= 2, whose exact sigma_SS is nonsingular."""
+    wrong, cases = set(), 0
+    for draw, (m, d, s, (B, gamma, c, mean, cov)) in enumerate(battery(seed)):
+        n = len(B)
+        if oracle(B, gamma, c, mean, cov, list(range(n))) != (True, True):
+            continue
+        exact = exact_law(B, gamma, c, mean, cov)
+        mu, sigma = exact[:2]
+        for units, model, scale in (("model", m, np.ones(n)), ("other", rescale(m, d, s), d)):
+            for given in itertools.chain.from_iterable(itertools.combinations(range(n), r) for r in (1, 2)):
+                if eliminate([[sigma[i][j] for j in given] for i in given])[0] < len(given):
+                    continue
+                if not conditioning_is_exact(model, scale, exact, given, [mu[k] + 1 for k in given]):
+                    wrong.add((draw, units))
+                cases += 1
+    assert cases > 300
+    assert wrong == KNOWN_WRONG.get(seed, set()), wrong
+
+
+@pytest.mark.parametrize("g", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("units", [(1.0, 1.0, 1.0), (1e6, 1e-6, 1.0)])
+def test_conditioning_on_a_nearly_collinear_pair_is_exact(g, units):
+    # X = E1, Y = X + g E2, Z = X + Y + E3: given X = 1 and Y = 2, Z is 3 + E3;
+    # a Schur complement taken on the covariances loses about eps / g^2 here
+    zero, one = F(0), F(1)
+    B = [[zero] * 3, [one, zero, zero], [one, one, zero]]
+    gamma = [[one, zero, zero], [zero, F(g), zero], [zero, zero, one]]
+    eye = [[F(i == j) for j in range(3)] for i in range(3)]
+    exact = exact_law(B, gamma, [zero] * 3, [zero] * 3, eye)
+    mu, sigma = exact[:2]
+    assert exact_condition(mu, sigma, [2], (0, 1), [one, F(2)]) == ([F(3)], [[one]])
+    blocks = tuple(GaussianBlock(f"E{k}", (f"E{k}",), [0.0], [[1.0]]) for k in (1, 2, 3))
+    as_float = lambda rows: [[float(x) for x in row] for row in rows]
+    m = rescale(LinearScm(("X", "Y", "Z"), blocks, as_float(B), as_float(gamma)), units, [1e-6, 1e6, 1.0])
+    assert conditioning_is_exact(m, units, exact, (0, 1), [one, F(2)])
 
 
 # Both are solvable but not uniquely.  In the first, rows X1 and X3 both say
