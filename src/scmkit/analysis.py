@@ -9,7 +9,9 @@ same partial solutions, as in variable elimination.  Its integer law goes
 straight to ``DiscreteDistribution._from_counts``.  The selector polytope is
 read off it too: its vertices are the marginal vectors of the core of the
 belief function with mass P(Γ = A), found by one memo entry per family of
-unplaced focal sets.
+unplaced focal sets.  Every finite verdict, (unique) solvability w.r.t. a
+subset, is one pass over the same plan, ``_solves``, the context held as
+columns and each partial row counted up to two.
 Linear SCMs: every verdict comes from one core, the block ``I - B_OO`` of the
 subset and its inverse or left null vectors, and every zero test is the one
 unit-free rule of ``config``.  ``solve_map`` is the one linear solve: the
@@ -334,10 +336,9 @@ def _subset_names(m, subset) -> tuple:
 
 def _dependency_components(m: FiniteScm, subset: tuple) -> list:
     """Strongly connected components of the declared-argument dependency graph
-    on ``subset``, in topological order (``strong_components`` over each
-    variable's arguments).  Declared arguments are a superset of the
-    functional parents, so this is a sound decomposition for fiber
-    enumeration."""
+    on ``subset``, in topological order (``strong_components``).  Declared
+    arguments are a superset of the functional parents, so this is a sound
+    decomposition for fiber enumeration."""
     return strong_components(subset, {o: m.mechanisms[o].args for o in subset})
 
 
@@ -422,78 +423,32 @@ def _component_solver(m, comp) -> tuple:
     return inputs, solve
 
 
-def _fiber_plan(m: FiniteScm, subset: tuple) -> list:
-    """The components of ``subset`` (``_dependency_components``), each as
-    ``(comp, inputs, solved, solve)`` from ``_component_solver`` with
-    ``solved`` its memo from input values to solutions.  Plans are kept per
-    model and subset, and a component's memo is shared by every plan that
-    holds it, so each distinct component input is solved once per model;
-    this is sound because models are frozen."""
-    plans = m._cache.setdefault("fiber_plans", {})
-    if subset not in plans:
-        solvers = m._cache.setdefault("component_solvers", {})
-        comps = _dependency_components(m, subset)
-        for comp in comps:
-            if comp not in solvers:
-                inputs, solve = _component_solver(m, comp)
-                solvers[comp] = comp, inputs, {}, solve
-        plans[subset] = [solvers[comp] for comp in comps]
-    return plans[subset]
-
-
-def _fibers(m: FiniteScm, subset: tuple, base_assign: dict):
-    """Yield every solution of the structural equations of ``subset`` given
-    the context/noise values in ``base_assign``, solved per strongly
-    connected component of the declared dependency graph in topological
-    order (``_fiber_plan``), the first component's local solutions varying
-    slowest.  The iterators of the components entered are kept on a list,
-    not on the call stack, so a chain of components has no depth limit."""
-    plan = _fiber_plan(m, subset)
-    assign = dict(base_assign)
-    levels = [((), iter([()]))]  # an empty root level, then one per component
-    while levels:
-        comp, it = levels[-1]
-        combo = next(it, None)
-        if combo is None:
-            levels.pop()
-            continue
-        assign.update(zip(comp, combo))
-        if len(levels) > len(plan):
-            yield tuple(assign[o] for o in subset)
-        else:
-            comp, inputs, solved, solve = plan[len(levels) - 1]
-            key = tuple([assign[a] for a in inputs])
-            sols = solved.get(key)
+def _fibers(m: FiniteScm, subset: tuple, assign: Mapping) -> list:
+    """Every solution of the structural equations of ``subset`` at the
+    context/noise values in ``assign``: a pass over the verdict plan,
+    ``_gamma_plan(m, subset, ())``, at that point, each row carrying the
+    local solutions found so far; the first component's vary slowest, and a
+    chain of components has no depth limit."""
+    targets, stages, _ = _gamma_plan(m, subset, ())
+    rows, order = [(tuple(assign[v] for v in targets), ())], ()
+    for comp, noises, key, solved, solve, project in stages:
+        values, out, order = tuple(assign[j] for j in noises), [], order + comp
+        for row, found in rows:
+            read = row + values
+            k = key(read)
+            sols = solved.get(k)
             if sols is None:
-                sols = solved[key] = solve(key)
-            levels.append((comp, iter(sols)))
+                sols = solved[k] = solve(k)
+            out += [(project(read + sol), found + sol) for sol in sols]
+        rows = out
+    return list(map(_getter([order.index(v) for v in subset]), (found for _, found in rows)))
 
 
-def _relevant_exo(m: FiniteScm, subset) -> tuple:
-    names = set()
-    for o in subset:
-        names.update(a for a in m.mechanisms[o].args if a in m.exogenous)
-    return tuple(j for j in m.exogenous_names if j in names)
-
-
-def _relevant_ctx(m: FiniteScm, subset) -> tuple:
-    inside = set(subset)
-    names = set()
-    for o in subset:
-        names.update(a for a in m.mechanisms[o].args if a in m.endogenous and a not in inside)
-    return tuple(i for i in m.endogenous_names if i in names)
-
-
-def _noise_weights(m: FiniteScm, j: str) -> tuple:
-    """The support of noise ``j`` with integer weights: ``(den, [(v, n),
-    ...])`` with P(j = v) = n / den, ``den`` the lcm of the denominators;
-    kept per model."""
-    cache = m._cache.setdefault("noise_weights", {})
-    if j not in cache:
-        probs = [(v, Fraction(m.measure[j][v])) for v in m.support(j)]
-        den = math.lcm(*(p.denominator for _, p in probs))
-        cache[j] = den, [(v, p.numerator * (den // p.denominator)) for v, p in probs]
-    return cache[j]
+def _inputs(m: FiniteScm, subset) -> tuple:
+    """``(noises, context)``: the noises and the endogenous variables outside
+    ``subset`` that its mechanisms read, each in declaration order."""
+    read = {a for o in subset for a in m.mechanisms[o].args} - set(subset)
+    return tuple(j for j in m.exogenous_names if j in read), tuple(i for i in m.endogenous_names if i in read)
 
 
 def _support_assignments(m: FiniteScm, exo_names):
@@ -501,13 +456,22 @@ def _support_assignments(m: FiniteScm, exo_names):
     restricted to ``exo_names``, in product order: ``values`` is the tuple
     of the noises' values in the order of ``exo_names``, and the point has
     probability ``n / den``, with ``n`` an integer and ``den`` the sum of all
-    the weights, the product of the noises' ``_noise_weights`` denominators."""
-    weighted = [_noise_weights(m, j)[1] for j in exo_names]
+    the weights, the product of the lcms of each noise's denominators."""
+    weighted = []
+    for j in exo_names:
+        probs = [(v, Fraction(m.measure[j][v])) for v in m.support(j)]
+        den = math.lcm(*(p.denominator for _, p in probs))
+        weighted.append([(v, p.numerator * (den // p.denominator)) for v, p in probs])
     for combo in itertools.product(*weighted):
-        n = 1
-        for _, w in combo:
-            n *= w
-        yield tuple(v for v, _ in combo), n
+        yield tuple(v for v, _ in combo), math.prod(w for _, w in combo)
+
+
+def _support_points(m: FiniteScm, noises: tuple) -> list:
+    """``_support_assignments(m, noises)`` as a list, kept per model and noises."""
+    cache = m._cache.setdefault("support_points", {})
+    if noises not in cache:
+        cache[noises] = list(_support_assignments(m, noises))
+    return cache[noises]
 
 
 def _getter(positions):
@@ -519,30 +483,36 @@ def _getter(positions):
 
 
 def _gamma_plan(m: FiniteScm, free: tuple, margin: tuple) -> tuple:
-    """The column plan of ``_gamma_law`` for the solved variables ``free``
-    and ``margin``, kept per model, free set and margin: ``(targets, stages,
-    final)``.  ``targets`` are the intervened variables that a component or
-    the margin reads, the columns of the first state.  Each stage is one
-    component of ``_fiber_plan(m, free)``: ``(points, key, solved, solve,
-    project)``, with ``points`` the weighted support points of the noises it
-    is the first to read (``_support_assignments``), ``key`` picking its
-    inputs from a row of the live columns and those noises, and ``project``
-    keeping, from that row and a local solution, the columns that a later
-    stage or the margin reads.  ``final`` puts the last columns, the margin's,
-    in margin order, or is ``None`` where they already are."""
-    plans = m._cache.setdefault("gamma_plans", {})
+    """The column plan of every finite pass (``_gamma_law``, ``_solves``,
+    ``_fibers``) for the solved variables ``free`` and ``margin``:
+    ``(targets, stages, final)``.  ``targets``, the columns of the first
+    state, are the other variables that a component or the margin reads.
+    Each stage is one component ``comp`` of ``free`` in topological order
+    (``_dependency_components``): ``(comp, noises, key, solved, solve,
+    project)``, ``noises`` those it reads first (``_support_points``),
+    ``key`` picking its inputs from a row of the live columns and those
+    noises, ``solved`` the memo of its ``_component_solver``, and
+    ``project`` keeping the columns that a later stage or the margin reads.
+    ``final`` puts the margin's columns in margin order, or is ``None``
+    where they already are.  Plans, solvers and memos are kept per model,
+    so each distinct component input is solved once (models are frozen)."""
+    plans, solvers = m._cache.setdefault("gamma_plans", {}), m._cache.setdefault("component_solvers", {})
     if (free, margin) not in plans:
-        fiber_plan = _fiber_plan(m, free)
-        last = {a: k for k, (_, inputs, _, _) in enumerate(fiber_plan) for a in inputs}
-        last.update((v, len(fiber_plan)) for v in margin)
+        comps = _dependency_components(m, free)
+        for comp in comps:
+            if comp not in solvers:
+                inputs, solve = _component_solver(m, comp)
+                solvers[comp] = inputs, {}, solve
+        last = {a: k for k, comp in enumerate(comps) for a in solvers[comp][0]}
+        last.update((v, len(comps)) for v in margin)
         cols = targets = tuple(v for v in m.endogenous_names if v not in free and v in last)
         stages = []
-        for k, (comp, inputs, solved, solve) in enumerate(fiber_plan):
+        for k, comp in enumerate(comps):
+            inputs, solved, solve = solvers[comp]
             new = tuple(j for j in m.exogenous_names if j in inputs and j not in cols)
             at = {c: i for i, c in enumerate(cols + new + comp)}
-            points = list(_support_assignments(m, new))
             cols = tuple(c for c in at if last.get(c, -1) > k)
-            stages.append((points, _getter([at[a] for a in inputs]), solved, solve, _getter([at[c] for c in cols])))
+            stages.append((comp, new, _getter([at[a] for a in inputs]), solved, solve, _getter([at[c] for c in cols])))
         plans[free, margin] = targets, stages, None if cols == margin else _getter([cols.index(v) for v in margin])
     return plans[free, margin]
 
@@ -552,22 +522,23 @@ def _gamma_law(m: FiniteScm, margin, iv, unique=False):
     ``(den, law)`` with P(Γ = A) = law[A] / den for each set A of margin
     cells, ``den`` the product of the denominators of the noises that the
     variables outside ``iv`` read; ``None`` when some fiber is empty, and
-    with ``unique`` when some A is not a singleton.  This is the one finite
-    push-forward of the noise law, built one component at a time in
-    topological order, as in variable elimination (Zhang & Poole 1994): a
-    state is the set of partial solutions of a noise value over the live
-    columns (``_gamma_plan``), with its integer weight; each component
+    with ``unique`` as soon as a partial set holds two solutions.  This is
+    the one finite push-forward of the noise law, built one component at a
+    time in topological order, as in variable elimination (Zhang & Poole
+    1994): a state is the set of partial solutions of a noise value over the
+    live columns (``_gamma_plan``), with its integer weight; each component
     enumerates the noises it is the first to read, extends every partial
     solution from its memo, drops the columns that nothing later reads, and
-    merges equal states.  A partial set that is empty ends the pass; one
-    with several solutions cannot, since they may have no extension later.
-    The targets of ``iv`` are held as columns, so every intervention shares
-    the component memo of ``m`` and none builds a model."""
+    merges equal states.  A partial set that is empty ends the pass, and so
+    does one of two solutions with ``unique``, though a later component may
+    cut it to one (``_finite_law``).  The targets of ``iv`` are held as
+    columns, so every intervention shares the component memo of ``m`` and
+    none builds a model."""
     free = tuple(v for v in m.endogenous_names if v not in iv)
     targets, stages, final = _gamma_plan(m, free, tuple(margin))
     state = {frozenset([tuple(iv[v] for v in targets)]): 1}
-    for points, key, solved, solve, project in stages:
-        merged = {}
+    for _, noises, key, solved, solve, project in stages:
+        merged, points = {}, _support_points(m, noises)
         for rows, n in state.items():
             for values, w in points:
                 out = set()
@@ -578,7 +549,7 @@ def _gamma_law(m: FiniteScm, margin, iv, unique=False):
                     if sols is None:
                         sols = solved[k] = solve(k)
                     out.update(project(read + sol) for sol in sols)
-                if not out:
+                if len(out) != 1 and (unique or not out):
                     return None
                 out = frozenset(out)
                 merged[out] = merged.get(out, 0) + n * w
@@ -586,8 +557,6 @@ def _gamma_law(m: FiniteScm, margin, iv, unique=False):
     law = {}
     for rows, n in state.items():
         cells = rows if final is None else frozenset(map(final, rows))
-        if unique and len(cells) > 1:
-            return None
         law[cells] = law.get(cells, 0) + n
     return sum(law.values()), law
 
@@ -607,10 +576,11 @@ def fiber(m: FiniteScm, subset, e: Mapping[str, object], ctx: Mapping[str, objec
         if value not in m.domain_of(name):
             raise ScmError(f"value {value!r} outside the domain of {name}")
     assign = {**ctx, **dict(e)}
-    needed = set(_relevant_exo(m, subset)) - set(e)
+    exo, ctx_names = _inputs(m, subset)
+    needed = set(exo) - set(e)
     if needed:
         raise ScmError(f"missing exogenous values for {sorted(needed)}")
-    needed_ctx = set(_relevant_ctx(m, subset)) - set(assign)
+    needed_ctx = set(ctx_names) - set(assign)
     if needed_ctx:
         raise ScmError(f"missing context values for {sorted(needed_ctx)}")
     return frozenset(_fibers(m, subset, assign))
@@ -618,41 +588,64 @@ def fiber(m: FiniteScm, subset, e: Mapping[str, object], ctx: Mapping[str, objec
 
 # --- solvability ------------------------------------------------------------
 
+def _solves(m: FiniteScm, subset: tuple, unique: bool, pins: Mapping) -> bool:
+    """Is the fiber of ``subset`` non-empty (a singleton, with ``unique``) at
+    every support point of the noises it reads times every context, where
+    they agree with ``pins``?  One pass over ``_gamma_plan(m, subset, ())``,
+    the context its first columns: a state is a set of (row, count) pairs
+    over the live columns, the count of partial solutions behind the row
+    capped at 2 (1 without ``unique``), and equal states merge.  The last
+    stage builds no states: it sums count × local solutions per point."""
+    targets, stages, _ = _gamma_plan(m, subset, ())
+    states = {frozenset([(row, 1)]) for row in itertools.product(
+        *([pins[v]] if v in pins else m.endogenous[v].values for v in targets))}
+    for later, (_, noises, key, solved, solve, project) in zip(reversed(range(len(stages))), stages):
+        points, merged = [values for values, _ in _support_points(m, noises)], set()
+        for i, j in enumerate(noises):
+            if j in pins:
+                points = [values for values in points if values[i] == pins[j]]
+        for state in states:
+            for values in points:
+                counts, total = {}, 0
+                for row, c in state:
+                    read = row + values
+                    k = key(read)
+                    sols = solved.get(k)
+                    if sols is None:
+                        sols = solved[k] = solve(k)
+                    total += c * len(sols)
+                    for sol in sols if later else ():
+                        r = project(read + sol)
+                        counts[r] = min(1 + unique, counts.get(r, 0) + c)
+                if not total or unique and not later and total > 1:
+                    return False
+                if later:
+                    merged.add(frozenset(counts.items()))
+        states = merged
+    return True
+
+
 def _finite_scan(m: FiniteScm, subset, need_unique: bool):
-    """Every support point of the noises that ``subset`` reads, times every
-    context (values of the endogenous variables outside it that it reads), in
-    product order; the first point whose fiber is empty, or with
-    ``need_unique`` not a singleton, is the witness.  A subset that is one
-    dependency component is one loop over its solver's inputs, read from the
-    component memo; a subset of several walks the components per point
-    (``_fibers``)."""
+    """Is every fiber of ``subset`` non-empty (a singleton, with
+    ``need_unique``)?  One verdict pass, ``_solves``.  A failing verdict's
+    witness is the first failing point in product order, noises then context
+    (``_inputs``), with its fiber (``_fibers``): the first point itself where
+    a pass over it alone fails, else found by pinning each coordinate in turn
+    to the first value whose pinned pass still fails (the last, if none)."""
     subset = _subset_names(m, subset)
-    exo = _relevant_exo(m, subset)
-    ctx_names = _relevant_ctx(m, subset)
-    order = exo + ctx_names
-    plan = _fiber_plan(m, subset)
-    if len(plan) == 1:
-        # the inputs of one component are exactly the noises and context it reads
-        _, inputs, solved, solve = plan[0]
-        key = operator.itemgetter(*map(order.index, inputs)) if len(inputs) > 1 else tuple
-
-        def fibers(point):
-            k = key(point)
-            sols = solved.get(k)
-            if sols is None:
-                sols = solved[k] = solve(k)
-            return sols
+    if _solves(m, subset, need_unique, {}):
+        return SolvabilityResult(True, subset)
+    (exo, ctx_names), pins = _inputs(m, subset), {}
+    values = {n: m.support(n) if n in m.exogenous else m.endogenous[n].values for n in exo + ctx_names}
+    first = {n: vs[0] for n, vs in values.items()}
+    if first and not _solves(m, subset, need_unique, first):
+        pins = first
     else:
-        def fibers(point):
-            sols = _fibers(m, subset, dict(zip(order, point)))
-            return tuple(sols if need_unique else itertools.islice(sols, 1))
-
-    for point in itertools.product(*(m.support(j) for j in exo), *(m.endogenous[i].values for i in ctx_names)):
-        sols = fibers(point)
-        if not sols or need_unique and len(sols) > 1:
-            witness = {"e": dict(zip(exo, point)), "ctx": dict(zip(ctx_names, point[len(exo):])), "fiber": sols}
-            return SolvabilityResult(False, subset, witness)
-    return SolvabilityResult(True, subset)
+        for name, vs in values.items():
+            pins[name] = next((v for v in vs[:-1] if not _solves(m, subset, need_unique, {**pins, name: v})), vs[-1])
+    witness = {"e": {j: pins[j] for j in exo}, "ctx": {i: pins[i] for i in ctx_names},
+               "fiber": tuple(_fibers(m, subset, pins))}
+    return SolvabilityResult(False, subset, witness)
 
 
 def _linear_subsystem(m: LinearScm, subset):
@@ -825,24 +818,17 @@ def solve_map(m, subset) -> SolveMap:
     endo_args = tuple(a for a in args if a in m.endogenous)
     exo_args = tuple(a for a in args if a in m.exogenous)
     # declared arguments that are no functional parents are pinned
-    pin = _pins(m, [a for a in _relevant_ctx(m, subset_t) + _relevant_exo(m, subset_t) if a not in args])
+    pin = _pins(m, [a for names in _inputs(m, subset_t) for a in names if a not in args])
 
     supports = {j: set(m.support(j)) for j in exo_args}
     table = {}
     for e_combo in itertools.product(*(m.exogenous[j].values for j in exo_args)):
         on_support = all(v in supports[j] for j, v in zip(exo_args, e_combo))
         for ctx_combo in itertools.product(*(m.endogenous[i].values for i in endo_args)):
-            assign = dict(pin)
-            assign.update(zip(exo_args, e_combo))
-            assign.update(zip(endo_args, ctx_combo))
-            sols = tuple(_fibers(m, subset_t, assign))
+            sols = _fibers(m, subset_t, {**pin, **dict(zip(exo_args, e_combo)), **dict(zip(endo_args, ctx_combo))})
             if on_support and len(sols) != 1:  # pragma: no cover - guarded by the scan
                 raise NotUniquelySolvable(subset_t, {"e": e_combo, "ctx": ctx_combo})
-            if sols:
-                value = sorted(sols)[0] if len(sols) > 1 else sols[0]
-            else:
-                value = tuple(m.endogenous[o].first() for o in subset_t)
-            table[(ctx_combo, e_combo)] = value
+            table[(ctx_combo, e_combo)] = min(sols) if sols else tuple(m.endogenous[o].first() for o in subset_t)
     return SolveMap(targets=subset_t, endo_args=endo_args, exo_args=exo_args, table=table)
 
 
@@ -850,17 +836,22 @@ def solve_map(m, subset) -> SolveMap:
 
 def _finite_law(m: FiniteScm, unique: bool):
     """The Γ-law of all variables of ``m`` (``_gamma_law``).  Where there is
-    none, ``NotSolvable`` or, with ``unique``, ``NotUniquelySolvable`` names
-    the first noise value in product order, over the noises that are read,
-    whose fiber is empty or larger (``_finite_scan``), with that fiber."""
+    none, the verdict pass (``_finite_scan``) decides: ``NotSolvable`` or,
+    with ``unique``, ``NotUniquelySolvable`` names the first noise value in
+    product order, over the noises that are read, whose fiber is empty or
+    larger, with that fiber; where it finds the model uniquely solvable, a
+    later component cut two partial solutions to one, and the law is built
+    again without ``unique``."""
     endo = m.endogenous_names
     g = _gamma_law(m, endo, {}, unique=unique)
-    if g is None:
-        witness = _finite_scan(m, endo, need_unique=unique).witness
-        if not witness["fiber"]:
-            raise NotSolvable(endo, {"e": witness["e"]})
-        raise NotUniquelySolvable(endo, {"e": witness["e"], "fiber": witness["fiber"]})
-    return g
+    if g is not None:
+        return g
+    res = _finite_scan(m, endo, need_unique=unique)
+    if res:
+        return _gamma_law(m, endo, {})
+    if not res.witness["fiber"]:
+        raise NotSolvable(endo, {"e": res.witness["e"]})
+    raise NotUniquelySolvable(endo, {"e": res.witness["e"], "fiber": res.witness["fiber"]})
 
 
 def observational_distribution(m):

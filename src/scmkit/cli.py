@@ -58,6 +58,14 @@ def _name_list(text: str) -> list:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _subset_arg(option: str, text: str) -> list:
+    """The names in ``text``; an empty list is a usage error, not an absent ``option``."""
+    names = _name_list(text)
+    if not names:
+        raise ScmError(f"{option} names no variable; expected a comma-separated subset")
+    return names
+
+
 def _emit(text: str, out_path):
     if out_path:
         try:
@@ -212,10 +220,10 @@ def _dispatch(args) -> int:
 
     if args.command == "check":
         model = _load_model(args.file)
-        if args.solvable:
-            res = analysis.solvable_wrt(model, _name_list(args.solvable))
-        elif args.unique:
-            res = analysis.uniquely_solvable_wrt(model, _name_list(args.unique))
+        if args.solvable is not None:
+            res = analysis.solvable_wrt(model, _subset_arg("--solvable", args.solvable))
+        elif args.unique is not None:
+            res = analysis.uniquely_solvable_wrt(model, _subset_arg("--unique", args.unique))
         elif args.structural:
             ok = analysis.structurally_uniquely_solvable(model)
             print("structurally uniquely solvable" if ok else "has self-loops")
@@ -282,7 +290,7 @@ def _dispatch(args) -> int:
     if args.command == "equiv":
         m1 = _load_model(args.file1)
         m2 = _load_model(args.file2)
-        margin = _name_list(args.wrt) if args.wrt else sorted(
+        margin = _subset_arg("--wrt", args.wrt) if args.wrt is not None else sorted(
             set(m1.endogenous_names) & set(m2.endogenous_names)
         )
         fn = {

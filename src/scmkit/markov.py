@@ -284,10 +284,11 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     statement on its noise factor projected off S (``_gaussian_ci``), the
     projection that conditions it.  The functional graph costs one pass over
     each mechanism's table per argument (``functional_parents``).  The
-    premise scan (``_premise``) and the law (``_gamma_law``) go one strongly
-    connected component at a time and share its solves, one per distinct
-    component input, cached on the model; the cache is sound because models
-    are frozen.
+    premise (``_premise``, one verdict pass per cyclic component) and the
+    law (``_gamma_law``) go one strongly connected component at a time and
+    share its solves, one per distinct component input, and its support
+    points, cached on the model; the cache is sound because models are
+    frozen.
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")

@@ -21,7 +21,7 @@ from scmkit import (
     ScmError,
     TabularMechanism,
 )
-from scmkit.analysis import _fibers, _relevant_exo, _support_assignments
+from scmkit.analysis import _fibers, _inputs, _support_assignments
 
 F = Fraction
 
@@ -752,7 +752,7 @@ def exhaustive_gamma_law(m, margin, iv, unique=False):
     weights; ``None`` at the first empty fiber, and with ``unique`` at the
     first whose projection is not a singleton."""
     free = tuple(v for v in m.endogenous_names if v not in iv)
-    exo = _relevant_exo(m, free)
+    exo, _ = _inputs(m, free)
     law = {}
     for values, n in _support_assignments(m, exo):
         assign = dict(zip(exo, values), **iv)

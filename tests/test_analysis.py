@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +44,7 @@ from scmkit import (
     uniquely_solvable_wrt,
 )
 from scmkit import analysis
-from scmkit.analysis import _cutset, _fiber_plan, _fibers, _finite_scan, _gamma_law
+from scmkit.analysis import _cutset, _fibers, _finite_scan, _gamma_law
 from scmkit.dsl import parse
 
 F = Fraction
@@ -93,6 +94,27 @@ class TestFiber:
             oracle = sorted(zoo.exhaustive_fiber(m, subset, assign))
             assert sorted(_fibers(m, subset_sorted, assign)) == oracle
             assert fiber(m, subset, exo_assign, ctx) == frozenset(oracle)
+
+
+def first_failure_in_a_later_component() -> FiniteScm:
+    """X = 1 - X if E2 = 1 else 0, then Y = 1 - Y if E1 = 0 else X: the pass
+    meets its first empty fiber in X's stage, at E2 = 1, but the first in
+    product order is E1 = 0, E2 = 0, where Y has none."""
+    b = zoo.fd(0, 1)
+    domains = {"X": b, "Y": b, "E1": b, "E2": b}
+    mechanisms = {"X": zoo.postab(domains, ("X", "E2"), lambda x, e2: 1 - x if e2 == 1 else 0),
+                  "Y": zoo.postab(domains, ("Y", "E1", "X"), lambda y, e1, x: 1 - y if e1 == 0 else x)}
+    return FiniteScm({"X": b, "Y": b}, {"E1": b, "E2": b}, {"E1": zoo.uniform(0, 1), "E2": zoo.uniform(0, 1)},
+                     mechanisms)
+
+
+def identity_beside_ternary_noises(k: int) -> FiniteScm:
+    """X1 = X1 beside k ternary noises, each read only by Yi = Ei: every
+    fiber holds two solutions, which differ in X1 alone."""
+    lines = ["model finite", "var X1 : {0, 1}"] + [f"var Y{i} : {{0, 1, 2}}" for i in range(1, k + 1)]
+    lines += [f"noise E{i} : {{0, 1, 2}} ~ {{0: 1/6, 1: 1/3, 2: 1/2}}" for i in range(1, k + 1)]
+    lines += ["eq X1 = X1"] + [f"eq Y{i} = E{i}" for i in range(1, k + 1)]
+    return parse("\n".join(lines) + "\n")
 
 
 def brute_force_solver(m, comp):
@@ -161,12 +183,12 @@ class TestCutsetSolver:
         assert sum(not r.ok for r in got) > 20 and sum(r.ok for r in got) > 20
 
     def test_scan_matches_the_per_point_oracle(self):
-        """Both solvers against ``zoo.exhaustive_scan``, verdict and witness,
-        on subsets that are one dependency component (one loop over the
-        component's inputs) and on subsets of several (the per-point walk,
-        whose fibers come in component order, so they are compared sorted)."""
+        """The verdict pass and its witness against ``zoo.exhaustive_scan``,
+        on subsets that are one dependency component and on subsets of
+        several, whose fibers ``_fibers`` gives in component order, so they
+        are compared sorted."""
         rng = random.Random(89)
-        cases = []
+        cases = [(first_failure_in_a_later_component(), ("X", "Y"))]
         for trial in range(60):
             m = zoo.random_component_scm(rng, 1 + trial % 5, outside_p=0.2 if trial % 2 else 0.0)
             cases.append((m, tuple(n for n in m.endogenous_names if n != "Z")))
@@ -348,6 +370,13 @@ class TestSolvability:
             for subset in itertools.combinations(m.endogenous_names, r):
                 assert uniquely_solvable_wrt(m, subset)
 
+    def test_a_ladder_of_twenty_pairs_is_decided_one_pair_at_a_time(self):
+        # 6**20 noise points; the verdict pass holds the states of one pair
+        m = zoo.ladder_scm(20)
+        start = time.perf_counter()
+        assert uniquely_solvable_wrt(m, m.endogenous_names)
+        assert time.perf_counter() - start < 2.0
+
     def test_linear_two_cycle_alpha_beta_one(self):
         m = zoo.lin_gauss_anm(alpha=2.0, beta=0.5)
         assert not uniquely_solvable_wrt(m, ["X1", "X2"])
@@ -466,9 +495,9 @@ class TestSolveMap:
             if not uniquely_solvable_wrt(m, subset):
                 continue
             sm = solve_map(m, subset)
-            from scmkit.analysis import _relevant_ctx, _support_assignments
+            from scmkit.analysis import _inputs, _support_assignments
 
-            ctx_names = _relevant_ctx(m, subset)
+            _, ctx_names = _inputs(m, subset)
             for e_values, _ in _support_assignments(m, m.exogenous_names):
                 for ctx in itertools.product(
                     *(m.endogenous[i].values for i in ctx_names)
@@ -638,14 +667,12 @@ class TestObservationalDistribution:
 
     def test_the_pass_stops_at_the_first_fiber_that_is_not_a_singleton(self, monkeypatch):
         # X1 = X1 beside six unread-by-X1 ternary noises: 729 support points,
-        # every fiber of size 2.  The witness scan stops at the first point; the
-        # Γ pass cannot stop early, since a partial solution may have no
-        # extension in a later component, but it solves each distinct component
-        # input once: X1 once, each Yi once per value of Ei
-        lines = ["model finite", "var X1 : {0, 1}"] + [f"var Y{i} : {{0, 1, 2}}" for i in range(1, 7)]
-        lines += [f"noise E{i} : {{0, 1, 2}} ~ {{0: 1/6, 1: 1/3, 2: 1/2}}" for i in range(1, 7)]
-        lines += ["eq X1 = X1"] + [f"eq Y{i} = E{i}" for i in range(1, 7)]
-        m = parse("\n".join(lines) + "\n")
+        # every fiber of size 2.  The Γ pass stops at X1's two solutions; the
+        # verdict pass then merges the states of the Yi, whose values nothing
+        # reads, and fails at the first point of the last stage.  Each distinct
+        # component input is solved at most once: X1 once, each Yi before the
+        # last once per value of Ei, Y6 at E6 = 0 only
+        m = identity_beside_ternary_noises(6)
         solver, calls = analysis._component_solver, []
 
         def counted(m, comp):
@@ -662,7 +689,35 @@ class TestObservationalDistribution:
             observational_distribution(m)
         assert err.value.witness == {"e": {f"E{i}": 0 for i in range(1, 7)},
                                      "fiber": ((0,) + (0,) * 6, (1,) + (0,) * 6)}
-        assert sorted(calls) == sorted([(("X1",), ())] + [((f"Y{i}",), (v,)) for i in range(1, 7) for v in range(3)])
+        assert sorted(calls) == sorted([(("X1",), ()), (("Y6",), (0,))]
+                                       + [((f"Y{i}",), (v,)) for i in range(1, 6) for v in range(3)])
+
+    def test_the_early_stop_keeps_the_witness_of_eleven_noises(self):
+        # the same shape with eleven noises: a Γ pass that cannot stop early
+        # builds all 3**11 states, which takes seconds
+        k = 11
+        m = identity_beside_ternary_noises(k)
+        start = time.perf_counter()
+        with pytest.raises(NotUniquelySolvable) as err:
+            observational_distribution(m)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.witness == {"e": {f"E{i}": 0 for i in range(1, k + 1)},
+                                     "fiber": ((0,) + (0,) * k, (1,) + (0,) * k)}
+
+    def test_two_partial_solutions_that_a_later_component_cuts_to_one(self):
+        # X1 = X1, and X2 = 1 - X2 if X1 = 1 else 0: X1's stage holds two
+        # solutions, X1 = 1 leaves X2 none, so (0, 0) is the unique solution
+        b = zoo.fd(0, 1)
+        domains = {"X1": b, "X2": b}
+        m = zoo.no_noise(domains, {"X1": zoo.postab(domains, ("X1",), lambda x1: x1),
+                                   "X2": zoo.postab(domains, ("X2", "X1"), lambda x2, x1: 1 - x2 if x1 == 1 else 0)})
+        names = m.endogenous_names
+        assert _gamma_law(m, names, {}, unique=True) is None  # the early stop fires
+        assert uniquely_solvable_wrt(m, names)
+        den, law = zoo.exhaustive_gamma_law(m, names, {}, unique=True)
+        assert law == {frozenset({(0, 0)}): 1}
+        assert dict(observational_distribution(m).probs) == {(0, 0): F(1)}
+        assert observational_polytope(m).vertices == (observational_distribution(m),)
 
     def test_a_long_chain_needs_no_recursion(self):
         # X0 = E, Xi = X(i-1): one component per variable, 1,200 deep
@@ -682,17 +737,56 @@ class TestObservationalDistribution:
 
 
 class TestGammaPass:
-    """The component-at-a-time Γ pass against the per-point oracle."""
+    """The component-at-a-time Γ pass against the per-point oracle.  Without
+    ``unique`` the laws are equal.  With it the pass stops at the first
+    partial set of two solutions, so it may give ``None`` where the oracle,
+    whose later components cut that set to one, gives a law; the oracle's
+    ``None`` is the pass's, and a law the pass gives is the oracle's.  The
+    public results over all variables, which decide that case by the verdict
+    pass, are checked against the oracles too."""
 
     @staticmethod
     def compare(m, margin, iv, seen):
-        for unique in (False, True):
-            law = _gamma_law(m, margin, iv, unique)
-            assert law == zoo.exhaustive_gamma_law(m, margin, iv, unique), (m, margin, iv, unique)
-            if law is None:
-                seen["none", unique] += 1
-            elif any(len(a) > 1 for a in law[1]):
-                seen["several"] += 1
+        law = _gamma_law(m, margin, iv)
+        assert law == zoo.exhaustive_gamma_law(m, margin, iv), (m, margin, iv)
+        seen["none", False] += law is None
+        seen["several"] += law is not None and any(len(a) > 1 for a in law[1])
+        early, oracle = _gamma_law(m, margin, iv, True), zoo.exhaustive_gamma_law(m, margin, iv, True)
+        assert early is None if oracle is None else early in (None, oracle), (m, margin, iv)
+        seen["none", True] += early is None
+        seen["stopped early"] += early is None and oracle is not None
+        if margin == m.endogenous_names:
+            TestGammaPass.compare_public(intervene(m, iv) if iv else m, law, oracle, seen)
+
+    @staticmethod
+    def compare_public(m, law, unique_law, seen):
+        """``observational_distribution`` and ``observational_polytope`` of
+        ``m`` against its oracle laws: the law, or the error with the witness
+        of ``zoo.exhaustive_scan``."""
+        names = m.endogenous_names
+        for unique, oracle in ((True, unique_law), (False, law)):
+            if oracle is None:
+                want = zoo.exhaustive_scan(m, names, unique)
+                error = NotSolvable if not want["fiber"] else NotUniquelySolvable
+                with pytest.raises(error) as err:
+                    (observational_distribution if unique else observational_polytope)(m)
+                witness = dict(err.value.witness)
+                assert witness.pop("e") == want["e"]
+                assert sorted(witness.pop("fiber", ())) == sorted(want["fiber"])
+                continue
+            den, counts = oracle
+            if unique:
+                assert dict(observational_distribution(m).probs) == {c: F(n, den) for (c,), n in counts.items()}
+                continue
+            poly = observational_polytope(m)
+            assert poly.unique == all(len(a) == 1 for a in counts)
+            try:
+                selectors = set(zoo.exhaustive_selector_laws(m, max_selectors=256))
+            except ScmError:
+                continue
+            # every vertex gives each focal set's mass to one of its cells
+            assert set(poly.vertices) <= selectors
+            seen["polytopes"] += 1
 
     def test_corpus_laws_match_the_per_point_oracle(self):
         rng, seen = random.Random(14), Counter()
@@ -706,13 +800,15 @@ class TestGammaPass:
                 for margin in [names] + [(v,) for v in names]:
                     self.compare(m, margin, iv, seen)
         assert seen["models"] >= 20 and seen["several"] and seen["none", False] and seen["none", True], seen
+        assert seen["polytopes"], seen
 
     def test_random_laws_match_the_per_point_oracle(self):
         rng, seen = random.Random(1401), Counter()
         for _ in range(400):
             m = zoo.random_finite_scm(rng, max_endo=5, max_exo=3, self_arg_p=0.3)
             names = m.endogenous_names
-            readers = Counter(j for _, inputs, _, _ in _fiber_plan(m, names) for j in inputs if j in m.exogenous)
+            readers = Counter(j for comp in analysis._dependency_components(m, names)
+                              for j in {a for o in comp for a in m.mechanisms[o].args} if j in m.exogenous)
             seen["shared noise"] += any(k > 1 for k in readers.values())
             seen["zero mass"] += any(p == 0 for j in m.exogenous_names for p in m.measure[j].values())
             for iv in [{}] + zoo.random_interventions(rng, m, 1):
@@ -721,6 +817,7 @@ class TestGammaPass:
                     self.compare(m, margin, iv, seen)
         assert seen["shared noise"] > 100 and seen["zero mass"] > 100, seen
         assert seen["several"] > 100 and seen["none", False] > 100 and seen["none", True] > seen["none", False], seen
+        assert seen["stopped early"] > 10 and seen["polytopes"] > 100, seen
 
 
 class TestPolytope:

@@ -84,6 +84,15 @@ class TestTransformCommands:
         assert run(["check", corpus("ex_unique_ancestral.scm"), "--unique", "X1,X2"]) == 0
         assert run(["check", corpus("ex_unique_ancestral.scm"), "--unique", "X2"]) == 1
 
+    @pytest.mark.parametrize("option", ["--solvable", "--unique"])
+    @pytest.mark.parametrize("names", ["", " ", ",", " , "])
+    def test_check_with_an_empty_subset_is_a_usage_error(self, option, names, capsys):
+        # an empty list is not an absent option: it must not fall through to --all-subsets
+        assert run(["check", corpus("ex_chain.scm"), option, names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scmkit: error: {option} names no variable; expected a comma-separated subset\n"
+
 
 class TestDistCommands:
     def test_observational_distribution(self, capsys):
@@ -225,6 +234,15 @@ class TestEquivCommand:
         t = corpus("ex_square_root_tilde.scm")
         assert run(["equiv", m, t, "--level", "int", "--wrt", "X1"]) == 0
         assert run(["equiv", m, t, "--level", "int"]) == 1
+
+    @pytest.mark.parametrize("names", ["", ","])
+    def test_an_empty_margin_is_a_usage_error(self, names, capsys):
+        # an empty list is not an absent option: it must not fall back to the shared variables
+        m = corpus("ex_product_m.scm")
+        assert run(["equiv", m, corpus("ex_product_tilde.scm"), "--level", "int", "--wrt", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scmkit: error: --wrt names no variable; expected a comma-separated subset\n"
 
     def test_linear_equiv(self, capsys):
         a = corpus("ex_lingauss.scm")
