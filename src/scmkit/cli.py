@@ -190,8 +190,8 @@ def _dispatch(args) -> int:
         elif args.kind == "functional":
             g = functional_graph(model)
         else:
-            if args.context:
-                g = causal.direct_causal_graph_wrt(model, _name_list(args.context))
+            if args.context is not None:
+                g = causal.direct_causal_graph_wrt(model, _subset_arg("--context", args.context))
             else:
                 g = causal.direct_causal_graph(model)
         text = g.to_dot() if args.format == "dot" else json.dumps(g.to_json_obj(), indent=2) + "\n"
@@ -261,7 +261,7 @@ def _dispatch(args) -> int:
         factual = _parse_assignments(model, args.factual_do) if args.factual_do else {}
         cf = _parse_assignments(model, args.cf_do) if args.cf_do else {}
         observed = _parse_assignments(model, args.observe) if args.observe else {}
-        dist = analysis.counterfactual_distribution(model, factual, observed, cf, _name_list(args.query))
+        dist = analysis.counterfactual_distribution(model, factual, observed, cf, _subset_arg("--query", args.query))
         _emit_json(dist.to_json_obj(), args.output)
         return 0
 

@@ -417,66 +417,60 @@ def _paths_between(g: MixedGraph, sources: frozenset, sinks: frozenset):
                     stack.append((new_nodes, new_steps))
 
 
-def _signature(nodes, steps, scc) -> tuple:
-    """What decides whether the path is blocked: its start and end, its
-    blocking non-colliders (blocking when conditioned on) and its colliders.
-    Every non-collider blocks for d-separation (``scc`` is ``None``); for
-    sigma-separation (``scc`` maps each node to its component) only one with
-    a child on the path outside its strongly connected component does."""
-    blockers, colliders = [], []
-    for k in range(1, len(nodes) - 1):
-        node, left, right = nodes[k], steps[k - 1], steps[k]
-        if left != "in" and right != "out":
-            colliders.append(node)
-        elif scc is None or (left == "in" and nodes[k - 1] not in scc[node]) or (
-                right == "out" and nodes[k + 1] not in scc[node]):
-            blockers.append(node)
-    return nodes[0], nodes[-1], frozenset(blockers), frozenset(colliders)
-
-
-def _open_sinks(g: MixedGraph, a: frozenset, candidates: frozenset, sets, sigma: bool) -> list:
-    """For each conditioning set S of ``sets``, the nodes of ``candidates``
-    outside S that some path not blocked by S joins to a node of ``a``:
-    sigma-blocked if ``sigma``, else d-blocked.  ``a`` is d- (sigma-)
-    separated from B given S iff no node of B is returned for S when B is
-    among the candidates.
+def _open_sinks(g: MixedGraph, a: frozenset, candidates: frozenset, sets, sigma: bool) -> dict:
+    """Map each node of ``candidates`` to a bitmask over ``sets``: bit t is
+    set iff the node is outside ``sets[t]`` and some path not blocked by
+    ``sets[t]`` joins it to a node of ``a`` (sigma-blocked if ``sigma``, else
+    d-blocked).  ``a`` is d- (sigma-) separated from B given ``sets[t]`` iff
+    bit t is clear for every node of B when B is among the candidates.
 
     One walk over the simple paths from ``a`` (``_paths_between``) answers
-    every set.  Each path is reduced to its ``_signature``, and each distinct
-    signature is tested once per set: the path is open given S iff its start
-    and end are outside S, none of its blocking non-colliders is in S and
-    every collider is in an(S), which is found once per set, on first need.
-    The walk stops once every set has found all of its candidates, so for
-    one set it is the early-stopping search of a single separation query."""
+    every set.  Each node holds the mask of the sets that contain it, and
+    each collider, on first need, the mask of the sets S with the node in
+    an(S).  A path's mask, the sets it is open under, is the AND over its
+    nodes: its start and end must be outside S, every collider in an(S), and
+    a non-collider blocks when in S, for sigma-separation only if it has a
+    child on the path outside its strongly connected component.  The mask
+    is ORed into its end node's, and the walk stops once every candidate
+    holds every set that it is outside of and that leaves some node of ``a``
+    free, so for one set it is the early-stopping search of a single
+    separation query."""
+    full = (1 << len(sets)) - 1
+    holds = dict.fromkeys(g.nodes, 0)
+    for t, s in enumerate(sets):
+        for v in s:
+            holds[v] |= 1 << t
     an = {}
-    want = [len(candidates - s) for s in sets]
-    found = [set() for _ in sets]
-    todo = [t for t, n in enumerate(want) if n]
     scc = g.scc_map() if sigma else None
-    seen = set()
+    free = 0  # the sets that leave some node of ``a`` outside
+    for v in a:
+        free |= full & ~holds[v]
+    want = {v: free & ~holds[v] for v in candidates}
+    found = dict.fromkeys(candidates, 0)
+    todo = sum(1 for v in candidates if want[v])
     for nodes, steps in _paths_between(g, a, candidates) if todo else ():
-        sig = _signature(nodes, steps, scc)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        start, end, blockers, colliders = sig
-        hit = False
-        for t in todo:
-            s = sets[t]
-            if end in found[t] or start in s or end in s or not s.isdisjoint(blockers):
-                continue
-            if colliders:
-                if t not in an:
-                    an[t] = g._closure(s, g._pa)
-                if not colliders <= an[t]:
-                    continue
-            found[t].add(end)
-            hit = True
-        if hit:
-            todo = [t for t in todo if len(found[t]) < want[t]]
-            if not todo:
+        end = nodes[-1]
+        mask = want[end] & ~found[end] & ~holds[nodes[0]]  # only new sets count
+        for k in range(1, len(nodes) - 1):
+            if not mask:
                 break
-    return [frozenset(f) for f in found]
+            node, left, right = nodes[k], steps[k - 1], steps[k]
+            if left != "in" and right != "out":
+                if node not in an:
+                    an[node] = 0
+                    for v in g._closure((node,), g._ch):
+                        an[node] |= holds[v]
+                mask &= an[node]
+            elif scc is None or (left == "in" and nodes[k - 1] not in scc[node]) or (
+                    right == "out" and nodes[k + 1] not in scc[node]):
+                mask &= ~holds[node]
+        if mask:
+            found[end] |= mask
+            if found[end] == want[end]:
+                todo -= 1
+                if not todo:
+                    break
+    return found
 
 
 def _separated(g, a, b, s, sigma):
@@ -487,7 +481,7 @@ def _separated(g, a, b, s, sigma):
         raise ScmError("separation needs nonempty node sets on both sides")
     for group in (a, b, s):
         g._check_known(group)
-    return not _open_sinks(g, a, b, [s], sigma)[0]
+    return not any(_open_sinks(g, a, b, [s], sigma).values())
 
 
 def d_separated(g: MixedGraph, a, b, s) -> bool:

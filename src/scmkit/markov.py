@@ -2,10 +2,13 @@
 of the (general) directed global Markov property against the functional graph.
 
 Conditional independence of finite distributions is an exact cross-product
-check on integer counts; one kernel (``_finite_ci``) decides a whole family
-of conditioning sets within a fixed entry budget (``_CI_BUDGET``).  A
+check on integer counts; one kernel (``_finite_ci``) decides the block pairs
+it is given under a whole family of conditioning sets, filling only those
+pairs' value grids, within a fixed entry budget (``_CI_BUDGET``).  A
 Gaussian law is tested on its noise factor projected off the conditioning
-set (``analysis._project``).
+set (``analysis._project``).  ``verify_markov`` gives each conditioning set
+of its table one bit, so a statement's separation verdict is one bit test
+on the masks that ``graph._open_sinks`` returns.
 """
 
 from __future__ import annotations
@@ -63,11 +66,11 @@ def _group_codes(dist: DiscreteDistribution, codes, groups) -> tuple:
     return code.reshape(len(groups), cells), len(values)
 
 
-# The most entries that one array of ``_finite_ci`` may hold: the Gram tensor
-# of a run of conditioning sets, or its scatter index.  A set that needs more
-# on its own runs alone and is split further: its slots in pieces, the cells
-# of a piece in batches.  Only a single slot's d x d block, or one cell's
-# block pairs, can go over it.
+# The most entries that one array of ``_finite_ci`` may hold: the value
+# grids of a run of conditioning sets, or their scatter index.  A set that
+# needs more on its own runs alone and is split further: its slots in
+# pieces, the cells of a piece in batches.  Only a single slot's grids, or
+# one cell's pairs, can go over it.
 _CI_BUDGET = 1 << 16
 
 
@@ -75,7 +78,7 @@ def _ci_chunks(dist: DiscreteDistribution, sets, cells: int, pairs: int, width: 
     """Split ``sets`` into runs ``(start, stop)`` whose arrays in
     ``_finite_ci`` stay within ``_CI_BUDGET`` entries: a set of S costs
     ``cells * pairs`` scatter indices and at most min(cells, prod |D_v| over
-    S) slots of ``width`` Gram entries each.  A run holds at least one set,
+    S) slots of ``width`` grid entries each.  A run holds at least one set,
     so a run over the budget is a single set, which ``_finite_ci`` splits."""
     runs, start, index, tensor = [], 0, 0, 0
     size = {v: len(dist.domains[v]) for v in dist.vars}
@@ -90,35 +93,43 @@ def _ci_chunks(dist: DiscreteDistribution, sets, cells: int, pairs: int, width: 
     return runs
 
 
-def _finite_ci(dist: DiscreteDistribution, sets, blocks):
-    """Exact tests of every pair of ``blocks`` (disjoint tuples of variables)
-    for independence given each set of ``sets``, on the integer weights n of
-    the support cells (``DiscreteDistribution._cell_codes``): ``verdict[t, p,
-    q]`` is true iff blocks p and q are independent given ``sets[t]``.  It
-    means nothing where p == q or where a block meets the set.
+def _finite_ci(dist: DiscreteDistribution, sets, blocks, pairs):
+    """Exact tests of the block pairs ``pairs`` (index pairs (p, q) into
+    ``blocks``, tuples of variables) for independence given each set of
+    ``sets``, on the integer weights n of the support cells
+    (``DiscreteDistribution._cell_codes``): ``verdict[t, r]`` is true iff
+    the blocks of ``pairs[r]`` are independent given ``sets[t]``.  It means
+    nothing where the two blocks meet each other or the set.
 
-    The values of the blocks are the columns of one Gram tensor whose slots
-    are every pair of a set and a value k of it on the support: entry (i, j)
-    of slot k is n(i, j, k), the weight of the cells with values i and j and
-    S = k, so its diagonal holds n(i, k) and one block's share of the
-    diagonal sums to n(k).  One scatter-add of the cell weights fills it, one
-    cross-product comparison n(p, q, k) * n(k) == n(p, k) * n(q, k) tests
-    every cell, and ``reduceat`` gathers the verdicts per set and per block.
-    The sets are taken in runs (``_ci_chunks``) so that neither the tensor
-    nor its scatter index goes over ``_CI_BUDGET`` entries.  A set too wide
-    for that on its own is taken in pieces of its slots, each filled from the
-    cells that hold one of them, and its verdict is the AND of the pieces';
-    the cells of a piece are scattered in batches."""
+    The slots are every pair of a set and a value k of it on the support.
+    Each slot holds one value grid per requested pair, every grid padded to
+    the largest: entry (i, j) of pair (p, q)'s grid is n(i, j, k), the
+    weight of the cells where p has its i-th value, q its j-th and S = k.
+    One scatter-add of the cell weights fills the grids, cells x pairs
+    indices per set; a grid's row, column and total sums are then n(i, k),
+    n(j, k) and n(k), and one cross-product comparison n(i, j, k) * n(k) ==
+    n(i, k) * n(j, k) tests every entry (a padding row or column is 0 on
+    both sides).  ``reduceat`` gathers the verdicts per set.  The sets are
+    taken in runs (``_ci_chunks``) so that neither the grids nor their
+    scatter index go over ``_CI_BUDGET`` entries.  A set too wide for that
+    on its own is taken in pieces of its slots, each filled from the cells
+    that hold one of them, and its verdict is the AND of the pieces'; the
+    cells of a piece are scattered in batches."""
+    verdict = np.ones((len(sets), len(pairs)), dtype=bool)
+    if not pairs:
+        return verdict
     _, n, codes = dist._cell_codes()
     cells = len(codes)
-    cols, d = _group_codes(dist, codes, blocks)
-    starts = cols.min(axis=1)
-    width, pairs = d * d, len(blocks) ** 2
-    step = max(1, _CI_BUDGET // max(1, width))
-    verdict = np.ones((len(sets), len(blocks), len(blocks)), dtype=bool)
-    for start, stop in _ci_chunks(dist, sets, cells, pairs, width):
+    cols = _group_codes(dist, codes, blocks)[0]
+    cols -= cols.min(axis=1, keepdims=True)  # each block's values numbered from 0
+    size = cols.max(axis=1) + 1  # the values of each block
+    p, q = np.array(pairs, dtype=np.intp).T
+    rows, wide = int(size[p].max()), int(size[q].max())
+    width = len(pairs) * rows * wide
+    step = max(1, _CI_BUDGET // width)
+    for start, stop in _ci_chunks(dist, sets, cells, len(pairs), width):
         slot, slots = _group_codes(dist, codes, sets[start:stop])
-        batch = max(1, _CI_BUDGET // max(1, pairs * (stop - start)))
+        batch = max(1, _CI_BUDGET // (len(pairs) * (stop - start)))
         # a run over the budget is one set (``_ci_chunks``): its slots go in
         # pieces of ``step``, each over the cells that hold one of them
         for lo in range(0, slots, step):
@@ -126,20 +137,19 @@ def _finite_ci(dist: DiscreteDistribution, sets, blocks):
             whole = hi - lo == slots
             keep = slice(None) if whole else (slot[0] >= lo) & (slot[0] < hi)
             at, value, weight = slot[:, keep] - lo, cols[:, keep], n[keep]
-            gram = np.zeros((hi - lo) * width, dtype=n.dtype)
+            # laid out (i, j, slot, pair), so every sum below runs over whole rows
+            gram = np.zeros((rows, wide, hi - lo, len(pairs)), dtype=n.dtype)
             for e in range(0, len(weight), batch):
                 part = slice(e, e + batch)
-                index = at[:, None, None, part] * width + (value[:, None, part] * d + value[None, :, part])
+                cell = (value[p, part] * wide + value[q, part]) * (hi - lo)
+                index = (cell + at[:, None, part]) * len(pairs) + np.arange(len(pairs))[:, None]
                 # flat and with the weights laid out in full, add.at takes its
                 # fast loop (numpy 2.4 also misreads values it has to broadcast itself)
-                np.add.at(gram, index.ravel(), np.broadcast_to(weight[part], index.shape).ravel())
-            gram = gram.reshape(hi - lo, d, d)
-            n_ik = gram.diagonal(0, 1, 2)
-            n_k = n_ik[:, :cols[0].max() + 1].sum(axis=1)
-            equal = gram * n_k[:, None, None] == n_ik[:, :, None] * n_ik[:, None, :]
+                np.add.at(gram.reshape(-1), index.ravel(), np.broadcast_to(weight[part], index.shape).ravel())
+            n_i, n_j = gram.sum(axis=1), gram.sum(axis=0)
+            equal = (gram * n_i.sum(axis=0) == n_i[:, None] * n_j[None]).all(axis=(0, 1))
             # the slots of each set of the run (a piece's slots are all its one set's)
-            equal = np.logical_and.reduceat(equal, slot.min(axis=1) if whole else [0], axis=0)
-            verdict[start:stop] &= np.logical_and.reduceat(np.logical_and.reduceat(equal, starts, axis=1), starts, axis=2)
+            verdict[start:stop] &= np.logical_and.reduceat(equal, slot.min(axis=1) if whole else [0])
     return verdict
 
 
@@ -161,7 +171,7 @@ def conditional_independent(dist, a, b, s=()) -> bool:
     if unknown:
         raise UnknownNameError(f"unknown coordinates {sorted(unknown)}")
     if isinstance(dist, DiscreteDistribution):
-        return bool(_finite_ci(dist, [s], [a, b])[0, 0, 1])
+        return bool(_finite_ci(dist, [s], [a, b], [(0, 1)])[0, 0])
     return _gaussian_ci(dist, a, b, s, tolerance())
 
 
@@ -273,22 +283,25 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     By default A and B range over singletons, which suffices at desk scale;
     ``full_subsets=True`` enumerates all disjoint subset pairs (exponential).
 
-    Cost: the statements are answered in bulk, not one by one.  The
-    separation half is one walk per A (``graph._open_sinks``) for every S
-    that the table pairs with A at once; it looks only for the B that the
-    table pairs with A and stops once every S has found all of them outside
-    S.  On a finite law in singletons one ``_finite_ci`` call decides every S
-    of the table exactly, its memory held within ``_CI_BUDGET`` entries
-    however many sets the table holds; ``full_subsets`` tests each (A, B)
-    pair with the same kernel, one S at a time.  A linear law tests each
-    statement on its noise factor projected off S (``_gaussian_ci``), the
-    projection that conditions it.  The functional graph costs one pass over
-    each mechanism's table per argument (``functional_parents``).  The
-    premise (``_premise``, one verdict pass per cyclic component) and the
-    law (``_gamma_law``) go one strongly connected component at a time and
-    share its solves, one per distinct component input, and its support
-    points, cached on the model; the cache is sound because models are
-    frozen.
+    Cost: the statements are answered in bulk, not one by one.  Each
+    conditioning set that the table reads gets one bit.  The separation half
+    is one walk per A (``graph._open_sinks``) for every set at once: each
+    path reduces to the mask of the sets it is open under in O(path length)
+    integer operations, and the walk looks only for the B that the table
+    pairs with A and stops once each of them holds every set outside it.  On
+    a finite law in singletons one ``_finite_ci`` call decides every pair
+    of the table under every set exactly, filling only those pairs' value
+    grids, its memory held within ``_CI_BUDGET`` entries however many sets
+    the table holds; ``full_subsets`` tests each (A, B) pair with the same
+    kernel, one S at a time.  A linear law tests each statement on its noise
+    factor projected off S (``_gaussian_ci``), the projection that conditions
+    it.  Each entry is then one bit test and one list lookup.  The
+    functional graph costs one pass over each mechanism's table per argument
+    (``functional_parents``).  The premise (``_premise``, one verdict pass
+    per cyclic component) and the law (``_gamma_law``) go one strongly
+    connected component at a time and share its solves, one per distinct
+    component input, and its support points, cached on the model; the cache
+    is sound because models are frozen.
     """
     if kind not in ("sigma", "d"):
         raise ScmError(f"unknown Markov kind {kind!r}")
@@ -312,32 +325,34 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
                             pairs.append((a, b))
     else:
         pairs = [((x,), (y,)) for x, y in itertools.combinations(names, 2)]
-    def conditioning(a, b):
-        rest = [n for n in names if n not in a and n not in b]
-        return itertools.chain.from_iterable(
-            itertools.combinations(rest, size) for size in range(min(max_conditioning, len(rest)) + 1))
-
-    # per A, the B that its pairs join to it and its conditioning sets in
-    # order of first use; one walk per A decides all of them
-    partners, sets_of = {}, {}
+    # every S that the table reads, one bit each: the subsets of the names
+    # with at most ``max_conditioning`` of them that leave two names out,
+    # in the order of each pair's statements
+    sets = [s for size in range(min(max_conditioning, len(names) - 2) + 1)
+            for s in itertools.combinations(names, size)]
+    member = dict.fromkeys(names, 0)
+    for t, s in enumerate(sets):
+        for v in s:
+            member[v] |= 1 << t
+    # one walk per A decides every set for all the B that its pairs join to it
+    partners = {}
     for a, b in pairs:
         partners.setdefault(a, set()).update(b)
-        sets_of.setdefault(a, {}).update(dict.fromkeys(conditioning(a, b)))
-    joined = {}
-    for a, a_sets in sets_of.items():
-        opened = _open_sinks(graph, frozenset(a), frozenset(partners[a]), [frozenset(s) for s in a_sets], kind == "sigma")
-        joined.update(zip([(a, s) for s in a_sets], opened))
+    opened = {a: _open_sinks(graph, frozenset(a), frozenset(b), sets, kind == "sigma") for a, b in partners.items()}
     bulk = not full_subsets and isinstance(dist, DiscreteDistribution)
     if bulk:
-        # every S of the singleton table, decided by one kernel
-        sets = [s for size in range(min(max_conditioning, len(names) - 2) + 1)
-                for s in itertools.combinations(names, size)]
-        row = {s: t for t, s in enumerate(sets)}
-        # one list per pair, over the sets: the pairs in the order of the table
-        i, j = np.triu_indices(len(names), 1)
-        verdict = _finite_ci(dist, sets, [(v,) for v in names])[:, i, j].T.tolist()
+        # every pair of the singleton table over every set, by one kernel
+        # call: one list per pair, in the order of the table
+        verdict = _finite_ci(dist, sets, [(v,) for v in names],
+                             list(itertools.combinations(range(len(names)), 2))).T.tolist()
     for k, (a, b) in enumerate(pairs):
-        for s in conditioning(a, b):
-            independent = verdict[k][row[s]] if bulk else conditional_independent(dist, a, b, s)
-            report.entries.append(MarkovEntry(a, b, s, joined[a, s].isdisjoint(b), independent))
+        meets, joined = 0, 0
+        for v in a + b:
+            meets |= member[v]
+        for v in b:
+            joined |= opened[a][v]
+        for t, s in enumerate(sets):
+            if not meets >> t & 1:
+                independent = verdict[k][t] if bulk else conditional_independent(dist, a, b, s)
+                report.entries.append(MarkovEntry(a, b, s, not joined >> t & 1, independent))
     return report

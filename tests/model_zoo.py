@@ -853,6 +853,12 @@ def oracle_open_sinks(g, a, sets, sigma) -> list:
     return out
 
 
+def open_sets(masks, sets) -> list:
+    """``graph._open_sinks``'s candidate masks read per set: for each t, the
+    candidates whose mask has bit t."""
+    return [frozenset(v for v, mask in masks.items() if mask >> t & 1) for t in range(len(sets))]
+
+
 def random_mixed_graph(rng: random.Random, n: int, directed_p=0.25, bidirected_p=0.15):
     """Nodes v0 .. v(n-1); each ordered pair, self-loops included, carries a
     directed edge with probability ``directed_p`` and each unordered pair a

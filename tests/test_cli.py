@@ -47,6 +47,14 @@ class TestGraphCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["directed"] == [["X1", "X3"]]
 
+    @pytest.mark.parametrize("names", ["", ","])
+    def test_an_empty_context_is_a_usage_error(self, names, capsys):
+        # an empty list is not an absent option: it must not fall back to the full causal graph
+        assert run(["graph", corpus("ex_chain.scm"), "--kind", "causal", "--context", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scmkit: error: --context names no variable; expected a comma-separated subset\n"
+
 
 class TestTransformCommands:
     def test_intervene_then_check(self, tmp_path, capsys):
@@ -136,6 +144,15 @@ class TestDistCommands:
             assert run(["counterfactual", corpus(name), "--query", "ZZ'"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("scmkit: error: unknown coordinates") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("name", ["ex_product_m.scm", "ex_lingauss.scm"])
+    @pytest.mark.parametrize("names", ["", " , "])
+    def test_an_empty_query_is_a_usage_error(self, name, names, capsys):
+        # an empty query is not a query of nothing: it must not print the empty law
+        assert run(["counterfactual", corpus(name), "--query", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scmkit: error: --query names no variable; expected a comma-separated subset\n"
 
     def test_counterfactual_gaussian(self, capsys):
         assert run([

@@ -336,7 +336,8 @@ class TestSeparationOracle:
                     for c in itertools.combinations(rest, r)]
             for sigma, separated in ((True, sigma_separated), (False, d_separated)):
                 expected = zoo.oracle_open_sinks(g, a, sets, sigma)
-                assert _open_sinks(g, a, nodes - a, sets, sigma) == [e - a - s for e, s in zip(expected, sets)]
+                got = zoo.open_sets(_open_sinks(g, a, nodes - a, sets, sigma), sets)
+                assert got == [e - a - s for e, s in zip(expected, sets)]
                 for s, opened in zip(sets, expected):
                     for b in b_sets(sorted(nodes - a - s)):
                         verdict = separated(g, a, b, s)

@@ -286,6 +286,98 @@ class TestVerifyMarkov:
         assert (observational_distribution(m)._cell_codes()[1].dtype == object) == wide
 
 
+def factored_law(rng, names) -> DiscreteDistribution:
+    """A seeded law over ``names`` with 2 to 4 values each: P is a product of
+    one table per variable on it and on at most one earlier variable, weights
+    0 to 3, so the law has independences, dependences and empty cells."""
+    domains = {v: FiniteDomain(tuple(range(rng.randint(2, 4)))) for v in names}
+    parent = {v: rng.choice((None,) + tuple(names[:i])) for i, v in enumerate(names)}
+    while True:
+        tables = {v: {(x, y): rng.randint(0, 3) for x in domains[v].values
+                      for y in (domains[parent[v]].values if parent[v] else (None,))} for v in names}
+        law = {}
+        for cell in itertools.product(*(domains[v].values for v in names)):
+            at = dict(zip(names, cell))
+            weight = 1
+            for v in names:
+                weight *= tables[v][at[v], at[parent[v]] if parent[v] else None]
+            if weight:
+                law[cell] = weight
+        if law:
+            total = sum(law.values())
+            return DiscreteDistribution(names, domains, {c: F(w, total) for c, w in law.items()})
+
+
+class TestPairKernel:
+    """``markov._finite_ci`` against ``zoo.oracle_ci`` on every pair it is
+    asked for and every set, in one run and with one slot per piece."""
+
+    @staticmethod
+    def check(dist, sets, blocks, pairs) -> set:
+        """Every meaningful verdict of the kernel; returns the verdicts seen."""
+        verdict = markov._finite_ci(dist, sets, blocks, pairs)
+        assert verdict.shape == (len(sets), len(pairs))
+        seen = set()
+        for t, s in enumerate(sets):
+            for r, (p, q) in enumerate(pairs):
+                a, b = blocks[p], blocks[q]
+                if not set(s) & set(a + b):
+                    expected = zoo.oracle_ci(dist, a, b, s)
+                    assert verdict[t, r] == expected, (a, b, s)
+                    seen.add(expected)
+        return seen
+
+    @staticmethod
+    def subsets(names, most):
+        return [s for size in range(most + 1) for s in itertools.combinations(names, size)]
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_seeded_laws_with_mixed_domains(self, monkeypatch, budget):
+        if budget:
+            monkeypatch.setattr(markov, "_CI_BUDGET", budget)
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(12):
+            names = tuple(f"X{i}" for i in range(1, rng.randint(3, 5) + 1))
+            dist = factored_law(rng, names)
+            assert {len(dist.domains[v]) for v in names} <= {2, 3, 4}
+            blocks = [(v,) for v in names]
+            # some of the pairs, in either order
+            every = [(p, q) for p in range(len(names)) for q in range(len(names)) if p != q]
+            pairs = rng.sample(every, rng.randint(1, len(every)))
+            seen |= self.check(dist, self.subsets(names, len(names) - 2), blocks, pairs)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_two_variable_blocks(self, monkeypatch, budget):
+        if budget:
+            monkeypatch.setattr(markov, "_CI_BUDGET", budget)
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(6):
+            names = ("A", "B", "C", "D", "E")
+            dist = factored_law(rng, names)
+            blocks = [("A", "B"), ("C",), ("D", "E"), ("A",), ("B", "C")]
+            pairs = [(0, 1), (0, 2), (1, 2), (2, 0), (3, 2), (2, 4)]
+            seen |= self.check(dist, self.subsets(names, 3), blocks, pairs)
+            # the one pair and one set of ``conditional_independent``
+            for a, b in ((("A", "B"), ("C",)), (("C",), ("D", "E")), (("B",), ("A", "E"))):
+                for s in self.subsets(sorted(set(names) - set(a + b)), 2):
+                    seen |= self.check(dist, [s], [a, b], [(0, 1)])
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("budget", [1, None])
+    def test_wide_denominator_model(self, monkeypatch, budget):
+        if budget:
+            monkeypatch.setattr(markov, "_CI_BUDGET", budget)
+        dist = observational_distribution(zoo.big_denominator_scm())
+        assert dist._cell_codes()[1].dtype == object
+        names = dist.vars
+        blocks = [(v,) for v in names] + [("X", "Y")]
+        pairs = [(0, 1), (0, 2), (1, 2), (2, 1), (3, 2)]
+        assert self.check(dist, self.subsets(names, len(names)), blocks, pairs) == {True, False}
+
+
 class TestChunkedKernel:
     """``markov._finite_ci`` decides every conditioning set of a table in runs
     that keep each array within ``markov._CI_BUDGET`` entries."""
@@ -355,8 +447,10 @@ class TestChunkedKernel:
 
     def test_a_set_over_the_budget_is_split_across_runs(self, monkeypatch):
         # with full conditioning on ladder_scm(5), each |S| = 8 set takes 192
-        # values on the 256 support cells: 192 x 20^2 = 76,800 Gram entries
-        # on its own, so its slots are split and the partial verdicts ANDed
+        # values on the 256 support cells: 192 slots x 45 pairs x 2^2 =
+        # 34,560 grid entries on its own, over a budget of 2^15, so its slots
+        # are split and the partial verdicts ANDed
+        monkeypatch.setattr(markov, "_CI_BUDGET", 1 << 15)
         tensors, indices = [], []
 
         def add_at(gram, index, values):
@@ -372,11 +466,12 @@ class TestChunkedKernel:
         monkeypatch.setattr(markov, "np", Recorded())
         m = zoo.ladder_scm(5)
         report = verify_markov(m)
+        budget = markov._CI_BUDGET
         monkeypatch.undo()
         assert len(report.entries) == 11520 and report.ok
         (runs,) = seen
         # more scatter-adds than runs: some run was split
-        assert len(tensors) > len(runs) and max(tensors + indices) <= markov._CI_BUDGET
+        assert len(tensors) > len(runs) and max(tensors + indices) <= budget
         dist = observational_distribution(m)
         widest = [e for e in report.entries if len(e.s) == 8]
         assert len(widest) == 45
@@ -386,9 +481,9 @@ class TestChunkedKernel:
     def test_conditional_independent_goes_through_the_one_kernel(self, monkeypatch):
         calls, kernel = [], markov._finite_ci
 
-        def recorded(dist, sets, blocks):
-            calls.append((sets, blocks))
-            return kernel(dist, sets, blocks)
+        def recorded(dist, sets, blocks, pairs):
+            calls.append((sets, blocks, pairs))
+            return kernel(dist, sets, blocks, pairs)
 
         monkeypatch.setattr(markov, "_finite_ci", recorded)
         for m in (zoo.ladder_scm(2), zoo.big_denominator_scm(), zoo.ternary_ring_scm()):
@@ -401,7 +496,7 @@ class TestChunkedKernel:
                         calls.clear()
                         got = conditional_independent(dist, [a], [b], s)
                         assert got == zoo.oracle_ci(dist, (a,), (b,), s), (a, b, s)
-                        assert calls == [([tuple(sorted(s))], [(a,), (b,)])]
+                        assert calls == [([tuple(sorted(s))], [(a,), (b,)], [(0, 1)])]
 
     def test_a_table_without_pairs_is_empty(self):
         b = FiniteDomain((0, 1))

@@ -265,7 +265,7 @@ def test_open_sinks_match_one_call_per_candidate():
             every = frozenset(nodes) - a
             some = frozenset(rng.sample(sorted(every), rng.randint(1, len(every))))
             for candidates in (every, some):
-                got = _open_sinks(g, a, candidates, sets, sigma)
+                got = zoo.open_sets(_open_sinks(g, a, candidates, sets, sigma), sets)
                 assert len(got) == len(sets)
                 for s, opened in zip(sets, got):
                     expected = {b for b in candidates - s if not separated(g, a, [b], s)}
