@@ -6,12 +6,14 @@ Every finite law is one push-forward, ``_gamma_law``: one forward pass over
 the strongly connected components in topological order, each enumerating the
 noises it is the first to read and merging the noise values that lead to the
 same partial solutions, as in variable elimination.  Its integer law goes
-straight to ``DiscreteDistribution._from_counts``.  The selector polytope is
-read off it too: its vertices are the marginal vectors of the core of the
-belief function with mass P(Γ = A), found by one memo entry per family of
-unplaced focal sets.  Every finite verdict, (unique) solvability w.r.t. a
-subset, is one pass over the same plan, ``_solves``, the context held as
-columns and each partial row counted up to two.
+straight to ``DiscreteDistribution._from_counts``: a finite law is integer
+counts over one denominator, its ``Fraction``s derived from them, and its
+marginals, conditionals and probabilities sum counts.  The selector polytope
+is read off the Γ-law too: its vertices are the marginal vectors of the core
+of the belief function with mass P(Γ = A), found by one memo entry per
+family of unplaced focal sets.  Every finite verdict, (unique) solvability
+w.r.t. a subset, is one pass over the same plan, ``_solves``, the context
+held as columns and each partial row counted up to two.
 Linear SCMs: every verdict comes from one core, the block ``I - B_OO`` of the
 subset and its inverse or left null vectors, and every zero test is the one
 unit-free rule of ``config``.  ``solve_map`` is the one linear solve: the
@@ -74,97 +76,104 @@ __all__ = [
 
 def _coordinates(vars: tuple, names) -> list:
     """The positions of ``names`` among the coordinates ``vars`` of a law;
-    a name that is not one of them raises ``UnknownNameError``."""
+    a name that is not one of them raises ``UnknownNameError``, and one named
+    twice ``ScmError``."""
+    names = list(names)
     unknown = [v for v in names if v not in vars]
     if unknown:
         raise UnknownNameError(f"unknown coordinates {unknown}")
+    repeated = [v for k, v in enumerate(names) if v in names[:k]]
+    if repeated:
+        raise ScmError(f"coordinate {repeated[0]!r} named twice")
     return [vars.index(v) for v in names]
+
+
+def _integer_weights(probs) -> tuple:
+    """``(den, ns)``: the lcm ``den`` of the denominators of the rationals
+    ``probs`` and each of them times ``den``, an integer."""
+    probs = [Fraction(p) for p in probs]
+    den = math.lcm(*(p.denominator for p in probs))
+    return den, [p.numerator * (den // p.denominator) for p in probs]
 
 
 class DiscreteDistribution:
     """Exact distribution over a finite product of named domains.
 
-    Only cells with positive probability are stored, in the read-only
-    mapping ``probs``; probabilities are ``Fraction`` instances summing to
-    exactly 1.
+    The law is held as positive integer counts over one denominator, both
+    divided by their gcd, for the cells of positive probability only.  The
+    read-only mapping ``probs`` is derived from them on access: cell to
+    ``Fraction``, summing to exactly 1.
     """
 
-    __slots__ = ("vars", "domains", "probs", "_counts", "_codes")
+    __slots__ = ("vars", "domains", "_den", "_counts", "_codes")
 
     def __init__(self, vars, domains: Mapping[str, FiniteDomain], probs: Mapping[tuple, Fraction]):
-        self.vars = tuple(vars)
-        self.domains = {v: domains[v] for v in self.vars}
-        cleaned = {}
-        total = Fraction(0)
-        for cell, p in probs.items():
-            p = Fraction(p)
-            if p < 0:
-                raise ScmError(f"negative probability {p} at {cell!r}")
-            if p:
-                cleaned[tuple(cell)] = cleaned.get(tuple(cell), Fraction(0)) + p
-                total += p
-        if total != 1:
-            raise ScmError(f"distribution not normalized: sums to {total}")
-        self.probs = MappingProxyType(cleaned)
-        self._counts = self._codes = None
+        den, ns = _integer_weights(probs.values())
+        counts = {}
+        for cell, n in zip(probs, ns):
+            if n < 0:
+                raise ScmError(f"negative probability {Fraction(n, den)} at {cell!r}")
+            if n:
+                counts[tuple(cell)] = counts.get(tuple(cell), 0) + n
+        self._set(vars, domains, den, counts)
+        for cell in counts:
+            if len(cell) != len(self.vars) or not all(v in self.domains[x] for x, v in zip(self.vars, cell)):
+                raise ScmError(f"cell {cell!r} is not in the domains of {self.vars!r}")
 
     @classmethod
     def _from_counts(cls, vars, domains: Mapping[str, FiniteDomain], den: int, counts: Mapping[tuple, int]):
         """The law with P(cell) = counts[cell] / den, from positive integer
-        counts over one denominator: normalization is checked in integers, and
-        ``den`` and the counts, divided by their gcd, are kept for
-        ``_cell_codes``, whose ``den`` they are."""
+        counts over one denominator whose cells are in the domains."""
+        return object.__new__(cls)._set(vars, domains, den, counts)
+
+    def _set(self, vars, domains, den, counts):
+        # normalization is checked in integers; den and counts are kept divided by their gcd
         total = sum(counts.values())
         if total != den:
             raise ScmError(f"distribution not normalized: sums to {Fraction(total, den)}")
         g = math.gcd(den, *counts.values())
-        self = cls.__new__(cls)
         self.vars = tuple(vars)
         self.domains = {v: domains[v] for v in self.vars}
-        self.probs = MappingProxyType({cell: Fraction(n, den) for cell, n in counts.items()})
-        self._counts = den // g, [n // g for n in counts.values()]
+        self._den = den // g
+        self._counts = MappingProxyType({cell: n // g for cell, n in counts.items()})
         self._codes = None
         return self
 
+    @property
+    def probs(self) -> Mapping[tuple, Fraction]:
+        return MappingProxyType({cell: Fraction(n, self._den) for cell, n in self._counts.items()})
+
     def __reduce__(self):
-        # copy and pickle rebuild through __init__; ``probs`` is a read-only view
-        return DiscreteDistribution, (self.vars, self.domains, dict(self.probs))
+        # copy and pickle rebuild from the counts; ``_counts`` is a read-only view
+        return DiscreteDistribution._from_counts, (self.vars, self.domains, self._den, dict(self._counts))
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented
-        return self.vars == other.vars and self.probs == other.probs
+        # the gcd-reduced counts are canonical: equal laws have equal counts
+        return self.vars == other.vars and self._den == other._den and self._counts == other._counts
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.probs.items())))
+        return hash((self.vars, self._den, frozenset(self._counts.items())))
 
     def __repr__(self):
-        return f"DiscreteDistribution(vars={self.vars!r}, {len(self.probs)} cells)"
+        return f"DiscreteDistribution(vars={self.vars!r}, {len(self._counts)} cells)"
 
     def _cell_codes(self) -> tuple:
         """The cells of positive probability as exact integers: ``(den, n,
         codes)`` with ``n[c] == p * den`` for the ``c``-th cell of ``probs``
         and ``codes[c]`` its position in each variable's domain.
 
-        ``den`` is the lcm of the cell denominators, taken as it is from a
-        law built by ``_from_counts``.  The dtype of ``n`` is ``int64`` while
-        ``den * den < 2**62``, so sums of cells and products of two such sums
-        cannot overflow, and ``object`` (Python ints) beyond.  Computed once
-        and cached; the arrays are read-only.
+        The dtype of ``n`` is ``int64`` while ``den * den < 2**62``, so sums
+        of cells and products of two such sums cannot overflow, and
+        ``object`` (Python ints) beyond.  Computed once and cached; the
+        arrays are read-only.
         """
         if self._codes is None:
-            if self._counts is None:
-                den = math.lcm(*(p.denominator for p in self.probs.values()))
-                self._counts = den, [p.numerator * (den // p.denominator) for p in self.probs.values()]
-            den, counts = self._counts
+            den = self._den
             index = [{v: i for i, v in enumerate(self.domains[x].values)} for x in self.vars]
-            codes = []
-            for cell in self.probs:
-                pos = tuple(ix.get(v) for ix, v in zip(index, cell))
-                if len(cell) != len(index) or None in pos:
-                    raise ScmError(f"cell {cell!r} is not in the domains of {self.vars!r}")
-                codes.append(pos)
-            n = np.array(counts, dtype=np.int64 if den * den < 2**62 else object)
+            codes = [tuple(ix[v] for ix, v in zip(index, cell)) for cell in self._counts]
+            n = np.array(list(self._counts.values()), dtype=np.int64 if den * den < 2**62 else object)
             codes = np.array(codes, dtype=np.intp).reshape(len(codes), len(index))
             for a in (n, codes):
                 a.setflags(write=False)
@@ -175,45 +184,35 @@ class DiscreteDistribution:
         """Probability of a (possibly partial) assignment."""
         idx = _coordinates(self.vars, assignment)
         want = [assignment[v] for v in assignment]
-        return sum(
-            (p for cell, p in self.probs.items() if all(cell[i] == w for i, w in zip(idx, want))),
-            Fraction(0),
-        )
+        n = sum(n for cell, n in self._counts.items() if all(cell[i] == w for i, w in zip(idx, want)))
+        return Fraction(n, self._den)
 
     def marginal(self, names) -> "DiscreteDistribution":
         names = tuple(names)
-        idx = _coordinates(self.vars, names)
+        key = _getter(_coordinates(self.vars, names))
         out = {}
-        for cell, p in self.probs.items():
-            key = tuple(cell[i] for i in idx)
-            out[key] = out.get(key, Fraction(0)) + p
-        return DiscreteDistribution(names, self.domains, out)
+        for cell, n in self._counts.items():
+            k = key(cell)
+            out[k] = out.get(k, 0) + n
+        return DiscreteDistribution._from_counts(names, self.domains, self._den, out)
 
     def condition(self, evidence: Mapping[str, object]) -> "DiscreteDistribution":
         """Exact Bayes conditioning; raises on zero-probability evidence."""
         idx_e = [(i, evidence[v]) for i, v in zip(_coordinates(self.vars, evidence), evidence)]
         keep_vars = tuple(v for v in self.vars if v not in evidence)
-        idx_k = [self.vars.index(v) for v in keep_vars]
-        total = Fraction(0)
+        key = _getter([self.vars.index(v) for v in keep_vars])
         cells = {}
-        for cell, p in self.probs.items():
+        for cell, n in self._counts.items():
             if all(cell[i] == want for i, want in idx_e):
-                total += p
-                key = tuple(cell[i] for i in idx_k)
-                cells[key] = cells.get(key, Fraction(0)) + p
-        if total == 0:
+                k = key(cell)
+                cells[k] = cells.get(k, 0) + n
+        if not cells:
             raise EvidenceError(f"evidence {dict(evidence)!r} has probability zero")
-        return DiscreteDistribution(keep_vars, self.domains, {k: p / total for k, p in cells.items()})
+        return DiscreteDistribution._from_counts(keep_vars, self.domains, sum(cells.values()), cells)
 
     def to_json_obj(self) -> dict:
-        def render(v):
-            return str(v) if isinstance(v, Fraction) else v
-
         cells = sorted(self.probs.items(), key=lambda kv: tuple(map(str, kv[0])))
-        return {
-            "vars": list(self.vars),
-            "probs": [[",".join(str(render(v)) for v in cell), str(p)] for cell, p in cells],
-        }
+        return {"vars": list(self.vars), "probs": [[",".join(map(str, cell)), str(p)] for cell, p in cells]}
 
 
 class GaussianDistribution:
@@ -459,9 +458,8 @@ def _support_assignments(m: FiniteScm, exo_names):
     the weights, the product of the lcms of each noise's denominators."""
     weighted = []
     for j in exo_names:
-        probs = [(v, Fraction(m.measure[j][v])) for v in m.support(j)]
-        den = math.lcm(*(p.denominator for _, p in probs))
-        weighted.append([(v, p.numerator * (den // p.denominator)) for v, p in probs])
+        support = m.support(j)
+        weighted.append(list(zip(support, _integer_weights(m.measure[j][v] for v in support)[1])))
     for combo in itertools.product(*weighted):
         yield tuple(v for v, _ in combo), math.prod(w for _, w in combo)
 

@@ -15,8 +15,8 @@ distinct input solved once on a cycle cutset; no selector is enumerated and
 no LP is solved.  A difference is witnessed by the smallest differing focal
 set S, its beliefs (the least achievable probabilities of S) on both sides,
 and the selector law that reaches the smaller one, which lies outside the
-other side's set, built from its integer counts
-(``DiscreteDistribution._from_counts``).
+other side's set, held as integer counts over the one denominator of the
+law (``DiscreteDistribution._from_counts``).
 Interventional equivalence quantifies over all perfect interventions inside
 the margin; counterfactual equivalence is interventional equivalence of the
 twin models.  Each report names the rule that decided it in ``rule``:

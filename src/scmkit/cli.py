@@ -214,7 +214,7 @@ def _dispatch(args) -> int:
 
     if args.command == "marginalize":
         model = _load_model(args.file)
-        result = transform.marginalize(model, _name_list(args.over))
+        result = transform.marginalize(model, _subset_arg("--over", args.over))
         _emit(dsl.serialize(result), args.output)
         return 0
 

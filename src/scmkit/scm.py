@@ -295,12 +295,6 @@ class LinearScm(_Frozen):
         except ValueError:
             raise UnknownNameError(f"unknown endogenous variable {name!r}") from None
 
-    def block_of_coord(self, coord: str) -> GaussianBlock:
-        for b in self.blocks:
-            if coord in b.coords:
-                return b
-        raise UnknownNameError(f"unknown exogenous coordinate {coord!r}")
-
     def noise_mean(self) -> np.ndarray:
         return np.concatenate([b.mean for b in self.blocks]) if self.blocks else np.zeros(0)
 

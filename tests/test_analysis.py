@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import time
 from collections import Counter
@@ -1051,14 +1053,46 @@ class TestDistributionPlumbing:
                 continue
             rebuilt = DiscreteDistribution(dist.vars, dist.domains, dict(dist.probs))
             assert dist == rebuilt
-            (den, n, codes), (den2, n2, codes2) = dist._cell_codes(), rebuilt._cell_codes()
-            assert den == den2 and n.dtype == n2.dtype and n.tolist() == n2.tolist()
-            assert codes.tolist() == codes2.tolist()
+            for copied in (rebuilt, pickle.loads(pickle.dumps(dist)), copy.deepcopy(dist)):
+                assert copied == dist and hash(copied) == hash(dist)
+                (den, n, codes), (den2, n2, codes2) = dist._cell_codes(), copied._cell_codes()
+                assert den == den2 and n.dtype == n2.dtype and n.tolist() == n2.tolist()
+                assert codes.tolist() == codes2.tolist()
+            # marginals, conditionals and probabilities against Fraction sums of probs
+            pos = {v: i for i, v in enumerate(dist.vars)}
+            for names in [(v,) for v in dist.vars] + list(itertools.permutations(dist.vars, 2)):
+                want = Counter()
+                for cell, p in dist.probs.items():
+                    want[tuple(cell[pos[v]] for v in names)] += p
+                assert dict(dist.marginal(names).probs) == dict(want)
+                for key in itertools.product(*(dist.domains[v].values for v in names)):
+                    assert dist.prob(dict(zip(names, key))) == want[key]
+            for v in dist.vars:
+                for x in {cell[pos[v]] for cell in dist.probs}:
+                    rows = {c: p for c, p in dist.probs.items() if c[pos[v]] == x}
+                    total = sum(rows.values(), Fraction(0))
+                    keep = tuple(u for u in dist.vars if u != v)
+                    want = {tuple(c[pos[u]] for u in keep): p / total for c, p in rows.items()}
+                    cond = dist.condition({v: x})
+                    assert cond.vars == keep and dict(cond.probs) == want
             checked += 1
         assert checked > 40
         dom = FiniteDomain((0, 1))
         with pytest.raises(ScmError, match="not normalized: sums to 3/4"):
             DiscreteDistribution._from_counts(("A",), {"A": dom}, 4, {(0,): 1, (1,): 2})
+
+    def test_a_repeated_name_is_rejected(self):
+        # a law over two copies of one coordinate is not a marginal of it
+        d = observational_distribution(zoo.causal_graph_marginalization())
+        g = observational_distribution(zoo.lin_gauss_anm())
+        calls = (
+            lambda: d.marginal(["X1", "X1"]),
+            lambda: g.marginal([g.vars[0], g.vars[1], g.vars[0]]),
+            lambda: counterfactual_distribution(zoo.causal_graph_marginalization(), {}, {}, {}, ["X1'", "X1'"]),
+        )
+        for call in calls:
+            with pytest.raises(ScmError, match="named twice"):
+                call()
 
     def test_json_shapes(self):
         m, _ = zoo.equivalence_pair()

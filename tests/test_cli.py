@@ -75,6 +75,14 @@ class TestTransformCommands:
         text = capsys.readouterr().out
         assert "eq X2 = 1*X1 + 1*E2 + 1*E4" in text
 
+    @pytest.mark.parametrize("names", ["", " , "])
+    def test_marginalize_over_an_empty_list_is_a_usage_error(self, names, capsys):
+        # an empty list is not a marginal of nothing: it must not echo the model
+        assert run(["marginalize", corpus("ex_chain.scm"), "--over", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scmkit: error: --over names no variable; expected a comma-separated subset\n"
+
     def test_twin_and_extend_round_trip(self, tmp_path):
         out = tmp_path / "twin.scm"
         assert run(["twin", corpus("ex_product_m.scm"), "-o", str(out)]) == 0
@@ -153,6 +161,14 @@ class TestDistCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "scmkit: error: --query names no variable; expected a comma-separated subset\n"
+
+    @pytest.mark.parametrize("name", ["ex_product_m.scm", "ex_lingauss.scm"])
+    def test_a_repeated_query_name_is_a_model_error(self, name, capsys):
+        # a law over two copies of one coordinate is not a law of the query
+        assert run(["counterfactual", corpus(name), "--query", "X1',X1'"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scmkit: error: coordinate \"X1'\" named twice\n"
 
     def test_counterfactual_gaussian(self, capsys):
         assert run([

@@ -91,9 +91,12 @@ class TestConditionalIndependence:
 
     def test_counts_reject_a_cell_outside_the_domain(self):
         dom = FiniteDomain((0, 1))
-        dist = DiscreteDistribution(("A",), {"A": dom}, {(0,): F(1, 2), (5,): F(1, 2)})
         with pytest.raises(ScmError, match="not in the domains"):
-            dist._cell_codes()
+            DiscreteDistribution(("A",), {"A": dom}, {(0,): F(1, 2), (5,): F(1, 2)})
+        # a cell shorter or longer than the variables is outside them too
+        for cell in ((0,), (0, 0, 1)):
+            with pytest.raises(ScmError, match="not in the domains"):
+                DiscreteDistribution(("A", "B"), {"A": dom, "B": dom}, {cell: 1})
 
     def test_overlap_rejected(self):
         with pytest.raises(ScmError):
