@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -46,6 +45,7 @@ from .scm import (
     FiniteDomain,
     LinearScm,
     _canonical_arg_order,
+    _items_at,
     _pins,
     augmented_graph,
     functional_graph,
@@ -108,6 +108,8 @@ class DiscreteDistribution:
     __slots__ = ("vars", "domains", "_den", "_counts", "_codes")
 
     def __init__(self, vars, domains: Mapping[str, FiniteDomain], probs: Mapping[tuple, Fraction]):
+        vars = tuple(vars)
+        _coordinates(vars, vars)  # a name repeated in vars raises ScmError
         den, ns = _integer_weights(probs.values())
         counts = {}
         for cell, n in zip(probs, ns):
@@ -189,7 +191,7 @@ class DiscreteDistribution:
 
     def marginal(self, names) -> "DiscreteDistribution":
         names = tuple(names)
-        key = _getter(_coordinates(self.vars, names))
+        key = _items_at(_coordinates(self.vars, names))
         out = {}
         for cell, n in self._counts.items():
             k = key(cell)
@@ -200,7 +202,7 @@ class DiscreteDistribution:
         """Exact Bayes conditioning; raises on zero-probability evidence."""
         idx_e = [(i, evidence[v]) for i, v in zip(_coordinates(self.vars, evidence), evidence)]
         keep_vars = tuple(v for v in self.vars if v not in evidence)
-        key = _getter([self.vars.index(v) for v in keep_vars])
+        key = _items_at([self.vars.index(v) for v in keep_vars])
         cells = {}
         for cell, n in self._counts.items():
             if all(cell[i] == want for i, want in idx_e):
@@ -383,7 +385,7 @@ def _component_solver(m, comp) -> tuple:
 
     def reader(o):
         mech = m.mechanisms[o]
-        return at[o], mech, mech.table, _getter([at[a] for a in mech.args])
+        return at[o], mech, mech.table, _items_at([at[a] for a in mech.args])
 
     cut_values = [m.endogenous[o].values for o in cut]
     cut_at = [at[o] for o in cut]
@@ -440,7 +442,7 @@ def _fibers(m: FiniteScm, subset: tuple, assign: Mapping) -> list:
                 sols = solved[k] = solve(k)
             out += [(project(read + sol), found + sol) for sol in sols]
         rows = out
-    return list(map(_getter([order.index(v) for v in subset]), (found for _, found in rows)))
+    return list(map(_items_at([order.index(v) for v in subset]), (found for _, found in rows)))
 
 
 def _inputs(m: FiniteScm, subset) -> tuple:
@@ -470,14 +472,6 @@ def _support_points(m: FiniteScm, noises: tuple) -> list:
     if noises not in cache:
         cache[noises] = list(_support_assignments(m, noises))
     return cache[noises]
-
-
-def _getter(positions):
-    """The function from a tuple to the tuple of its items at ``positions``."""
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda row: (row[i],)
-    return operator.itemgetter(*positions) if positions else lambda row: ()
 
 
 def _gamma_plan(m: FiniteScm, free: tuple, margin: tuple) -> tuple:
@@ -510,8 +504,8 @@ def _gamma_plan(m: FiniteScm, free: tuple, margin: tuple) -> tuple:
             new = tuple(j for j in m.exogenous_names if j in inputs and j not in cols)
             at = {c: i for i, c in enumerate(cols + new + comp)}
             cols = tuple(c for c in at if last.get(c, -1) > k)
-            stages.append((comp, new, _getter([at[a] for a in inputs]), solved, solve, _getter([at[c] for c in cols])))
-        plans[free, margin] = targets, stages, None if cols == margin else _getter([cols.index(v) for v in margin])
+            stages.append((comp, new, _items_at([at[a] for a in inputs]), solved, solve, _items_at([at[c] for c in cols])))
+        plans[free, margin] = targets, stages, None if cols == margin else _items_at([cols.index(v) for v in margin])
     return plans[free, margin]
 
 

@@ -1,26 +1,25 @@
 """Equivalence relations between SCMs and causal-graph extraction.
 
-Observational equivalence of finite SCMs compares the full sets of achievable
-marginal distributions.  With Γ(e) the fiber at noise value e projected to
-the margin, that set is the Minkowski sum of p(e) times the simplex on Γ(e):
-the core of the belief function with mass m(A) = P(Γ = A) (Dempster 1967;
-Shafer 1976).  The core determines the belief function, its lower envelope,
-and the belief function its mass, so two sets are equal iff the two laws of
-Γ are equal.  Each law is ``analysis._gamma_law``, the one finite
-push-forward of the noise law: one exact pass over the strongly connected
-components in topological order, per model and per intervention, at a cost
-per component of its live states (distinct partial solutions of the noises
-read so far) times the support of the noises it is the first to read, each
-distinct input solved once on a cycle cutset; no selector is enumerated and
-no LP is solved.  A difference is witnessed by the smallest differing focal
-set S, its beliefs (the least achievable probabilities of S) on both sides,
-and the selector law that reaches the smaller one, which lies outside the
-other side's set, held as integer counts over the one denominator of the
-law (``DiscreteDistribution._from_counts``).
-Interventional equivalence quantifies over all perfect interventions inside
-the margin; counterfactual equivalence is interventional equivalence of the
-twin models.  Each report names the rule that decided it in ``rule``:
-``"no_solution"``, ``"single_law"``, ``"gamma_law"`` or
+Equivalence is one chain.  Each family has one check of observational
+equivalence under a perfect intervention (``_finite_equivalent``,
+``_linear_equivalent``), and ``interventionally_equivalent`` runs it over
+every intervention inside the margin; observational equivalence is the do()
+case, counterfactual equivalence the same loop on the twin models.
+
+Finite models compare the sets of achievable laws on the margin.  With Γ(e)
+the fiber at noise value e projected to the margin, that set is the
+Minkowski sum of p(e) times the simplex on Γ(e): the core of the belief
+function with mass m(A) = P(Γ = A) (Dempster 1967; Shafer 1976).  The core
+determines the belief function, its lower envelope, and that its mass, so
+two sets are equal iff the two laws of Γ are equal: one exact pass of
+``analysis._gamma_law`` per model and intervention, with no selector
+enumerated and no LP solved.  A difference is witnessed by the smallest
+differing focal set S, its beliefs (the least achievable probabilities of
+S) on both sides, and the selector law that reaches the smaller one, which
+lies outside the other side's set.  Linear models read the law of the
+margin under do(T = t), for every t at once, off the solve map of its
+ancestors outside T.  Each report names the rule that decided it in
+``rule``: ``"no_solution"``, ``"single_law"``, ``"gamma_law"`` or
 ``"linear_per_variable"``.  A direct cause i of j is read off the same law:
 the Γ-laws of j under do(V minus j) differ between two values of i.
 """
@@ -36,6 +35,8 @@ from .analysis import (
     DiscreteDistribution,
     _gamma_law,
     _solution_law,
+    _subset_names,
+    solvable_wrt,
     solve_map,
     structurally_uniquely_solvable,
 )
@@ -47,7 +48,7 @@ from .errors import (
     SolvabilityError,
     UnsupportedModelError,
 )
-from .graph import MixedGraph
+from .graph import MixedGraph, intervene_graph
 from .scm import FiniteScm, LinearScm, functional_graph, functional_parents
 from .transform import marginalize, twin
 
@@ -94,17 +95,22 @@ class EquivalenceReport:
 
 # --- observational equivalence ----------------------------------------------
 
-def _margin_names(m1, m2, margin) -> tuple:
+def _margin_and_check(m1, m2, margin) -> tuple:
+    """The margin, sorted and checked against both models, and the
+    per-intervention check of their family."""
     margin = tuple(sorted(set([margin]) if isinstance(margin, str) else set(margin)))
     for m in (m1, m2):
         missing = set(margin) - set(m.endogenous_names)
         if missing:
             raise DomainMismatchError(f"margin variables {sorted(missing)} missing from a model")
-    if isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm):
-        for v in margin:
-            if m1.endogenous[v] != m2.endogenous[v]:
-                raise DomainMismatchError(f"margin variable {v} has different domains")
-    return margin
+    if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
+        return margin, _linear_equivalent
+    if not (isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm)):
+        raise DomainMismatchError("cannot compare models from different families")
+    for v in margin:
+        if m1.endogenous[v] != m2.endogenous[v]:
+            raise DomainMismatchError(f"margin variable {v} has different domains")
+    return margin, _finite_equivalent
 
 
 def _selector_law(margin, domains, den, law, order, event) -> DiscreteDistribution:
@@ -120,15 +126,20 @@ def _selector_law(margin, domains, den, law, order, event) -> DiscreteDistributi
     return DiscreteDistribution._from_counts(margin, domains, den, weights)
 
 
+def _unsolved(margin, g1, g2) -> EquivalenceReport:
+    """The report where a side has no solution (``None``): the empty set of
+    laws, equal only to another empty set."""
+    sides = (("left", g1), ("right", g2))
+    witness = None if g1 is g2 else {s: "no solution" if g is None else "solvable" for s, g in sides}
+    return EquivalenceReport("observational", margin, g1 is g2, "no_solution", witness)
+
+
 def _finite_equivalent(m1, m2, margin, iv) -> EquivalenceReport:
     """Observational equivalence of the finite models under do(iv) on the
     margin, by comparing the laws of their projected fiber sets Γ."""
     g1, g2 = _gamma_law(m1, margin, iv), _gamma_law(m2, margin, iv)
     if g1 is None or g2 is None:
-        witness = None if g1 is g2 else {
-            side: "no solution" if g is None else "solvable" for side, g in (("left", g1), ("right", g2))
-        }
-        return EquivalenceReport("observational", margin, g1 is g2, "no_solution", witness)
+        return _unsolved(margin, g1, g2)
     (den1, law1), (den2, law2) = g1, g2
     rule = "single_law" if all(len(a) == 1 for a in (*law1, *law2)) else "gamma_law"
     differ = [a for a in law1.keys() | law2.keys() if law1.get(a, 0) * den2 != law2.get(a, 0) * den1]
@@ -159,120 +170,106 @@ def _finite_equivalent(m1, m2, margin, iv) -> EquivalenceReport:
     )
 
 
-def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
-    """Do the two models have the same set of achievable distributions on the
-    margin?  Models without any solution have the empty set and are vacuously
-    equivalent to each other."""
-    margin = _margin_names(m1, m2, margin)
-    if isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm):
-        return _finite_equivalent(m1, m2, margin, {})
-    if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
-        # the observational law is the law under do(), compared as every
-        # interventional one is
-        f1, f2 = _linear_do_law(m1, (), margin), _linear_do_law(m2, (), margin)
-        if f1 is None or f2 is None:
-            raise UnsupportedModelError(
-                "linear observational equivalence needs both models uniquely solvable"
-            )
-        if _do_laws_equal(f1, f2):
-            return EquivalenceReport("observational", margin, True, "linear_per_variable")
-        return EquivalenceReport(
-            "observational", margin, False, "linear_per_variable",
-            witness={side: f[1].to_json_obj() for side, f in (("left", f1), ("right", f2))},
-        )
-    raise DomainMismatchError("cannot compare models from different families")
-
-
-# --- interventional equivalence ----------------------------------------------
-
-def _intervention_patterns(margin):
-    for size in range(len(margin) + 1):
-        for subset in itertools.combinations(margin, size):
-            yield subset
-
-
 def _linear_do_law(m: LinearScm, targets, margin):
     """The law of the margin outside ``targets`` under do(targets = t), read
-    off the solve map of the other variables: ``(A, law)``, ``law`` the one
-    at t = 0 plus mean ``A t`` (columns in ``targets`` order); ``None`` when
-    that subsystem is singular.  The targets equal t in every model."""
-    try:
-        sm = solve_map(m, [v for v in m.endogenous_names if v not in targets])
-    except NotUniquelySolvable:
+    off the solve map of its ancestors outside the targets: ``(A, law)``,
+    ``law`` the one at t = 0 plus mean ``A t``; ``None`` when the variables
+    outside the targets have no solution, ``"singular"`` when those
+    ancestors are not uniquely solvable."""
+    if not solvable_wrt(m, [v for v in m.endogenous_names if v not in targets]):
         return None
     rest = [v for v in margin if v not in targets]
+    try:
+        sm = solve_map(m, intervene_graph(functional_graph(m), targets).ancestors_of(rest) - set(targets))
+    except NotUniquelySolvable:
+        return "singular"
     rows = [sm.targets.index(v) for v in rest]
     cols = [sm.endo_args.index(t) for t in targets]
     return sm.A[np.ix_(rows, cols)], _solution_law(m, sm, rest)
 
 
-def _do_laws_equal(f1, f2) -> bool:
-    """Rule (ii) of ``config``: the coefficients agree within the tolerance
-    times their sizes, and the laws by ``GaussianDistribution.close_to``."""
+def _linear_equivalent(m1, m2, margin, targets) -> EquivalenceReport:
+    """Observational equivalence of the linear models under do(targets = t)
+    on the margin, for every t at once: the gains ``A`` agree by rule (ii)
+    of ``config`` and the laws at t = 0 by ``GaussianDistribution.close_to``.
+    A side without a unique law differs from one with it; two such sides
+    raise ``UnsupportedModelError``, as neither law is known."""
+    targets = tuple(targets)
+    f1, f2 = _linear_do_law(m1, targets, margin), _linear_do_law(m2, targets, margin)
+    if not (isinstance(f1, tuple) or isinstance(f2, tuple)):
+        raise UnsupportedModelError(f"neither model has a unique law of the margin under do({', '.join(targets)})")
+    if f1 is None or f2 is None:
+        return _unsolved(margin, f1, f2)
+    if "singular" in (f1, f2):
+        witness = {s: "singular" if f == "singular" else "unique" for s, f in (("left", f1), ("right", f2))}
+        return EquivalenceReport("observational", margin, False, "linear_per_variable", witness)
     (a1, law1), (a2, law2) = f1, f2
-    return bool(np.all(negligible(a1 - a2, np.abs(a1) + np.abs(a2)))) and law1.close_to(law2)
+    gains, laws = bool(np.all(negligible(a1 - a2, np.abs(a1) + np.abs(a2)))), law1.close_to(law2)
+    if gains and laws:
+        return EquivalenceReport("observational", margin, True, "linear_per_variable")
+    witness = {"left": law1.to_json_obj(), "right": law2.to_json_obj()}
+    if laws:
+        witness["gains"] = {"left": a1.tolist(), "right": a2.tolist()}
+    return EquivalenceReport("observational", margin, False, "linear_per_variable", witness)
+
+
+def observationally_equivalent(m1, m2, margin) -> EquivalenceReport:
+    """Do the two models have the same set of achievable distributions on the
+    margin?  The do() case of the interventional check; finite models without
+    any solution have the empty set and are vacuously equivalent."""
+    margin, check = _margin_and_check(m1, m2, margin)
+    return check(m1, m2, margin, {})
+
+
+# --- interventional and counterfactual equivalence ----------------------------
+
+def _interventions(m, margin):
+    """Every perfect intervention inside the margin as the family's check
+    takes it: per target subset, each of its values (finite) or the targets
+    alone, which stand for all their values (linear)."""
+    for size in range(len(margin) + 1):
+        for targets in itertools.combinations(margin, size):
+            if isinstance(m, LinearScm):
+                yield targets
+            else:
+                values = itertools.product(*(m.endogenous[t].values for t in targets))
+                yield from (dict(zip(targets, c)) for c in values)
 
 
 def interventionally_equivalent(m1, m2, margin, max_evaluations: int = 10**5) -> EquivalenceReport:
     """Observational equivalence of the intervened pairs for every perfect
-    intervention inside the margin (all target subsets, all values).  Finite
-    models raise ``ScmError`` before the first intervention when the count
-    of evaluations this needs exceeds ``max_evaluations``."""
-    margin = _margin_names(m1, m2, margin)
-    if isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm):
-        # every target subset, every value combination, both models
-        needed = 2 * math.prod(len(m1.endogenous[v].values) + 1 for v in margin)
-        if needed > max_evaluations:
-            raise ScmError(
-                f"interventional equivalence needs {needed} evaluations, "
-                f"over the cap max_evaluations={max_evaluations}"
+    intervention inside the margin (all target subsets, all values), the
+    first difference witnessed by its ``"intervention"`` (the values set;
+    for linear models the targets) and its ``"observational"`` witness.
+    Raises ``ScmError`` before the first intervention when the evaluations
+    this needs, 2·∏(|D_v| + 1) over a finite margin and 2·2^k over a linear
+    one of k variables, exceed ``max_evaluations``."""
+    margin, check = _margin_and_check(m1, m2, margin)
+    linear = check is _linear_equivalent
+    needed = 2 * math.prod((1 if linear else len(m1.endogenous[v].values)) + 1 for v in margin)
+    if needed > max_evaluations:
+        raise ScmError(
+            f"interventional equivalence needs {needed} evaluations, "
+            f"over the cap max_evaluations={max_evaluations}"
+        )
+    rules = {"no_solution"}
+    for iv in _interventions(m1, margin):
+        rep = check(m1, m2, margin, iv)
+        if not rep:
+            shown = list(iv) if linear else {k: (str(v) if isinstance(v, Fraction) else v) for k, v in iv.items()}
+            return EquivalenceReport(
+                "interventional", margin, False, rep.rule,
+                witness={"intervention": shown, "observational": rep.witness},
             )
-        rules = {"no_solution"}
-        for targets in _intervention_patterns(margin):
-            values = [m1.endogenous[t].values for t in targets]
-            for combo in itertools.product(*values):
-                iv = dict(zip(targets, combo))
-                rep = _finite_equivalent(m1, m2, margin, iv)
-                if not rep:
-                    shown = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in iv.items()}
-                    return EquivalenceReport(
-                        "interventional", margin, False, rep.rule,
-                        witness={"intervention": shown, "observational": rep.witness},
-                    )
-                rules.add(rep.rule)
-        return EquivalenceReport("interventional", margin, True, max(rules, key=_RULES.index))
-    if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
-        for targets in _intervention_patterns(margin):
-            f1 = _linear_do_law(m1, targets, margin)
-            f2 = _linear_do_law(m2, targets, margin)
-            if f1 is None and f2 is None:
-                raise UnsupportedModelError(
-                    "both intervened linear models are non-uniquely-solvable; comparison unsupported"
-                )
-            if (f1 is None) != (f2 is None):
-                return EquivalenceReport(
-                    "interventional", margin, False, "linear_per_variable",
-                    witness={"intervention_targets": list(targets),
-                             "left": "singular" if f1 is None else "unique",
-                             "right": "singular" if f2 is None else "unique"},
-                )
-            if not _do_laws_equal(f1, f2):
-                return EquivalenceReport(
-                    "interventional", margin, False, "linear_per_variable",
-                    witness={"intervention_targets": list(targets)},
-                )
-        return EquivalenceReport("interventional", margin, True, "linear_per_variable")
-    raise DomainMismatchError("cannot compare models from different families")
+        rules.add(rep.rule)
+    return EquivalenceReport("interventional", margin, True, max(rules, key=_RULES.index))
 
 
 def counterfactually_equivalent(m1, m2, margin, max_evaluations: int = 10**5) -> EquivalenceReport:
     """Interventional equivalence of the twin models on the margin plus its
     primed copy."""
-    margin = _margin_names(m1, m2, margin)
-    if not (isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm)):
-        raise UnsupportedModelError("counterfactual equivalence is implemented for finite SCMs")
-    doubled = tuple(margin) + tuple(v + "'" for v in margin)
-    rep = interventionally_equivalent(twin(m1), twin(m2), doubled, max_evaluations)
+    margin, _ = _margin_and_check(m1, m2, margin)
+    rep = interventionally_equivalent(twin(m1), twin(m2), margin + tuple(v + "'" for v in margin), max_evaluations)
     return EquivalenceReport("counterfactual", margin, rep.verdict, rep.rule, rep.witness)
 
 
@@ -335,7 +332,7 @@ def direct_causal_graph(m) -> MixedGraph:
 
 def direct_causal_graph_wrt(m, context) -> MixedGraph:
     """Direct causal graph after marginalizing everything outside ``context``."""
-    context = set([context]) if isinstance(context, str) else set(context)
+    context = _subset_names(m, context)
     latent = [v for v in m.endogenous_names if v not in context]
     try:
         marg = marginalize(m, latent)

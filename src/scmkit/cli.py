@@ -21,12 +21,16 @@ from .scm import FiniteScm, augmented_graph, functional_graph
 __all__ = ["main", "run"]
 
 
-def _load_model(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return dsl.parse(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ScmError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_model(path: str):
+    return dsl.parse(_read(path))
 
 
 def _parse_assignments(m, text: str) -> dict:
@@ -269,8 +273,7 @@ def _dispatch(args) -> int:
         if bool(args.file) == bool(args.graph):
             raise ScmError("sep needs exactly one of a model file or --graph")
         if args.graph:
-            with open(args.graph, "r", encoding="utf-8") as fh:
-                g = MixedGraph.from_json(fh.read())
+            g = MixedGraph.from_json(_read(args.graph))
         else:
             g = functional_graph(_load_model(args.file))
         fn = sigma_separated if args.kind == "sigma" else d_separated

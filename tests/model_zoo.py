@@ -20,6 +20,7 @@ from scmkit import (
     NotSolvable,
     ScmError,
     TabularMechanism,
+    parse,
 )
 from scmkit.analysis import _fibers, _inputs, _support_assignments
 
@@ -161,6 +162,33 @@ def lin_gauss_anm_tilde(alpha=0.5, beta=1 / 3, mu=(0.0, 0.0), sigma_sq=(1.0, 1.0
     B = [[0.0, 0.0], [gamma, 0.0]]
     Gamma = [[1.0, 0.0], [0.0, 1.0]]
     return LinearScm(("X1", "X2"), blocks, B, Gamma)
+
+
+def x1_beside(x2_rhs: str) -> LinearScm:
+    """X1 = E1 beside X2 = ``x2_rhs``, both noises standard normal: with
+    "X2" a singular part, with "X2 + 1" one without a solution, that the
+    margin {X1} does not read."""
+    return parse("model linear\nvar X1 X2\nnoise E1 : Normal(0, 1)\nnoise E2 : Normal(0, 1)\n"
+                 f"eq X1 = E1\neq X2 = {x2_rhs}\n")
+
+
+def finite_x1_beside(x2_rhs: str) -> FiniteScm:
+    """The finite analog of ``x1_beside``: binary X1 = E1, E1 a fair coin,
+    beside binary X2 = ``x2_rhs`` ("X2", "1 - X2" or "0")."""
+    return parse("model finite\nvar X1 : {0, 1}\nvar X2 : {0, 1}\nnoise E1 : {0, 1} ~ {0: 1/2, 1: 1/2}\n"
+                 f"eq X1 = E1\neq X2 = {x2_rhs}\n")
+
+
+def gain_only_pair() -> tuple:
+    """X2 = X1 + U and X2 = -X1 + U, X1 = E1, with cov(E1, U) = -1 and 1 and
+    var(U) = 2: one observational law, one law of X2 under do(X1 = 0), but
+    X2 moves with X1 by +1 in one and by -1 in the other."""
+    return tuple(
+        parse("model linear\nvar X1 X2\n"
+              f"noise E1 U : Normal(mean=[0, 0], cov=[[1, {-g}], [{-g}, 2]])\n"
+              f"eq X1 = E1\neq X2 = {g}*X1 + U\n")
+        for g in (1, -1)
+    )
 
 
 def treatment_twin(rho=0.6) -> LinearScm:

@@ -30,6 +30,7 @@ from scmkit import (
     augmented_graph,
     canonicalize,
     counterfactual_distribution,
+    counterfactually_equivalent,
     fiber,
     functional_graph,
     gaussian_condition,
@@ -612,6 +613,19 @@ class TestLinearBattery:
                     assert observational_distribution(marg).close_to(full.marginal(rest))
                     assert interventionally_equivalent(m, marg, rest).verdict
 
+    def test_marginalization_keeps_the_counterfactuals(self, battery):
+        # margins of one and two variables: the 116 pairs of every margin take about 10 s
+        checked = 0
+        for m, _, singular in battery:
+            if singular:
+                continue
+            for r in range(len(m.endogenous) - 2, len(m.endogenous)):
+                for latent in itertools.combinations(m.endogenous, r):
+                    rest = tuple(v for v in m.endogenous if v not in latent)
+                    assert counterfactually_equivalent(m, marginalize(m, latent), rest).verdict, (m, latent)
+                    checked += 1
+        assert checked == 70
+
     def test_interventional_equivalence_of_the_canonical_form(self, battery):
         rng = random.Random(43)
         for m, _, singular in battery:
@@ -1089,6 +1103,7 @@ class TestDistributionPlumbing:
             lambda: d.marginal(["X1", "X1"]),
             lambda: g.marginal([g.vars[0], g.vars[1], g.vars[0]]),
             lambda: counterfactual_distribution(zoo.causal_graph_marginalization(), {}, {}, {}, ["X1'", "X1'"]),
+            lambda: DiscreteDistribution(("A", "A"), {"A": FiniteDomain((0, 1))}, {(0, 1): F(1, 2), (1, 1): F(1, 2)}),
         )
         for call in calls:
             with pytest.raises(ScmError, match="named twice"):

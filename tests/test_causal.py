@@ -21,6 +21,8 @@ from scmkit import (
     ScmError,
     SolvabilityError,
     TabularMechanism,
+    UnknownNameError,
+    UnsupportedModelError,
     canonicalize,
     counterfactually_equivalent,
     direct_causal_graph,
@@ -643,7 +645,7 @@ class TestInterventionalEquivalence:
         m, m_tilde = zoo.lin_gauss_anm(), zoo.lin_gauss_anm_tilde()
         rep = interventionally_equivalent(m, m_tilde, ["X1", "X2"])
         assert not rep.verdict
-        assert rep.witness["intervention_targets"]
+        assert rep.witness["intervention"] == ["X1"]
         # intervening on X2 is a distinguishing witness: it moves X1 in one
         # model but not in the other
         split = observationally_equivalent(
@@ -688,6 +690,13 @@ class TestInterventionalEquivalence:
         m = zoo.interventional_equiv_m()
         with pytest.raises(ScmError):
             interventionally_equivalent(m, m.replace(), ["X1", "X2"], max_evaluations=3)
+        # a linear pair: 2 * 2**2 evaluations on {X1, X2}, 2 * 4**2 on its doubled cf margin
+        m = zoo.lin_gauss_anm()
+        assert interventionally_equivalent(m, m.replace(), ["X1", "X2"], max_evaluations=8).verdict
+        with pytest.raises(ScmError, match=r"needs 8 evaluations, over the cap max_evaluations=7"):
+            interventionally_equivalent(m, m.replace(), ["X1", "X2"], max_evaluations=7)
+        with pytest.raises(ScmError, match=r"needs 32 evaluations, over the cap max_evaluations=31"):
+            counterfactually_equivalent(m, m.replace(), ["X1", "X2"], max_evaluations=31)
 
     def test_cap_is_checked_before_the_first_intervention(self):
         # 2 * 720**2 evaluations of the twin model against a cap of 10**5
@@ -743,6 +752,70 @@ class TestCounterfactualEquivalence:
             assert observationally_equivalent(m, m_tilde, margin).verdict
             assert interventionally_equivalent(m, m_tilde, margin).verdict
             assert counterfactually_equivalent(m_tilde, m_hat, margin).verdict
+
+
+LEVELS = (observationally_equivalent, interventionally_equivalent, counterfactually_equivalent)
+
+
+class TestLinearEquivalenceChain:
+    """The linear family on the one chain: each level is the per-intervention
+    check run by one loop, and its verdicts and no-solution witnesses match
+    those of the finite analogs."""
+
+    def test_a_singular_part_the_margin_does_not_read_changes_no_verdict(self):
+        for level in LEVELS:
+            rep = level(zoo.x1_beside("X2"), zoo.x1_beside("E2"), ["X1"])
+            assert rep.verdict and rep.rule == "linear_per_variable", rep
+            assert level(zoo.finite_x1_beside("X2"), zoo.finite_x1_beside("0"), ["X1"]).verdict
+
+    def test_a_side_without_solution_differs_as_a_finite_one_does(self):
+        for level in LEVELS:
+            rep = level(zoo.x1_beside("X2 + 1"), zoo.x1_beside("E2"), ["X1"])
+            finite = level(zoo.finite_x1_beside("1 - X2"), zoo.finite_x1_beside("0"), ["X1"])
+            assert not rep.verdict and rep.rule == finite.rule == "no_solution"
+            words = rep.witness if level is observationally_equivalent else rep.witness["observational"]
+            assert words == {"left": "no solution", "right": "solvable"}
+            assert finite.to_json_obj()["witness"] == (
+                words if level is observationally_equivalent else {"intervention": {}, "observational": words})
+
+    def test_one_singular_side_differs_and_two_are_not_compared(self):
+        singular, unique = zoo.x1_beside("X2"), zoo.x1_beside("E2")
+        for level in LEVELS:
+            rep = level(singular, unique, ["X1", "X2"])
+            assert not rep.verdict and rep.rule == "linear_per_variable"
+            words = rep.witness if level is observationally_equivalent else rep.witness["observational"]
+            assert words == {"left": "singular", "right": "unique"}
+            with pytest.raises(UnsupportedModelError):
+                level(singular, singular.replace(), ["X1", "X2"])
+
+    def test_gains_alone_are_a_witness(self):
+        m1, m2 = zoo.gain_only_pair()
+        assert observationally_equivalent(m1, m2, ["X1", "X2"]).verdict
+        rep = interventionally_equivalent(m1, m2, ["X1", "X2"])
+        assert not rep.verdict and rep.witness["intervention"] == ["X1"]
+        obs = rep.witness["observational"]
+        assert obs["left"] == obs["right"] and obs["gains"] == {"left": [[1.0]], "right": [[-1.0]]}
+
+    def test_linear_counterfactual_equivalence(self):
+        models = {p.stem: parse(p.read_text()) for p in sorted(CORPUS.glob("*.scm"))}
+        linear = {name: m for name, m in models.items() if isinstance(m, LinearScm)}
+        assert len(linear) >= 8
+        # the twin of ex_treatment_twin would declare its X2' twice
+        twin_collision = linear.pop("ex_treatment_twin")
+        with pytest.raises(ScmError, match="twin naming collision"):
+            counterfactually_equivalent(twin_collision, twin_collision, twin_collision.endogenous_names)
+        # under do(X3) neither copy of ex_interventions has a solution, so neither has a law
+        flip_flop = linear.pop("ex_interventions")
+        with pytest.raises(UnsupportedModelError, match=r"do\(X3\)"):
+            counterfactually_equivalent(flip_flop, flip_flop.replace(), flip_flop.endogenous_names)
+        for name, m in linear.items():
+            names = m.endogenous_names
+            assert counterfactually_equivalent(m, m.replace(), names).verdict, name
+            assert counterfactually_equivalent(m, canonicalize(m), names).verdict, name
+        m, m_tilde = linear["ex_lingauss"], linear["ex_lingauss_tilde"]
+        assert observationally_equivalent(m, m_tilde, ["X1", "X2"]).verdict
+        rep = counterfactually_equivalent(m, m_tilde, ["X1", "X2"])
+        assert not rep.verdict and rep.witness["intervention"] == ["X1"]
 
 
 class TestDirectCause:
@@ -906,6 +979,13 @@ class TestContextCausalGraph:
         assert ("X1", "X3") in marg_graph.directed
         assert ("X1", "X3") not in projected.directed
         assert is_indirect_cause(m, "X1", "X3")
+
+    def test_unknown_context_names_raise(self):
+        m = zoo.chain_substitution()
+        with pytest.raises(UnknownNameError, match="Nope"):
+            direct_causal_graph_wrt(m, ["X1", "Nope"])
+        with pytest.raises(UnknownNameError, match="Nope"):
+            is_indirect_cause(m, "X1", "Nope")
 
     def test_precondition_failures_report_cause(self):
         m = zoo.unique_ancestral()

@@ -47,6 +47,11 @@ class TestGraphCommand:
         obj = json.loads(capsys.readouterr().out)
         assert obj["directed"] == [["X1", "X3"]]
 
+    def test_an_unknown_context_name_is_a_model_error(self, capsys):
+        assert run(["graph", corpus("ex_direct_cause_biased.scm"), "--kind", "causal", "--context", "Zzz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Zzz" in captured.err
+
     @pytest.mark.parametrize("names", ["", ","])
     def test_an_empty_context_is_a_usage_error(self, names, capsys):
         # an empty list is not an absent option: it must not fall back to the full causal graph
@@ -213,6 +218,11 @@ class TestSepCommand:
         assert run(["sep", corpus("ex_chain.scm"), "--a", "X1", "--b", "X3",
                     "--given", "X2", "--kind", "sigma"]) == 0
 
+    def test_a_missing_graph_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert run(["sep", "--graph", str(path), "--a", "a", "--b", "b"]) == 2
+        assert capsys.readouterr().err.startswith(f"scmkit: error: cannot read {path}: ")
+
     def test_needs_exactly_one_input(self, capsys):
         assert run(["sep", "--a", "X1", "--b", "X2", "--kind", "d"]) == 2
 
@@ -283,6 +293,10 @@ class TestEquivCommand:
         assert run(["equiv", a, b, "--level", "obs"]) == 0
         assert json.loads(capsys.readouterr().out)["rule"] == "linear_per_variable"
         assert run(["equiv", a, b, "--level", "int"]) == 1
+        assert run(["equiv", a, a, "--level", "cf"]) == 0
+        capsys.readouterr()
+        assert run(["equiv", a, b, "--level", "cf"]) == 1
+        assert json.loads(capsys.readouterr().out)["witness"]["intervention"] == ["X1"]
 
 
 class TestThinAdapter:

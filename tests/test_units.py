@@ -26,6 +26,7 @@ from scmkit import (
     augmented_graph,
     canonicalize,
     counterfactual_distribution,
+    counterfactually_equivalent,
     direct_causal_graph,
     functional_graph,
     functional_parents,
@@ -149,6 +150,32 @@ def test_a_change_of_units_changes_no_verdict(k):
             assert law is want
         else:
             assert unscale(law, unit).close_to(want)
+
+
+def cf_pairs():
+    """``(m1, m2, margin, verdict)``: linear counterfactual checks that hold
+    and that fail, the first two beside a singular or unsolvable X2 that the
+    margin does not read."""
+    lingauss, tilde = (parse((CORPUS / f"{n}.scm").read_text()) for n in ("ex_lingauss", "ex_lingauss_tilde"))
+    return [
+        (zoo.x1_beside("X2"), zoo.x1_beside("E2"), ["X1"], True),
+        (zoo.x1_beside("X2 + 1"), zoo.x1_beside("E2"), ["X1"], False),
+        (lingauss, lingauss.replace(), ["X1", "X2"], True),
+        (lingauss, canonicalize(lingauss), ["X1", "X2"], True),
+        (lingauss, tilde, ["X1", "X2"], False),
+    ]
+
+
+@pytest.mark.parametrize("shift", list(itertools.product(range(3), repeat=2)))
+def test_a_change_of_units_changes_no_counterfactual_verdict(shift):
+    # variable k in units FACTORS[(i + k) % 3], noise coordinate j in FACTORS[(i' + j) % 3]
+    def scaled(m):
+        d = [FACTORS[(shift[0] + k) % 3] for k in range(len(m.endogenous_names))]
+        return rescale(m, d, [FACTORS[(shift[1] + j) % 3] for j in range(len(m.coord_names))])
+
+    for m1, m2, margin, verdict in cf_pairs():
+        assert counterfactually_equivalent(m1, m2, margin).verdict is verdict
+        assert counterfactually_equivalent(scaled(m1), scaled(m2), margin).verdict is verdict, (m1, m2)
 
 
 # --- models whose variables are in different units ---------------------------
