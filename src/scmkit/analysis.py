@@ -255,14 +255,14 @@ class GaussianDistribution:
         return GaussianDistribution._from_factor(names, self.mean[idx], self.cov[np.ix_(idx, idx)],
                                                  self.scale[idx], self.factor[idx])
 
-    def close_to(self, other: "GaussianDistribution", tol=None) -> bool:
+    def close_to(self, other: "GaussianDistribution") -> bool:
         """The one comparison of Gaussian laws, rule (ii) of ``config`` with
-        ``sd = sqrt(scale)``: covariance ``(i, j)`` may differ by ``tol`` times
+        ``sd = sqrt(scale)``: covariance ``(i, j)`` may differ by the tolerance times
         the sum of ``sd[i] * sd[j]``, mean ``i`` by that of ``|mean[i]|, sd[i]``."""
         sd1, sd2 = np.sqrt(self.scale), np.sqrt(other.scale)
         return self.vars == other.vars and bool(
-            np.all(negligible(self.cov - other.cov, np.outer(sd1, sd1) + np.outer(sd2, sd2), tol))
-            and np.all(negligible(self.mean - other.mean, np.abs(self.mean) + np.abs(other.mean) + sd1 + sd2, tol)))
+            np.all(negligible(self.cov - other.cov, np.outer(sd1, sd1) + np.outer(sd2, sd2)))
+            and np.all(negligible(self.mean - other.mean, np.abs(self.mean) + np.abs(other.mean) + sd1 + sd2)))
 
     def to_json_obj(self) -> dict:
         return {"vars": list(self.vars), "mean": self.mean.tolist(), "cov": self.cov.tolist()}
@@ -812,14 +812,10 @@ def solve_map(m, subset) -> SolveMap:
     # declared arguments that are no functional parents are pinned
     pin = _pins(m, [a for names in _inputs(m, subset_t) for a in names if a not in args])
 
-    supports = {j: set(m.support(j)) for j in exo_args}
     table = {}
     for e_combo in itertools.product(*(m.exogenous[j].values for j in exo_args)):
-        on_support = all(v in supports[j] for j, v in zip(exo_args, e_combo))
         for ctx_combo in itertools.product(*(m.endogenous[i].values for i in endo_args)):
             sols = _fibers(m, subset_t, {**pin, **dict(zip(exo_args, e_combo)), **dict(zip(endo_args, ctx_combo))})
-            if on_support and len(sols) != 1:  # pragma: no cover - guarded by the scan
-                raise NotUniquelySolvable(subset_t, {"e": e_combo, "ctx": ctx_combo})
             table[(ctx_combo, e_combo)] = min(sols) if sols else tuple(m.endogenous[o].first() for o in subset_t)
     return SolveMap(targets=subset_t, endo_args=endo_args, exo_args=exo_args, table=table)
 
@@ -960,27 +956,28 @@ def counterfactual_distribution(m, factual_do, observed, cf_do, query):
     return dist.marginal(query)
 
 
-def _project(d: GaussianDistribution, ia, ib, tol) -> tuple:
+def _project(d: GaussianDistribution, ia, ib) -> tuple:
     """Condition ``d`` on its coordinates ``ib``: ``(rows, gain, rank)``.  With
     ``x = mean + F z``, x_S fixes z in the row space of F_S, so the rows of
     ``ia`` become F_A (I - Q Q^T) and their mean moves by ``gain @ (x_S -
     mean_S)``; Q holds the ``rank`` right singular vectors of F_S's normalized
-    rows over ``tol`` times the largest singular value.  A row is 0 where its
-    variance is by rule (ii) of ``config`` or at most ``tol`` of its norm is left."""
-    f, tol, norm = d.factor, tolerance(tol), np.linalg.norm(d.factor, axis=1)
-    live = ~negligible(norm**2, d.scale, tol)
+    rows over the tolerance times the largest singular value.  A row is 0 where
+    its variance is by rule (ii) of ``config`` or at most the tolerance of its
+    norm is left."""
+    f, norm = d.factor, np.linalg.norm(d.factor, axis=1)
+    live = ~negligible(norm**2, d.scale)
     seen = [i for i in ib if live[i]]
     u, s, vh = np.linalg.svd(f[seen] / norm[seen, None], full_matrices=False)
-    rank = np.count_nonzero(s > tol * s.max(initial=0.0))
+    rank = np.count_nonzero(s > tolerance() * s.max(initial=0.0))
     along = f[ia] @ vh[:rank].T
     rows = f[ia] - along @ vh[:rank]
-    rows[~live[ia] | negligible(np.linalg.norm(rows, axis=1), norm[ia], tol)] = 0.0
+    rows[~live[ia] | negligible(np.linalg.norm(rows, axis=1), norm[ia])] = 0.0
     gain = np.zeros((len(ia), len(ib)))
     gain[:, live[ib]] = (along / s[:rank]) @ u[:, :rank].T / norm[seen]
     return rows, gain, rank
 
 
-def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float], tol=None) -> GaussianDistribution:
+def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float]) -> GaussianDistribution:
     """Condition a Gaussian on exact values of some coordinates, the Schur
     complement taken on its noise factor (``_project``).  An observed block
     whose rank there is below its size is singular, an error; no change of
@@ -990,7 +987,7 @@ def gaussian_condition(d: GaussianDistribution, observed: Mapping[str, float], t
     if not names:
         return d
     ia = [i for i, v in enumerate(d.vars) if v not in observed]
-    rows, gain, rank = _project(d, ia, ib, tol)
+    rows, gain, rank = _project(d, ia, ib)
     if rank < len(ib):
         raise EvidenceError("observed block covariance is singular")
     mean = d.mean[ia] + gain @ (np.array([float(observed[v]) for v in names]) - d.mean[ib])

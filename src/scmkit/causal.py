@@ -192,14 +192,15 @@ def _linear_equivalent(m1, m2, margin, targets) -> EquivalenceReport:
     """Observational equivalence of the linear models under do(targets = t)
     on the margin, for every t at once: the gains ``A`` agree by rule (ii)
     of ``config`` and the laws at t = 0 by ``GaussianDistribution.close_to``.
-    A side without a unique law differs from one with it; two such sides
-    raise ``UnsupportedModelError``, as neither law is known."""
+    Two sides without a solution are equivalent, as finite ones are (rule
+    ``no_solution``).  A side without a unique law differs from one with it;
+    two singular sides raise ``UnsupportedModelError``, as neither law is known."""
     targets = tuple(targets)
     f1, f2 = _linear_do_law(m1, targets, margin), _linear_do_law(m2, targets, margin)
-    if not (isinstance(f1, tuple) or isinstance(f2, tuple)):
-        raise UnsupportedModelError(f"neither model has a unique law of the margin under do({', '.join(targets)})")
     if f1 is None or f2 is None:
         return _unsolved(margin, f1, f2)
+    if not (isinstance(f1, tuple) or isinstance(f2, tuple)):
+        raise UnsupportedModelError(f"neither model has a unique law of the margin under do({', '.join(targets)})")
     if "singular" in (f1, f2):
         witness = {s: "singular" if f == "singular" else "unique" for s, f in (("left", f1), ("right", f2))}
         return EquivalenceReport("observational", margin, False, "linear_per_variable", witness)
@@ -323,11 +324,7 @@ def direct_causal_graph(m) -> MixedGraph:
             verdict, _ = is_direct_cause(m, i, j)
             if verdict:
                 edges.append((i, j))
-    g = MixedGraph(m.endogenous_names, edges, ())
-    fg = functional_graph(m)
-    if not all(e in fg.directed for e in g.directed):  # pragma: no cover - theory guard
-        raise AssertionError("direct causal graph escapes the functional graph")
-    return g
+    return MixedGraph(m.endogenous_names, edges, ())
 
 
 def direct_causal_graph_wrt(m, context) -> MixedGraph:
@@ -348,5 +345,7 @@ def direct_causal_graph_wrt(m, context) -> MixedGraph:
 
 def is_indirect_cause(m, i: str, j: str) -> bool:
     """Is i a cause of j in the two-variable context {i, j}?"""
+    if i == j:
+        raise ScmError("direct causes are defined for distinct variables")
     g = direct_causal_graph_wrt(m, {i, j})
     return (i, j) in g.directed

@@ -44,20 +44,18 @@ class _Numpy:
 np = _Numpy()
 
 
-def tolerance(tol=None):
-    """Resolve the zero-test tolerance: explicit argument, then the
-    SCMKIT_TOLERANCE environment variable, then the library default."""
-    if tol is not None:
-        return float(tol)
+def tolerance():
+    """The zero-test tolerance: the SCMKIT_TOLERANCE environment variable,
+    else the library default."""
     env = os.environ.get("SCMKIT_TOLERANCE")
     if env:
         return float(env)
     return DEFAULT_TOLERANCE
 
 
-def negligible(value, magnitude, tol=None):
-    """Rule (ii), elementwise: is ``value`` at most tol times its ``magnitude``?"""
-    return np.abs(value) <= tolerance(tol) * np.asarray(magnitude)
+def negligible(value, magnitude):
+    """Rule (ii), elementwise: is ``value`` at most the tolerance times its ``magnitude``?"""
+    return np.abs(value) <= tolerance() * np.asarray(magnitude)
 
 
 def snap(value, magnitude):

@@ -1,5 +1,7 @@
 """The `.scm` model specification language: parser, evaluator and serializer.
 
+Both families read one statement grammar (``_statements``); each supplies
+only its ``var`` and ``noise`` readers and its equation right-hand side.
 Finite models tabulate each equation over the product of the referenced
 domains; the expression is kept (in canonical rendering) only for
 serialization fidelity.  Linear models restrict equations to sums of
@@ -95,6 +97,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.names = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -130,6 +133,15 @@ class _Parser:
         while self.peek().kind == "NEWLINE":
             self.advance()
 
+    def declare(self, tok) -> _Token:
+        """Record a declared name and its (line, col); it must be new and not reserved."""
+        if tok.value in RESERVED:
+            self.fail(f"{tok.value!r} is a reserved word", tok)
+        if tok.value in self.names:
+            self.fail(f"duplicate name {tok.value!r}", tok)
+        self.names[tok.value] = (tok.line, tok.col)
+        return tok
+
     def end_statement(self):
         tok = self.peek()
         if tok.kind == "EOF":
@@ -137,6 +149,16 @@ class _Parser:
         if tok.kind != "NEWLINE":
             self.fail(f"unexpected {tok.value!r} at end of statement")
         self.advance()
+
+    def parse_list(self, open, close, item) -> list:
+        """``open item (, item)* close``: one or more items, no trailing comma."""
+        self.expect("OP", open)
+        items = [item()]
+        while self.at_op(","):
+            self.advance()
+            items.append(item())
+        self.expect("OP", close)
+        return items
 
     # --- literals ----------------------------------------------------------
 
@@ -240,32 +262,14 @@ def _normalize_atom(value):
     return value
 
 
-def _expr_names(node, out):
+def _names(node):
+    """Each (name, (line, col)) of a parsed expression, in source order."""
     kind = node[0]
     if kind == "name":
-        if node[1] not in out:
-            out.append(node[1])
-    elif kind in ("add", "sub", "mul"):
-        _expr_names(node[1], out)
-        _expr_names(node[2], out)
-    elif kind == "neg":
-        _expr_names(node[1], out)
-    elif kind == "ind":
-        _expr_names(node[2], out)
-        _expr_names(node[3], out)
-    return out
-
-
-def _name_position(node, name):
-    kind = node[0]
-    if kind == "name":
-        return node[2] if node[1] == name and len(node) > 2 else None
-    children = {"add": (1, 2), "sub": (1, 2), "mul": (1, 2), "neg": (1,), "ind": (2, 3)}.get(kind, ())
-    for idx in children:
-        pos = _name_position(node[idx], name)
-        if pos:
-            return pos
-    return None
+        yield node[1], node[2]
+    elif kind != "num":
+        for child in node[2 if kind == "ind" else 1:]:
+            yield from _names(child)
 
 
 def _expr_eval(node, env):
@@ -366,21 +370,15 @@ def parse(text: str):
     return parse_source(text).model
 
 
-def _declare(names_seen: dict, tok: _Token, p: _Parser):
-    if tok.value in RESERVED:
-        p.fail(f"{tok.value!r} is a reserved word", tok)
-    if tok.value in names_seen:
-        p.fail(f"duplicate name {tok.value!r}", tok)
-    names_seen[tok.value] = tok
-
-
-def _parse_finite(p: _Parser) -> FiniteScm:
+def _statements(p: _Parser, var, noise, rhs):
+    """Read the statements after ``model <family>``, one per line.  ``var`` and
+    ``noise`` read the rest of their lines (``var`` returns the names it
+    declares) and ``rhs`` the right-hand side of each ``eq NAME = ...``.
+    Returns ``(equations, endo, source_map)``; ``equations`` yields each
+    ``(name, rhs)`` in file order once its name is checked to be a declared
+    variable, then raises for a variable without an equation."""
     p.end_statement()
-    endo = {}
-    exo = {}
-    measure = {}
-    equations = {}
-    names = {}
+    endo, equations = [], {}
     while True:
         p.skip_newlines()
         tok = p.peek()
@@ -388,75 +386,77 @@ def _parse_finite(p: _Parser) -> FiniteScm:
             break
         if tok.kind != "NAME":
             p.fail(f"expected a declaration, found {tok.value!r}")
+        if tok.value == "model":
+            p.fail("only one model declaration is allowed")
+        if tok.value not in ("var", "noise", "eq"):
+            p.fail(f"unknown declaration {tok.value!r}")
+        p.advance()
         if tok.value == "var":
-            p.advance()
-            name_tok = p.expect("NAME")
-            _declare(names, name_tok, p)
-            p.expect("OP", ":")
-            endo[name_tok.value] = FiniteDomain(_parse_value_set(p))
-            p.end_statement()
+            endo.extend(var(p))
         elif tok.value == "noise":
-            p.advance()
-            name_tok = p.expect("NAME")
-            _declare(names, name_tok, p)
-            p.expect("OP", ":")
-            domain = FiniteDomain(_parse_value_set(p))
-            p.expect("OP", "~")
-            table = _parse_prob_table(p, domain, name_tok)
-            exo[name_tok.value] = domain
-            measure[name_tok.value] = table
-            p.end_statement()
-        elif tok.value == "eq":
-            p.advance()
+            noise(p)
+        else:
             name_tok = p.expect("NAME")
             if name_tok.value in equations:
                 p.fail(f"duplicate equation for {name_tok.value!r}", name_tok)
             p.expect("OP", "=")
-            expr = p.parse_expr()
-            equations[name_tok.value] = (expr, name_tok)
-            p.end_statement()
-        elif tok.value == "model":
-            p.fail("only one model declaration is allowed")
-        else:
-            p.fail(f"unknown declaration {tok.value!r}")
+            equations[name_tok.value] = (rhs(p), name_tok)
+        p.end_statement()
+    return _declared_equations(p, endo, equations), endo, p.names
 
-    mechanisms = {}
-    expressions = {}
+
+def _declared_equations(p: _Parser, endo, equations):
+    for name, (value, tok) in equations.items():
+        if name not in endo:
+            p.fail(f"equation for undeclared variable {name}", tok)
+        yield name, value
+    for name in endo:
+        if name not in equations:
+            raise ScmError(f"variable {name} has no equation")
+
+
+def _parse_finite(p: _Parser) -> FiniteScm:
+    endo, exo, measure = {}, {}, {}
+
+    def var(p):
+        tok = p.declare(p.expect("NAME"))
+        p.expect("OP", ":")
+        endo[tok.value] = FiniteDomain(_parse_value_set(p))
+        return [tok.value]
+
+    def noise(p):
+        tok = p.declare(p.expect("NAME"))
+        p.expect("OP", ":")
+        exo[tok.value] = FiniteDomain(_parse_value_set(p))
+        p.expect("OP", "~")
+        measure[tok.value] = _parse_prob_table(p, exo[tok.value], tok)
+
+    equations, _, source_map = _statements(p, var, noise, _Parser.parse_expr)
     domains = {**endo, **exo}
-    for var, (expr, name_tok) in equations.items():
-        if var not in endo:
-            p.fail(f"equation for undeclared variable {var}", name_tok)
-        refs = _expr_names(expr, [])
-        for r in refs:
-            if r not in domains:
-                pos = _name_position(expr, r) or (name_tok.line, name_tok.col)
-                raise ParseError(f"undeclared name {r}", pos[0], pos[1])
+    mechanisms, expressions = {}, {}
+    for name, expr in equations:
+        refs = set()
+        for ref, pos in _names(expr):
+            if ref not in domains:
+                raise ParseError(f"undeclared name {ref}", *pos)
+            refs.add(ref)
         args = tuple([n for n in endo if n in refs] + [n for n in exo if n in refs])
-        mechanisms[var] = _tabulate(var, expr, args, endo, exo, measure)
-        expressions[var] = _render_expr(expr)
-    for var in endo:
-        if var not in mechanisms:
-            raise ScmError(f"variable {var} has no equation")
-    source_map = {name: (tok.line, tok.col) for name, tok in names.items()}
+        mechanisms[name] = _tabulate(name, expr, args, endo, exo, measure)
+        expressions[name] = _render_expr(expr)
     return FiniteScm(endo, exo, measure, mechanisms, expressions), source_map
 
 
 def _parse_value_set(p: _Parser):
-    p.expect("OP", "{")
-    values = [p.parse_rational()]
-    while p.at_op(","):
-        p.advance()
-        values.append(p.parse_rational())
-    p.expect("OP", "}")
+    values = p.parse_list("{", "}", p.parse_rational)
     if len(set(values)) != len(values):
         p.fail("duplicate domain value")
     return values
 
 
 def _parse_prob_table(p: _Parser, domain: FiniteDomain, name_tok: _Token):
-    p.expect("OP", "{")
     table = {}
-    while True:
+
+    def entry():
         value = p.parse_rational()
         if value not in domain:
             p.fail(f"probability listed for {value!r} outside the domain of {name_tok.value}")
@@ -464,15 +464,11 @@ def _parse_prob_table(p: _Parser, domain: FiniteDomain, name_tok: _Token):
             p.fail(f"duplicate probability entry for {value!r}")
         p.expect("OP", ":")
         prob_tok = p.peek()
-        prob = Fraction(p.parse_rational())
-        if prob < 0:
+        table[value] = Fraction(p.parse_rational())
+        if table[value] < 0:
             p.fail("negative probability", prob_tok)
-        table[value] = prob
-        if p.at_op(","):
-            p.advance()
-            continue
-        break
-    p.expect("OP", "}")
+
+    p.parse_list("{", "}", entry)
     for v in domain.values:
         table.setdefault(v, Fraction(0))
     total = sum(table.values())
@@ -502,78 +498,43 @@ def _tabulate(var, expr, args, endo, exo, measure) -> TabularMechanism:
 
 
 def _parse_linear(p: _Parser) -> LinearScm:
-    p.end_statement()
-    endo = []
-    blocks = []
-    rows = {}
-    names = {}
-    coord_names = []
-    while True:
-        p.skip_newlines()
-        tok = p.peek()
-        if tok.kind == "EOF":
-            break
-        if tok.kind != "NAME":
-            p.fail(f"expected a declaration, found {tok.value!r}")
-        if tok.value == "var":
-            p.advance()
-            while p.peek().kind == "NAME":
-                name_tok = p.advance()
-                _declare(names, name_tok, p)
-                endo.append(name_tok.value)
-            p.end_statement()
-        elif tok.value == "noise":
-            p.advance()
-            group = []
-            while p.peek().kind == "NAME" and p.peek().value != "Normal":
-                name_tok = p.advance()
-                _declare(names, name_tok, p)
-                group.append(name_tok.value)
-            if not group:
-                p.fail("noise declaration needs at least one coordinate name")
-            p.expect("OP", ":")
-            mean, cov = _parse_normal(p, len(group))
-            block_name = group[0] if len(group) == 1 else "+".join(group)
-            blocks.append(GaussianBlock(block_name, tuple(group), mean, cov))
-            coord_names.extend(group)
-            p.end_statement()
-        elif tok.value == "eq":
-            p.advance()
-            name_tok = p.expect("NAME")
-            if name_tok.value in rows:
-                p.fail(f"duplicate equation for {name_tok.value!r}", name_tok)
-            p.expect("OP", "=")
-            rows[name_tok.value] = (_parse_linear_rhs(p), name_tok)
-            p.end_statement()
-        elif tok.value == "model":
-            p.fail("only one model declaration is allowed")
-        else:
-            p.fail(f"unknown declaration {tok.value!r}")
+    blocks, coords = [], []
 
-    n = len(endo)
-    coord_index = {c: k for k, c in enumerate(coord_names)}
+    def var(p):
+        if p.peek().kind != "NAME":
+            p.fail("var declaration needs at least one variable name")
+        names = []
+        while p.peek().kind == "NAME":
+            names.append(p.declare(p.advance()).value)
+        return names
+
+    def noise(p):
+        group = []
+        while p.peek().kind == "NAME" and p.peek().value != "Normal":
+            group.append(p.declare(p.advance()).value)
+        if not group:
+            p.fail("noise declaration needs at least one coordinate name")
+        p.expect("OP", ":")
+        mean, cov = _parse_normal(p, len(group))
+        blocks.append(GaussianBlock("+".join(group), tuple(group), mean, cov))
+        coords.extend(group)
+
+    equations, endo, source_map = _statements(p, var, noise, _parse_linear_rhs)
+    coord_index = {c: k for k, c in enumerate(coords)}
     endo_index = {v: k for k, v in enumerate(endo)}
-    B = np.zeros((n, len(endo)))
-    Gamma = np.zeros((n, len(coord_names)))
-    c = np.zeros(n)
-    for var, ((coeffs, intercept, positions), name_tok) in rows.items():
-        if var not in endo_index:
-            p.fail(f"equation for undeclared variable {var}", name_tok)
-        i = endo_index[var]
+    n = len(endo)
+    B, Gamma, c = np.zeros((n, n)), np.zeros((n, len(coords))), np.zeros(n)
+    for name, (coeffs, intercept, positions) in equations:
+        i = endo_index[name]
         # the terms of one name were summed exactly; each sum is rounded once
         c[i] = float(intercept)
-        for name, coef in coeffs.items():
-            if name in endo_index:
-                B[i, endo_index[name]] = float(coef)
-            elif name in coord_index:
-                Gamma[i, coord_index[name]] = float(coef)
+        for ref, coef in coeffs.items():
+            if ref in endo_index:
+                B[i, endo_index[ref]] = float(coef)
+            elif ref in coord_index:
+                Gamma[i, coord_index[ref]] = float(coef)
             else:
-                pos = positions.get(name, (name_tok.line, name_tok.col))
-                raise ParseError(f"undeclared name {name}", pos[0], pos[1])
-    for var in endo:
-        if var not in rows:
-            raise ScmError(f"variable {var} has no equation")
-    source_map = {name: (tok.line, tok.col) for name, tok in names.items()}
+                raise ParseError(f"undeclared name {ref}", *positions[ref])
     return LinearScm(tuple(endo), tuple(blocks), B, Gamma, c), source_map
 
 
@@ -583,11 +544,13 @@ def _parse_normal(p: _Parser, size: int):
     if p.peek().kind == "NAME" and p.peek().value == "mean":
         p.advance()
         p.expect("OP", "=")
-        mean = _parse_vector(p)
+        mean = p.parse_list("[", "]", p.parse_number)
         p.expect("OP", ",")
         p.expect_name("cov")
         p.expect("OP", "=")
-        cov = _parse_matrix(p)
+        cov = p.parse_list("[", "]", lambda: p.parse_list("[", "]", p.parse_number))
+        if len(set(map(len, cov))) != 1:
+            p.fail("matrix rows have different lengths")
     else:
         if size != 1:
             p.fail("the Normal(m, v) abbreviation is for single-coordinate blocks")
@@ -603,28 +566,6 @@ def _parse_normal(p: _Parser, size: int):
     if problem := covariance_root(cov)[1]:
         p.fail(f"covariance is {problem}")
     return mean, cov
-
-
-def _parse_vector(p: _Parser):
-    p.expect("OP", "[")
-    values = [p.parse_number()]
-    while p.at_op(","):
-        p.advance()
-        values.append(p.parse_number())
-    p.expect("OP", "]")
-    return values
-
-
-def _parse_matrix(p: _Parser):
-    p.expect("OP", "[")
-    rows = [_parse_vector(p)]
-    while p.at_op(","):
-        p.advance()
-        rows.append(_parse_vector(p))
-    p.expect("OP", "]")
-    if len(set(len(r) for r in rows)) != 1:
-        p.fail("matrix rows have different lengths")
-    return rows
 
 
 def _parse_linear_rhs(p: _Parser):

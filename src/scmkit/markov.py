@@ -24,7 +24,7 @@ from .analysis import (
     observational_distribution,
     uniquely_solvable_wrt,
 )
-from .config import negligible, np, tolerance
+from .config import negligible, np
 from .errors import ScmError, SolvabilityError, UnknownNameError
 from .graph import _open_sinks
 from .scm import LinearScm, functional_graph
@@ -153,13 +153,13 @@ def _finite_ci(dist: DiscreteDistribution, sets, blocks, pairs):
     return verdict
 
 
-def _gaussian_ci(dist: GaussianDistribution, a, b, s, tol) -> bool:
+def _gaussian_ci(dist: GaussianDistribution, a, b, s) -> bool:
     """Vanishing partial correlations: the noise factor rows of A and B projected
     off those of S (``analysis._project``) are independent when one is 0 or
-    their cosine is at most ``tol``, so no change of units moves a verdict."""
-    rows = _project(dist, [dist.vars.index(v) for v in a + b], [dist.vars.index(v) for v in s], tol)[0]
+    their cosine is at most the tolerance, so no change of units moves a verdict."""
+    rows = _project(dist, [dist.vars.index(v) for v in a + b], [dist.vars.index(v) for v in s])[0]
     norm = np.linalg.norm(rows, axis=1)
-    return bool(np.all(negligible(rows[:len(a)] @ rows[len(a):].T, np.outer(norm[:len(a)], norm[len(a):]), tol)))
+    return bool(np.all(negligible(rows[:len(a)] @ rows[len(a):].T, np.outer(norm[:len(a)], norm[len(a):]))))
 
 
 def conditional_independent(dist, a, b, s=()) -> bool:
@@ -172,7 +172,7 @@ def conditional_independent(dist, a, b, s=()) -> bool:
         raise UnknownNameError(f"unknown coordinates {sorted(unknown)}")
     if isinstance(dist, DiscreteDistribution):
         return bool(_finite_ci(dist, [s], [a, b], [(0, 1)])[0, 0])
-    return _gaussian_ci(dist, a, b, s, tolerance())
+    return _gaussian_ci(dist, a, b, s)
 
 
 @dataclass

@@ -804,10 +804,10 @@ class TestLinearEquivalenceChain:
         twin_collision = linear.pop("ex_treatment_twin")
         with pytest.raises(ScmError, match="twin naming collision"):
             counterfactually_equivalent(twin_collision, twin_collision, twin_collision.endogenous_names)
-        # under do(X3) neither copy of ex_interventions has a solution, so neither has a law
-        flip_flop = linear.pop("ex_interventions")
-        with pytest.raises(UnsupportedModelError, match=r"do\(X3\)"):
-            counterfactually_equivalent(flip_flop, flip_flop.replace(), flip_flop.endogenous_names)
+        # under do(X3) neither copy of ex_interventions has a solution: two
+        # empty sets of laws, equal as for finite models
+        flip_flop = linear["ex_interventions"]
+        assert not solvable_wrt(intervene(flip_flop, {"X3": 0.0}), flip_flop.endogenous_names)
         for name, m in linear.items():
             names = m.endogenous_names
             assert counterfactually_equivalent(m, m.replace(), names).verdict, name
@@ -904,10 +904,23 @@ class TestDirectCausalGraph:
         assert direct_causal_graph(m_tilde) == direct_causal_graph(m_hat)
 
     def test_subgraph_of_functional_graph(self):
-        m = zoo.direct_cause_example(F(1, 2))
-        g = direct_causal_graph(m)
-        assert g.directed <= functional_graph(m).directed
-        assert g.directed == frozenset()  # the symmetric edge vanished
+        assert direct_causal_graph(zoo.direct_cause_example(F(1, 2))).directed == frozenset()  # the symmetric edge vanished
+        models = [parse(path.read_text()) for path in sorted(CORPUS.glob("*.scm"))]
+        rng = random.Random(89)
+        models += [zoo.random_finite_scm(rng, max_endo=4, self_arg_p=0.2) for _ in range(60)]
+        models = [m for m in models if structurally_uniquely_solvable(m)]
+        dropped = 0
+        for m in models:
+            g, fg = direct_causal_graph(m), functional_graph(m)
+            assert g.directed <= fg.directed, m
+            dropped += len(fg.directed - g.directed)
+        assert len(models) > 40 and dropped, (len(models), dropped)
+
+    def test_a_variable_is_no_cause_of_itself(self):
+        m = zoo.chain_substitution()
+        for check in (is_direct_cause, is_indirect_cause):
+            with pytest.raises(ScmError, match="distinct variables"):
+                check(m, "X1", "X1")
 
     def test_linear_causal_graph(self):
         g = direct_causal_graph(zoo.lin_gauss_anm())

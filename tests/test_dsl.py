@@ -230,6 +230,66 @@ class TestLinearParsing:
         assert model.Gamma[0, 0] == pytest.approx(-0.5)
 
 
+FINITE_HEAD = "model finite\nvar X : {0, 1}\nnoise E : {0, 1} ~ {0: 1/2, 1: 1/2}\n"
+LINEAR_HEAD = "model linear\nvar X\nnoise E : Normal(0, 1)\n"
+TWO_MATRIX = "model linear\nvar X\nnoise E F : Normal(mean=[0, 0], cov=[[1, 0], [0, 1]])\neq X = E\n"
+
+
+class TestStatementErrors:
+    """Both families read one statement grammar, so each reports the first
+    error in the same order: syntax while reading, then each equation in file
+    order (its variable, then its names), then a variable without an equation."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        (FINITE_HEAD + "eq X = Y\neq Z = 0\n", ParseError, "4:8: undeclared name Y"),
+        (FINITE_HEAD + "eq Z = 0\neq X = Y\n", ParseError, "4:4: equation for undeclared variable Z"),
+        (FINITE_HEAD.replace("var X", "var W : {0, 1}\nvar X") + "eq X = E + Y\n", ParseError, "5:12: undeclared name Y"),
+        (FINITE_HEAD.replace("var X", "var W : {0, 1}\nvar X") + "eq X = E\n", ScmError, "variable W has no equation"),
+        (FINITE_HEAD + "eq X = E\neq X = 0\n", ParseError, "5:4: duplicate equation for 'X'"),
+        (FINITE_HEAD + "model finite\neq X = E\n", ParseError, "4:1: only one model declaration is allowed"),
+        (FINITE_HEAD + "let X = E\n", ParseError, "4:1: unknown declaration 'let'"),
+        ("model finite\nvar X : {0, 1,}\neq X = 0\n", ParseError, "2:15: expected 'INT', found '}'"),
+        (FINITE_HEAD.replace("1/2}", "1/2,}") + "eq X = E\n", ParseError, "3:36: expected 'INT', found '}'"),
+        (LINEAR_HEAD + "eq X = 1*E + 2*Y\neq Z = 0\n", ParseError, "4:16: undeclared name Y"),
+        (LINEAR_HEAD + "eq Z = 0\neq X = Y\n", ParseError, "4:4: equation for undeclared variable Z"),
+        (LINEAR_HEAD.replace("var X", "var W X") + "eq X = E + Y\n", ParseError, "4:12: undeclared name Y"),
+        (LINEAR_HEAD.replace("var X", "var W X") + "eq X = E\n", ScmError, "variable W has no equation"),
+        (LINEAR_HEAD + "eq X = E\neq X = 0\n", ParseError, "5:4: duplicate equation for 'X'"),
+        (LINEAR_HEAD + "model linear\neq X = E\n", ParseError, "4:1: only one model declaration is allowed"),
+        (LINEAR_HEAD + "let X = E\n", ParseError, "4:1: unknown declaration 'let'"),
+        (TWO_MATRIX.replace("[0, 0]", "[0, 0,]"), ParseError, "3:31: expected a number, found ']'"),
+        (TWO_MATRIX.replace("[0, 1]]", "[0, 1],]"), ParseError, "3:53: expected '[', found ']'"),
+        (TWO_MATRIX.replace("[0, 1]]", "[0]]"), ParseError, "3:50: matrix rows have different lengths"),
+        ("model linear\nvar\nvar X\nnoise E : Normal(0, 1)\neq X = E\n", ParseError,
+         "2:4: var declaration needs at least one variable name"),
+    ], ids=[
+        "finite: bad name before an undeclared variable",
+        "finite: undeclared variable before a bad name",
+        "finite: bad name beside a missing equation",
+        "finite: missing equation",
+        "finite: duplicate equation",
+        "finite: second model line",
+        "finite: unknown keyword",
+        "finite: trailing comma in a value set",
+        "finite: trailing comma in a probability table",
+        "linear: bad name before an undeclared variable",
+        "linear: undeclared variable before a bad name",
+        "linear: bad name beside a missing equation",
+        "linear: missing equation",
+        "linear: duplicate equation",
+        "linear: second model line",
+        "linear: unknown keyword",
+        "linear: trailing comma in a vector",
+        "linear: trailing comma in a matrix",
+        "linear: ragged matrix",
+        "linear: var line without a name",
+    ])
+    def test_first_error_and_its_message(self, text, error, message):
+        with pytest.raises(ScmError) as info:
+            parse(text)
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestSerialization:
     def test_serialized_intervention_reparses(self):
         m = parse((Path(__file__).parent / "corpus" / "ex_product_m.scm").read_text())
