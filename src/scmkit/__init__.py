@@ -69,7 +69,6 @@ from .scm import (
     functional_graph,
     functional_parents,
     mechanisms_equivalent,
-    validate,
 )
 from .transform import extend, intervene, marginalize, twin
 

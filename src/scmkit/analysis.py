@@ -101,11 +101,11 @@ class DiscreteDistribution:
 
     The law is held as positive integer counts over one denominator, both
     divided by their gcd, for the cells of positive probability only.  The
-    read-only mapping ``probs`` is derived from them on access: cell to
-    ``Fraction``, summing to exactly 1.
+    read-only mapping ``probs`` is derived from them on first access and
+    kept: cell to ``Fraction``, summing to exactly 1.
     """
 
-    __slots__ = ("vars", "domains", "_den", "_counts", "_codes")
+    __slots__ = ("vars", "domains", "_den", "_counts", "_codes", "_probs")
 
     def __init__(self, vars, domains: Mapping[str, FiniteDomain], probs: Mapping[tuple, Fraction]):
         vars = tuple(vars)
@@ -138,12 +138,14 @@ class DiscreteDistribution:
         self.domains = {v: domains[v] for v in self.vars}
         self._den = den // g
         self._counts = MappingProxyType({cell: n // g for cell, n in counts.items()})
-        self._codes = None
+        self._codes = self._probs = None
         return self
 
     @property
     def probs(self) -> Mapping[tuple, Fraction]:
-        return MappingProxyType({cell: Fraction(n, self._den) for cell, n in self._counts.items()})
+        if self._probs is None:
+            self._probs = MappingProxyType({cell: Fraction(n, self._den) for cell, n in self._counts.items()})
+        return self._probs
 
     def __reduce__(self):
         # copy and pickle rebuild from the counts; ``_counts`` is a read-only view
@@ -385,7 +387,7 @@ def _component_solver(m, comp) -> tuple:
 
     def reader(o):
         mech = m.mechanisms[o]
-        return at[o], mech, mech.table, _items_at([at[a] for a in mech.args])
+        return at[o], mech.table, _items_at([at[a] for a in mech.args])
 
     cut_values = [m.endogenous[o].values for o in cut]
     cut_at = [at[o] for o in cut]
@@ -400,23 +402,20 @@ def _component_solver(m, comp) -> tuple:
     def solve(key):
         row = list(key) + [None] * len(comp)
         out = []
-        try:
-            for combo in itertools.product(*cut_values):
-                for i, v in zip(cut_at, combo):
-                    row[i] = v
-                for i, mech, table, get, domain in evaluate:
-                    value = domain.get(table[get(row)], _OUTSIDE)
-                    if value is _OUTSIDE:
+        for combo in itertools.product(*cut_values):
+            for i, v in zip(cut_at, combo):
+                row[i] = v
+            for i, table, get, domain in evaluate:
+                value = domain.get(table[get(row)], _OUTSIDE)
+                if value is _OUTSIDE:
+                    break
+                row[i] = value
+            else:
+                for i, table, get in cut_readers:
+                    if row[i] != table[get(row)]:
                         break
-                    row[i] = value
                 else:
-                    for i, mech, table, get in cut_readers:
-                        if row[i] != table[get(row)]:
-                            break
-                    else:
-                        out.append(tuple(row[len(inputs):]))
-        except KeyError as exc:
-            raise mech._missing_row(exc.args[0]) from None
+                    out.append(tuple(row[len(inputs):]))
         if rank is not None and len(out) > 1:
             out.sort(key=lambda sol: tuple(r[v] for r, v in zip(rank, sol)))
         return tuple(out)
@@ -871,9 +870,8 @@ def _solution_law(m: LinearScm, sm: SolveMap, names) -> GaussianDistribution:
     mean, cov, g, d = m.noise_mean(), m.noise_cov(), sm.G[rows], sm.d[rows]
     scale = np.diag(np.abs(g) @ np.abs(cov) @ np.abs(g).T)
     mean = snap(g @ mean + d, np.abs(g) @ np.abs(mean) + np.abs(d))
-    root, problem = covariance_root(cov)
-    if problem:
-        raise ScmError(f"noise covariance is {problem}")
+    # block-diagonal over blocks whose constructor found a root, so it has one
+    root = covariance_root(cov)[0]
     return GaussianDistribution._from_factor(names, mean, g @ cov @ g.T, scale, g @ root)
 
 

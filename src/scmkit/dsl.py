@@ -27,7 +27,6 @@ from .scm import (
     GaussianBlock,
     LinearScm,
     TabularMechanism,
-    validate,
 )
 
 __all__ = ["ModelSource", "parse", "parse_source", "serialize", "parse_value_literal"]
@@ -207,21 +206,24 @@ class _Parser:
     # --- finite expressions --------------------------------------------------
 
     def parse_expr(self, depth=0):
+        """A ``+``/``-`` chain is one ``("add", ops, *terms)`` node, ``ops``
+        the sign of each term after the first, and a ``*`` chain one
+        ``("mul", *factors)``: the tree is as deep as the nesting, which
+        ``_MAX_DEPTH`` bounds, however long a chain is."""
         if depth > _MAX_DEPTH:
             self.fail("expression nested too deeply")
-        node = self.parse_term(depth + 1)
+        terms, ops = [self.parse_term(depth + 1)], []
         while self.at_op("+") or self.at_op("-"):
-            op = self.advance().value
-            right = self.parse_term(depth + 1)
-            node = ("add" if op == "+" else "sub", node, right)
-        return node
+            ops.append(self.advance().value)
+            terms.append(self.parse_term(depth + 1))
+        return ("add", "".join(ops), *terms) if ops else terms[0]
 
     def parse_term(self, depth):
-        node = self.parse_factor(depth + 1)
+        factors = [self.parse_factor(depth + 1)]
         while self.at_op("*"):
             self.advance()
-            node = ("mul", node, self.parse_factor(depth + 1))
-        return node
+            factors.append(self.parse_factor(depth + 1))
+        return ("mul", *factors) if len(factors) > 1 else factors[0]
 
     def parse_factor(self, depth):
         if depth > _MAX_DEPTH:
@@ -268,7 +270,7 @@ def _names(node):
     if kind == "name":
         yield node[1], node[2]
     elif kind != "num":
-        for child in node[2 if kind == "ind" else 1:]:
+        for child in node[2 if kind in ("ind", "add") else 1:]:
             yield from _names(child)
 
 
@@ -281,11 +283,16 @@ def _expr_eval(node, env):
     if kind == "neg":
         return -Fraction(_expr_eval(node[1], env))
     if kind == "add":
-        return Fraction(_expr_eval(node[1], env)) + Fraction(_expr_eval(node[2], env))
-    if kind == "sub":
-        return Fraction(_expr_eval(node[1], env)) - Fraction(_expr_eval(node[2], env))
+        total = Fraction(_expr_eval(node[2], env))
+        for op, term in zip(node[1], node[3:]):
+            value = _expr_eval(term, env)
+            total = total + value if op == "+" else total - value
+        return total
     if kind == "mul":
-        return Fraction(_expr_eval(node[1], env)) * Fraction(_expr_eval(node[2], env))
+        total = Fraction(_expr_eval(node[1], env))
+        for factor in node[2:]:
+            total *= _expr_eval(factor, env)
+        return total
     if kind == "ind":
         op, left, right = node[1], node[2], node[3]
         lv = Fraction(_expr_eval(left, env))
@@ -295,7 +302,7 @@ def _expr_eval(node, env):
     raise AssertionError(f"unknown AST node {kind}")  # pragma: no cover
 
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "neg": 3, "num": 4, "name": 4, "ind": 4}
+_PREC = {"add": 1, "mul": 2, "neg": 3, "num": 4, "name": 4, "ind": 4}
 
 
 def _render_expr(node, parent_prec=0) -> str:
@@ -307,10 +314,10 @@ def _render_expr(node, parent_prec=0) -> str:
     elif kind == "neg":
         text = "-" + _render_expr(node[1], _PREC["neg"])
     elif kind == "mul":
-        text = _render_expr(node[1], _PREC["mul"]) + "*" + _render_expr(node[2], _PREC["mul"] + 1)
-    elif kind in ("add", "sub"):
-        op = " + " if kind == "add" else " - "
-        text = _render_expr(node[1], _PREC[kind]) + op + _render_expr(node[2], _PREC[kind] + 1)
+        text = "*".join(_render_expr(f, _PREC["mul"] + (k > 0)) for k, f in enumerate(node[1:]))
+    elif kind == "add":
+        text = _render_expr(node[2], _PREC["add"]) + "".join(
+            f" {op} " + _render_expr(term, _PREC["add"] + 1) for op, term in zip(node[1], node[3:]))
     elif kind == "ind":
         text = f"ind({_render_expr(node[2])} {node[1]} {_render_expr(node[3])})"
     else:  # pragma: no cover
@@ -359,9 +366,6 @@ def parse_source(text: str) -> ModelSource:
         model, source_map = _parse_linear(p)
     else:
         p.fail(f"expected 'finite' or 'linear', found {kind_tok.value!r}", kind_tok)
-    report = validate(model)
-    if not report.ok:
-        raise ScmError("invalid model: " + "; ".join(report.problems))
     return ModelSource(text, model, source_map)
 
 
@@ -615,10 +619,8 @@ def _table_expression(m: FiniteScm, name: str) -> str:
         value = mech.table[combo]
         if value == 0:
             continue
-        node = _value_ast(value)
-        for a, v in zip(mech.args, combo):
-            node = ("mul", node, ("ind", "==", ("name", a), _value_ast(v)))
-        terms.append(_render_expr(node))
+        guards = (("ind", "==", ("name", a), _value_ast(v)) for a, v in zip(mech.args, combo))
+        terms.append(_render_expr(("mul", _value_ast(value), *guards)))
     if not terms:
         return "0"
     return " + ".join(terms)

@@ -240,18 +240,17 @@ class MarkovReport:
 
 def _premise(m, graph, kind: str) -> str:
     """The case of the Markov theorem that applies to ``m``: the d-case
-    accepts an acyclic graph or a linear model outright; otherwise every
-    strongly connected component must be uniquely solvable, and the first
-    that is not, in the graph's topological order, is named.  A single
+    accepts an acyclic graph outright; otherwise every strongly connected
+    component must be uniquely solvable, and the first that is not, in the
+    graph's topological order, is named.  A cyclic linear model then meets
+    the d-case as ``"linear"``: I - B is block-triangular over the
+    components, so the scan is exactly its invertibility.  A single
     variable without a self-loop is not scanned: the functional graph has
     no self-loop at k exactly when every section of k's equation over its
     noises' support and its context has one solution, which is unique
     solvability w.r.t. {k}."""
-    if kind == "d":
-        if graph.is_acyclic():
-            return "acyclic"
-        if isinstance(m, LinearScm):
-            return "linear"
+    if kind == "d" and graph.is_acyclic():
+        return "acyclic"
     for comp in graph.components():
         if len(comp) == 1 and (comp[0], comp[0]) not in graph.directed:
             continue
@@ -261,7 +260,7 @@ def _premise(m, graph, kind: str) -> str:
                 comp, res.witness,
                 f"not uniquely solvable w.r.t. the strongly connected component {sorted(comp)}",
             )
-    return "scc_unique"
+    return "linear" if kind == "d" and isinstance(m, LinearScm) else "scc_unique"
 
 
 def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_subsets: bool = False) -> MarkovReport:
@@ -271,8 +270,9 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     kind="sigma" checks the general directed global Markov property and
     requires unique solvability with respect to each strongly connected
     component.  kind="d" checks the stronger directed global Markov property
-    and requires an acyclic functional graph, a linear model, or a finite
-    model uniquely solvable w.r.t. each strongly connected component.  The
+    and requires an acyclic functional graph, or a model uniquely solvable
+    w.r.t. each strongly connected component (for a linear model, an
+    invertible I - B; the premise then reads "linear").  The
     premise is checked here, recorded as ``MarkovReport.premise``, and a
     model meeting none raises ``SolvabilityError`` naming the first failing
     component in topological order.  A negative ``max_conditioning`` is an

@@ -1,6 +1,7 @@
 """SCM data model for the two mechanism families, and the operations defined
-directly on mechanisms: validation, equivalence, functional parents, graph
-extraction and canonicalization.
+directly on mechanisms: equivalence, functional parents, graph extraction and
+canonicalization.  A model is checked when it is built: its constructor
+raises ``ScmError`` at the first violated invariant of Definition 2.1.
 
 Finite models are exact throughout (``fractions.Fraction`` probabilities,
 tabular mechanisms).  Linear models are real-valued with independent Gaussian
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +30,6 @@ __all__ = [
     "FiniteScm",
     "GaussianBlock",
     "LinearScm",
-    "ValidationReport",
-    "validate",
     "mechanisms_equivalent",
     "functional_parents",
     "augmented_graph",
@@ -102,11 +102,7 @@ class TabularMechanism(_Frozen):
         try:
             return self.table[key]
         except KeyError:
-            raise self._missing_row(key) from None
-
-    def _missing_row(self, key: tuple) -> ScmError:
-        """The error for an argument tuple ``key`` that the table lacks."""
-        return ScmError(f"mechanism table has no entry for {dict(zip(self.args, key))!r}")
+            raise ScmError(f"mechanism table has no entry for {dict(zip(self.args, key))!r}") from None
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__: the slots are closed to setattr
@@ -134,8 +130,14 @@ class TabularMechanism(_Frozen):
         return cls(args, table)
 
 
+def _invalid(problem: str) -> ScmError:
+    return ScmError(f"invalid model: {problem}")
+
+
 class FiniteScm(_Frozen):
-    """An SCM over finite domains with exact rational exogenous probabilities."""
+    """An SCM over finite domains with exact rational exogenous probabilities,
+    checked when built (``_check_finite``).  A table value outside its
+    variable's domain is legal: [x_k = f_k] holds for no x_k at that input."""
 
     def __init__(self, endogenous, exogenous, measure, mechanisms, expressions=None):
         # read-only views: the per-model caches in ``_cache`` rely on it
@@ -148,6 +150,7 @@ class FiniteScm(_Frozen):
         overlap = set(self.endogenous) & set(self.exogenous)
         if overlap:
             raise ScmError(f"endogenous and exogenous names overlap: {sorted(overlap)}")
+        _check_finite(self)
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -230,10 +233,64 @@ class FiniteScm(_Frozen):
         return json.dumps(self.to_json_obj())
 
 
+def _check_finite(m: FiniteScm):
+    """Raise at the first violated invariant: every noise has a probability
+    table over its domain, with entries >= 0 that sum to exactly 1, and no
+    table names an unknown noise; every variable has a mechanism whose
+    arguments are declared and whose table is total over the product of
+    their domains, and no mechanism names an unknown variable."""
+    for j, dom in m.exogenous.items():
+        table = m.measure.get(j)
+        if table is None:
+            raise _invalid(f"exogenous index {j} has no probability table")
+        for v, p in table.items():
+            if v not in dom:
+                raise _invalid(f"measure of {j} assigns probability to {v!r} outside its domain")
+            if p < 0:
+                raise _invalid(f"measure of {j} has a negative entry at {v!r}")
+        total = sum(table.values())  # exact: the entries are ints and Fractions
+        if total != 1:
+            raise _invalid(f"measure of {j} not normalized: sums to {total}")
+    for j in m.measure:
+        if j not in m.exogenous:
+            raise _invalid(f"measure declared for unknown exogenous index {j}")
+    domains = {**m.endogenous, **m.exogenous}
+    for i in m.endogenous:
+        mech = m.mechanisms.get(i)
+        if mech is None:
+            raise _invalid(f"endogenous index {i} has no mechanism")
+        bad_args = [a for a in mech.args if a not in domains]
+        if bad_args:
+            raise _invalid(f"mechanism of {i} references undeclared indices {bad_args}")
+        doms = [domains[a].values for a in mech.args]
+        expected = math.prod(map(len, doms))
+        if len(mech.table) != expected:
+            raise _invalid(f"mechanism table of {i} is not total: {len(mech.table)} rows, expected {expected}")
+        for key in itertools.product(*doms):
+            if key not in mech.table:
+                raise _invalid(f"mechanism table of {i} misses entry for {key!r}")
+    for i in m.mechanisms:
+        if i not in m.endogenous:
+            raise _invalid(f"mechanism declared for unknown endogenous index {i}")
+
+
+def _array(what: str, a, shape: tuple):
+    """``a`` as a read-only float array of ``shape``; an array of another
+    size raises ``ScmError`` naming both shapes."""
+    a = np.array(a, dtype=float)
+    if a.size != math.prod(shape):
+        raise _invalid(f"{what} has shape {a.shape}, expected {shape}")
+    a = a.reshape(shape)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class GaussianBlock:
     """A named group of jointly Gaussian exogenous coordinates; blocks are
-    mutually independent, arbitrary covariance is allowed within a block."""
+    mutually independent, arbitrary covariance is allowed within a block.
+    A mean or covariance of the wrong size, or a covariance that is not
+    symmetric positive semi-definite, raises ``ScmError``."""
 
     name: str
     coords: tuple
@@ -242,14 +299,18 @@ class GaussianBlock:
 
     def __init__(self, name, coords, mean, cov):
         coords = tuple(coords)
-        mean = np.asarray(mean, dtype=float).reshape(len(coords))
-        cov = np.asarray(cov, dtype=float).reshape(len(coords), len(coords))
-        mean.setflags(write=False)
-        cov.setflags(write=False)
+        mean = _array(f"block {name} mean", mean, (len(coords),))
+        cov = _array(f"block {name} covariance", cov, (len(coords), len(coords)))
+        if problem := covariance_root(cov)[1]:
+            raise _invalid(f"block {name} covariance is {problem}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which keeps the arrays read-only
+        return GaussianBlock, (self.name, self.coords, self.mean, self.cov)
 
 
 class LinearScm(_Frozen):
@@ -257,24 +318,25 @@ class LinearScm(_Frozen):
 
     Intercepts ``c`` extend the textbook definition so that the family is
     closed under perfect intervention (an intervened mechanism is a constant).
+    A repeated or colliding name, or ``B``, ``Gamma`` or ``c`` of the wrong
+    size, raises ``ScmError``; each block checks its own parameters.
     """
 
     def __init__(self, endogenous, blocks, B, Gamma, c=None):
         object.__setattr__(self, "endogenous", tuple(endogenous))
         object.__setattr__(self, "blocks", tuple(blocks))
-        n = len(self.endogenous)
-        m = sum(len(b.coords) for b in self.blocks)
-
-        def shaped(a, shape):
-            a = np.array(a, dtype=float)
-            # misshapen input is kept as-is so validate() can report it
-            return a.reshape(shape) if a.size == np.prod(shape) else a
-
-        object.__setattr__(self, "B", shaped(B, (n, n)))
-        object.__setattr__(self, "Gamma", shaped(Gamma, (n, m)))
-        object.__setattr__(self, "c", np.zeros(n) if c is None else shaped(c, (n,)))
-        for a in (self.B, self.Gamma, self.c):
-            a.setflags(write=False)
+        n, coords, block_names = len(self.endogenous), self.coord_names, self.block_names
+        if len(set(self.endogenous)) != n:
+            raise _invalid("duplicate endogenous names")
+        if len(set(coords)) != len(coords):
+            raise _invalid("duplicate exogenous coordinate names")
+        if len(set(block_names)) != len(block_names):
+            raise _invalid("duplicate block names")
+        if set(self.endogenous) & (set(coords) | set(block_names)):
+            raise _invalid("endogenous names collide with exogenous names")
+        object.__setattr__(self, "B", _array("B", B, (n, n)))
+        object.__setattr__(self, "Gamma", _array("Gamma", Gamma, (n, len(coords))))
+        object.__setattr__(self, "c", _array("c", np.zeros(n) if c is None else c, (n,)))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -308,6 +370,10 @@ class LinearScm(_Frozen):
             pos += k
         return out
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; the derived ``_cache`` does not travel
+        return LinearScm, (self.endogenous, self.blocks, self.B, self.Gamma, self.c)
+
     def replace(self, **kwargs) -> "LinearScm":
         base = dict(endogenous=self.endogenous, blocks=self.blocks, B=self.B, Gamma=self.Gamma, c=self.c)
         base.update(kwargs)
@@ -338,112 +404,6 @@ class LinearScm(_Frozen):
         return json.dumps(self.to_json_obj())
 
 
-# --- validation ---------------------------------------------------------
-
-@dataclass
-class ValidationReport:
-    problems: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __iter__(self):
-        return iter(self.problems)
-
-    def to_json_obj(self):
-        return {"ok": self.ok, "problems": list(self.problems)}
-
-
-def _validate_finite(m: FiniteScm) -> list:
-    problems = []
-    for j in m.exogenous:
-        if j not in m.measure:
-            problems.append(f"exogenous index {j} has no probability table")
-            continue
-        table = m.measure[j]
-        dom = m.exogenous[j]
-        for v, p in table.items():
-            if v not in dom:
-                problems.append(f"measure of {j} assigns probability to {v!r} outside its domain")
-            if p < 0:
-                problems.append(f"measure of {j} has a negative entry at {v!r}")
-        total = sum(Fraction(p) for p in table.values())
-        if total != 1:
-            problems.append(f"measure of {j} not normalized: sums to {total}")
-    for j in m.measure:
-        if j not in m.exogenous:
-            problems.append(f"measure declared for unknown exogenous index {j}")
-
-    declared = set(m.endogenous) | set(m.exogenous)
-    for i in m.endogenous:
-        mech = m.mechanisms.get(i)
-        if mech is None:
-            problems.append(f"endogenous index {i} has no mechanism")
-            continue
-        bad_args = [a for a in mech.args if a not in declared]
-        if bad_args:
-            problems.append(f"mechanism of {i} references undeclared indices {bad_args}")
-            continue
-        doms = [m.domain_of(a).values for a in mech.args]
-        expected = 1
-        for d in doms:
-            expected *= len(d)
-        if len(mech.table) != expected:
-            problems.append(
-                f"mechanism table of {i} is not total: {len(mech.table)} rows, expected {expected}"
-            )
-            continue
-        codomain = m.endogenous[i]
-        for key in itertools.product(*doms):
-            if key not in mech.table:
-                problems.append(f"mechanism table of {i} misses entry for {key!r}")
-                break
-            if mech.table[key] not in codomain:
-                problems.append(f"mechanism of {i} outputs {mech.table[key]!r} outside its codomain at {key!r}")
-                break
-    for i in m.mechanisms:
-        if i not in m.endogenous:
-            problems.append(f"mechanism declared for unknown endogenous index {i}")
-    return problems
-
-
-def _validate_linear(m: LinearScm) -> list:
-    problems = []
-    n = len(m.endogenous)
-    coords = m.coord_names
-    if len(set(m.endogenous)) != n:
-        problems.append("duplicate endogenous names")
-    if len(set(coords)) != len(coords):
-        problems.append("duplicate exogenous coordinate names")
-    if len(set(b.name for b in m.blocks)) != len(m.blocks):
-        problems.append("duplicate block names")
-    if set(m.endogenous) & (set(coords) | set(b.name for b in m.blocks)):
-        problems.append("endogenous names collide with exogenous names")
-    if m.B.shape != (n, n):
-        problems.append(f"B has shape {m.B.shape}, expected {(n, n)}")
-    if m.Gamma.shape != (n, len(coords)):
-        problems.append(f"Gamma has shape {m.Gamma.shape}, expected {(n, len(coords))}")
-    if m.c.shape != (n,):
-        problems.append(f"c has shape {m.c.shape}, expected {(n,)}")
-    for b in m.blocks:
-        if b.cov.shape != (len(b.coords), len(b.coords)):
-            problems.append(f"block {b.name} covariance has shape {b.cov.shape}")
-            continue
-        if problem := covariance_root(b.cov)[1]:
-            problems.append(f"block {b.name} covariance is {problem}")
-    return problems
-
-
-def validate(m) -> ValidationReport:
-    """Check every type invariant; reports violations, never raises."""
-    if isinstance(m, FiniteScm):
-        return ValidationReport(_validate_finite(m))
-    if isinstance(m, LinearScm):
-        return ValidationReport(_validate_linear(m))
-    raise ScmError(f"not an SCM: {m!r}")
-
-
 # --- relation-level machinery for finite SCMs ----------------------------
 
 _OUTSIDE = object()  # a mechanism value outside its variable's domain
@@ -466,10 +426,7 @@ def _finite_parents(m: FiniteScm, k: str) -> frozenset:
     mech = m.mechanisms[k]
     args = mech.args
     values = [m.support(a) if a in m.exogenous else m.domain_of(a).values for a in args]
-    try:
-        rows = [(row, mech.table[row]) for row in itertools.product(*values)]
-    except KeyError as exc:
-        raise ScmError(f"mechanism table of {k} has no entry for {exc.args[0]!r}") from None
+    rows = [(row, mech.table[row]) for row in itertools.product(*values)]
     if k in args:
         at = args.index(k)
         reading = [(row, out == row[at]) for row, out in rows]
@@ -604,12 +561,9 @@ def mechanisms_equivalent(m1: FiniteScm, m2: FiniteScm) -> bool:
         at = coords.index(k)
         (t1, key1), (t2, key2) = ((f.table, _items_at([coords.index(a) for a in f.args])) for f in (f1, f2))
         values = [m1.support(c) if c in m1.exogenous else m1.domain_of(c).values for c in coords]
-        try:
-            for row in itertools.product(*values):
-                if (row[at] == t1[key1(row)]) != (row[at] == t2[key2(row)]):
-                    return False
-        except KeyError as exc:
-            raise ScmError(f"mechanism table of {k} has no entry for {exc.args[0]!r}") from None
+        for row in itertools.product(*values):
+            if (row[at] == t1[key1(row)]) != (row[at] == t2[key2(row)]):
+                return False
     return True
 
 

@@ -215,16 +215,16 @@ class TestCutsetSolver:
         assert all(seen[one, case] for one in (True, False) for case in ("ok", False, True)), seen
 
     def test_a_missing_row_is_reported_as_the_mechanism_reports_it(self):
-        # X <-> Y, cut at X: X = 1 under E = 0 reads Y's missing row (1, 0)
+        # X <-> Y, cut at X; a table of Y without the row (1, 0) is not a model
         b = FiniteDomain((0, 1))
         mechs = {"X": TabularMechanism(("Y", "E"), {(y, e): y ^ e for y in (0, 1) for e in (0, 1)}),
-                 "Y": TabularMechanism(("X", "E"), {(0, 0): 0, (0, 1): 1, (1, 1): 0})}
+                 "Y": TabularMechanism(("X", "E"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})}
         m = FiniteScm({"X": b, "Y": b}, {"E": b}, {"E": {0: F(1, 2), 1: F(1, 2)}}, mechs)
         assert _cutset(m, ("X", "Y")) == (("X",), ("Y",))
-        with pytest.raises(ScmError) as caught:
-            fiber(m, ("X", "Y"), {"E": 0})
-        assert str(caught.value) == "mechanism table has no entry for {'X': 1, 'E': 0}"
         assert fiber(m, ("X", "Y"), {"E": 1}) == {(0, 1), (1, 0)}
+        partial = TabularMechanism(("X", "E"), {(0, 0): 0, (0, 1): 1, (1, 1): 0})
+        with pytest.raises(ScmError, match="invalid model: mechanism table of Y is not total: 3 rows, expected 4"):
+            m.replace(mechanisms={**mechs, "Y": partial})
 
     def test_cutset_is_a_smallest_feedback_set(self):
         rng = random.Random(73)
@@ -1095,6 +1095,17 @@ class TestDistributionPlumbing:
         dom = FiniteDomain((0, 1))
         with pytest.raises(ScmError, match="not normalized: sums to 3/4"):
             DiscreteDistribution._from_counts(("A",), {"A": dom}, 4, {(0,): 1, (1,): 2})
+
+    def test_probs_is_built_once_and_stays_read_only(self):
+        d = observational_distribution(zoo.causal_graph_marginalization())
+        assert d.probs is d.probs
+        cell = next(iter(d.probs))
+        with pytest.raises(TypeError):
+            d.probs[cell] = F(0)
+        with pytest.raises(AttributeError):
+            d.probs = {}
+        assert sum(d.probs.values()) == 1
+        assert pickle.loads(pickle.dumps(d)).probs == d.probs
 
     def test_a_repeated_name_is_rejected(self):
         # a law over two copies of one coordinate is not a marginal of it

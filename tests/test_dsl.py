@@ -395,6 +395,30 @@ class TestFuzz:
             except ScmError:
                 pass
 
+    @pytest.mark.parametrize("rhs", [
+        " + ".join(["0"] * 1000),
+        " + ".join(["0"] * 10000),
+        "E" + " - E + E" * 500,
+        "*".join(["E"] * 1000),
+    ], ids=["sum1000", "sum10000", "signed1001", "product1000"])
+    def test_a_long_chain_parses_and_round_trips(self, rhs):
+        text = f"model finite\nvar X : {{0, 1}}\nnoise E : {{0, 1}} ~ {{0: 1/2, 1: 1/2}}\neq X = {rhs}\n"
+        model = parse(text)
+        assert model.expressions["X"] == rhs
+        table = dict(model.mechanisms["X"].table)
+        assert table in ({(): 0}, {(0,): 0, (1,): 1}, {(0,): 0, (1,): 0})
+        assert serialize(model) == text
+        assert serialize(parse(serialize(model))) == text
+
+    @pytest.mark.parametrize("depth, ok", [(50, True), (500, False)])
+    def test_nesting_depth_is_bounded(self, depth, ok):
+        text = "model finite\nvar X : {0, 1}\neq X = " + "(" * depth + "0" + ")" * depth + "\n"
+        if ok:
+            assert parse(text).expressions["X"] == "0"
+        else:
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse(text)
+
     def test_deep_nesting_is_a_diagnostic(self):
         text = "model finite\nvar X : {0, 1}\neq X = " + "(" * 500 + "0" + ")" * 500 + "\n"
         with pytest.raises(ScmError):

@@ -159,6 +159,14 @@ class TestVerifyMarkov:
             with pytest.raises(SolvabilityError, match=r"component \['X2'\]"):
                 verify_markov(m_tilde, kind=kind)
 
+    def test_a_singular_linear_component_fails_both_premises(self):
+        # X = X + E1 has no solution for E1 != 0: the d-premise scans it too
+        m = LinearScm(("X", "Y"), zoo.std_blocks("E1", "E2"), [[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+        for kind in ("sigma", "d"):
+            with pytest.raises(SolvabilityError, match=r"strongly connected component \['X'\]") as err:
+                verify_markov(m, kind=kind)
+            assert err.value.subset == ("X",)
+
     def test_premise_names_the_first_failing_component_under_any_hash_seed(self, tmp_path):
         # three unrelated self-loops: the first in node order is named
         path = tmp_path / "loops.scm"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import model_zoo as zoo
+import scmkit
 from scmkit import (
     DomainMismatchError,
     FiniteDomain,
@@ -24,46 +25,103 @@ from scmkit import (
     functional_parents,
     mechanisms_equivalent,
     parse,
-    validate,
+    serialize,
 )
 
 F = Fraction
 
 
 class TestValidate:
-    def test_well_formed(self):
-        m, _ = zoo.equivalence_pair()
-        assert validate(m).ok
+    """A model that breaks Definition 2.1 raises ``ScmError`` when it is built."""
 
     def test_unnormalized_measure(self):
         m, _ = zoo.equivalence_pair()
-        bad = m.replace(measure={"E": {-1: F(1, 2), 0: F(0), 1: F(1, 4)}})
-        report = validate(bad)
-        assert not report.ok
-        assert any("not normalized" in p for p in report.problems)
+        with pytest.raises(ScmError, match="invalid model: measure of E not normalized: sums to 3/4"):
+            m.replace(measure={"E": {-1: F(1, 2), 0: F(0), 1: F(1, 4)}})
 
     def test_partial_table(self):
         dom = FiniteDomain((0, 1))
-        m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
-                      {"X": TabularMechanism(("E",), {(0,): 0})})
-        report = validate(m)
-        assert any("not total" in p for p in report.problems)
-
-    def test_output_outside_codomain(self):
-        dom = FiniteDomain((0, 1))
-        m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
-                      {"X": TabularMechanism(("E",), {(0,): 0, (1,): 7})})
-        assert any("outside its codomain" in p for p in validate(m).problems)
+        with pytest.raises(ScmError, match="invalid model: mechanism table of X is not total: 1 rows, expected 2"):
+            FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
+                          {"X": TabularMechanism(("E",), {(0,): 0})})
 
     def test_linear_shape_violation(self):
         m = zoo.interventions_linear()
-        bad = LinearScm(m.endogenous, m.blocks, m.B, [[1, 0], [0, 1], [0, 0]])
-        assert any("Gamma" in p for p in validate(bad).problems)
+        with pytest.raises(ScmError, match=r"invalid model: Gamma has shape \(3, 2\), expected \(3, 3\)"):
+            LinearScm(m.endogenous, m.blocks, m.B, [[1, 0], [0, 1], [0, 0]])
 
     def test_linear_non_psd(self):
-        block = GaussianBlock("W", ("E1", "E2"), [0, 0], [[1.0, 2.0], [2.0, 1.0]])
-        m = LinearScm(("X",), (block,), [[0.0]], [[1.0, 0.0]])
-        assert any("positive semi-definite" in p for p in validate(m).problems)
+        with pytest.raises(ScmError, match="invalid model: block W covariance is not positive semi-definite"):
+            GaussianBlock("W", ("E1", "E2"), [0, 0], [[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("measure, mechanisms, message", [
+        ({"E": {0: F(3, 2), 1: F(-1, 2)}}, None, "measure of E has a negative entry at 1"),
+        ({"E": {0: F(1, 2), 2: F(1, 2)}}, None, "measure of E assigns probability to 2 outside its domain"),
+        ({}, None, "exogenous index E has no probability table"),
+        ({"E": {0: F(1)}, "U": {0: F(1)}}, None, "measure declared for unknown exogenous index U"),
+        (None, {}, "endogenous index X has no mechanism"),
+        (None, {"X": TabularMechanism(("Y",), {(0,): 0, (1,): 1})},
+         r"mechanism of X references undeclared indices \['Y'\]"),
+        (None, {"X": TabularMechanism(("E",), {(0,): 0, (1,): 1}), "Y": TabularMechanism.constant(0)},
+         "mechanism declared for unknown endogenous index Y"),
+    ])
+    def test_each_finite_invariant(self, measure, mechanisms, message):
+        dom = FiniteDomain((0, 1))
+        measure = {"E": zoo.uniform(0, 1)} if measure is None else measure
+        mechanisms = {"X": TabularMechanism(("E",), {(0,): 0, (1,): 1})} if mechanisms is None else mechanisms
+        with pytest.raises(ScmError, match=f"^invalid model: {message}$"):
+            FiniteScm({"X": dom}, {"E": dom}, measure, mechanisms)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda b: LinearScm(("X", "X"), b, [[0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]]), "duplicate endogenous names"),
+        (lambda b: LinearScm(("X",), b + b[:1], [[0.0]], [[1.0, 1.0]]), "duplicate exogenous coordinate names"),
+        (lambda b: LinearScm(("X",), b + (GaussianBlock("E", ("F",), [0.0], [[1.0]]),), [[0.0]], [[1.0, 1.0]]),
+         "duplicate block names"),
+        (lambda b: LinearScm(("E",), b, [[0.0]], [[1.0]]), "endogenous names collide with exogenous names"),
+        (lambda b: LinearScm(("X", "Y"), b, [[0.0, 0.0, 0.0]], [[1.0], [1.0]]),
+         r"B has shape \(1, 3\), expected \(2, 2\)"),
+        (lambda b: LinearScm(("X",), b, [[0.0]], [[1.0]], [0.0, 1.0]), r"c has shape \(2,\), expected \(1,\)"),
+        (lambda b: GaussianBlock("E", ("E",), [0.0, 1.0], [[1.0]]), r"block E mean has shape \(2,\), expected \(1,\)"),
+        (lambda b: GaussianBlock("E", ("E",), [0.0], [[1.0, 0.0]]),
+         r"block E covariance has shape \(1, 2\), expected \(1, 1\)"),
+        (lambda b: GaussianBlock("W", ("E1", "E2"), [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]),
+         "block W covariance is not symmetric"),
+    ])
+    def test_each_linear_invariant(self, build, message):
+        with pytest.raises(ScmError, match=f"^invalid model: {message}$"):
+            build(zoo.std_blocks("E"))
+
+    def test_an_output_outside_the_domain_is_legal(self):
+        # x = 7 holds for no x in {0, 1}: the model builds, and has no solution at E = 1
+        dom = FiniteDomain((0, 1))
+        m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
+                      {"X": TabularMechanism(("E",), {(0,): 0, (1,): 7})})
+        with pytest.raises(scmkit.NotSolvable) as caught:
+            scmkit.observational_distribution(m)
+        assert caught.value.witness == {"e": {"E": 1}}
+
+
+class TestNotAModel:
+    @pytest.mark.parametrize("call", [
+        lambda x: scmkit.solvable_wrt(x, ["X"]),
+        lambda x: scmkit.uniquely_solvable_wrt(x, ["X"]),
+        lambda x: scmkit.solve_map(x, ["X"]),
+        lambda x: scmkit.observational_distribution(x),
+        lambda x: scmkit.functional_parents(x, "X"),
+        lambda x: scmkit.canonicalize(x),
+        lambda x: scmkit.serialize(x),
+        lambda x: scmkit.intervene(x, {}),
+        lambda x: scmkit.twin(x),
+        lambda x: scmkit.marginalize(x, []),
+        lambda x: scmkit.marginalize(x, ["X"]),
+        lambda x: scmkit.extend(x),
+    ], ids=["solvable_wrt", "uniquely_solvable_wrt", "solve_map", "observational_distribution",
+            "functional_parents", "canonicalize", "serialize", "intervene", "twin",
+            "marginalize_none", "marginalize_some", "extend"])
+    @pytest.mark.parametrize("x", [object(), MixedGraph(["X"], [("X", "X")])], ids=["object", "graph"])
+    def test_every_family_operation_rejects_a_non_model(self, call, x):
+        with pytest.raises(ScmError, match="^not an SCM: "):
+            call(x)
 
 
 class TestTabularMechanism:
@@ -119,11 +177,12 @@ class TestMechanismsEquivalent:
         assert all(seen[v, False, True] >= 20 for v in (True, False)), seen
 
     def test_a_missing_row_fails_loudly(self):
+        # a partial table never reaches the comparison: the model is not built
         dom = FiniteDomain((0, 1))
         m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
-                      {"X": TabularMechanism(("E",), {(0,): 0})})
-        with pytest.raises(ScmError, match=r"table of X has no entry for \(1,\)"):
-            mechanisms_equivalent(m, m.replace())
+                      {"X": TabularMechanism(("E",), {(0,): 0, (1,): 0})})
+        with pytest.raises(ScmError, match="invalid model: mechanism table of X is not total: 1 rows, expected 2"):
+            m.replace(mechanisms={"X": TabularMechanism(("E",), {(0,): 0})})
 
 
 class TestFunctionalParents:
@@ -211,11 +270,11 @@ class TestFunctionalParents:
                                            "noise dropped", "variable dropped"]), seen
 
     def test_a_missing_table_row_fails_loudly(self):
+        # a row keyed outside the argument domains leaves one missing
         dom = FiniteDomain((0, 1))
-        m = FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
-                      {"X": TabularMechanism(("E",), {(0,): 0})})
-        with pytest.raises(ScmError, match=r"table of X has no entry for \(1,\)"):
-            functional_parents(m, "X")
+        with pytest.raises(ScmError, match=r"invalid model: mechanism table of X misses entry for \(1,\)"):
+            FiniteScm({"X": dom}, {"E": dom}, {"E": zoo.uniform(0, 1)},
+                      {"X": TabularMechanism(("E",), {(0,): 0, (2,): 1})})
 
     def test_outputs_outside_the_domain_are_one_value(self):
         # x = 7 or x = 8: no fixed point either way, so E changes nothing
@@ -341,6 +400,15 @@ class TestGraphs:
         assert ("X2", "X1") in functional_graph(lm).directed
         mech = m.mechanisms["X3"]
         assert copy.copy(mech) == pickle.loads(pickle.dumps(mech)) == mech
+
+    def test_copies_of_a_linear_model_stay_read_only(self):
+        lm = parse((Path(__file__).parent / "corpus" / "ex_lingauss.scm").read_text())
+        functional_graph(lm)
+        for copied in (copy.copy(lm), copy.deepcopy(lm), pickle.loads(pickle.dumps(lm))):
+            arrays = (copied.B, copied.Gamma, copied.c, *(a for b in copied.blocks for a in (b.mean, b.cov)))
+            assert not any(a.flags.writeable for a in arrays)
+            assert copied._cache == {}
+            assert serialize(copied) == serialize(lm)
 
     def test_functional_graph_directed_part_is_induced(self):
         m = zoo.augmented_example()
