@@ -769,14 +769,20 @@ def structurally_uniquely_solvable(m) -> bool:
 
 def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:
     """Uniquely solvable with respect to every subset, decided through the
-    loops of the functional graph only."""
+    loops of the functional graph only.  A singleton loop {k} without a
+    self-loop is skipped: it is uniquely solvable by the rule that
+    ``structurally_uniquely_solvable`` reads."""
     g = functional_graph(m)
     if len(g.nodes) > max_nodes:
         raise ScmError(
             f"uniquely_solvable_all_subsets: {len(g.nodes)} variables, over the cap max_nodes={max_nodes}"
         )
     loops = enumerate_loops(g, max_nodes=max_nodes)
-    return all(bool(uniquely_solvable_wrt(m, sorted(loop))) for loop in loops)
+    return all(
+        bool(uniquely_solvable_wrt(m, sorted(loop)))
+        for loop in loops
+        if len(loop) > 1 or (*loop, *loop) in g.directed
+    )
 
 
 # --- solve maps --------------------------------------------------------------

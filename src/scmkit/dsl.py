@@ -15,11 +15,11 @@ equivalent model and serialize is a fixed point on parsed models.
 from __future__ import annotations
 
 import itertools
-import math
 import re
+import sys
 from fractions import Fraction
 
-from .config import covariance_root, np
+from .config import np
 from .errors import ParseError, ScmError, TabulationError
 from .scm import (
     FiniteDomain,
@@ -186,7 +186,8 @@ class _Parser:
 
     def parse_number(self):
         """Signed decimal, integer or rational coefficient, as the exact
-        ``Fraction`` it spells (a decimal beyond the float range: its float)."""
+        ``Fraction`` it spells (a decimal that underflows a float: 0).  A
+        number beyond the float range is a ``ParseError`` at its token."""
         negative = False
         if self.at_op("-"):
             self.advance()
@@ -194,13 +195,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "FLOAT":
             self.advance()
-            value = float(tok.value)
-            if math.isfinite(value):
-                value = Fraction(tok.value) if value else Fraction(0)
+            value = Fraction(tok.value) if float(tok.value) else Fraction(0)
         elif tok.kind == "INT":
             value = Fraction(*self.parse_ratio())
         else:
             self.fail(f"expected a number, found {tok.value!r}")
+        if abs(value) > sys.float_info.max:
+            self.fail("number beyond the float range", tok)
         return -value if negative else value
 
     # --- finite expressions --------------------------------------------------
@@ -519,8 +520,12 @@ def _parse_linear(p: _Parser) -> LinearScm:
         if not group:
             p.fail("noise declaration needs at least one coordinate name")
         p.expect("OP", ":")
+        at = p.peek()
         mean, cov = _parse_normal(p, len(group))
-        blocks.append(GaussianBlock("+".join(group), tuple(group), mean, cov))
+        try:
+            blocks.append(GaussianBlock("+".join(group), tuple(group), mean, cov))
+        except ScmError as exc:
+            raise ParseError(str(exc), at.line, at.col) from None
         coords.extend(group)
 
     equations, endo, source_map = _statements(p, var, noise, _parse_linear_rhs)
@@ -531,6 +536,9 @@ def _parse_linear(p: _Parser) -> LinearScm:
     for name, (coeffs, intercept, positions) in equations:
         i = endo_index[name]
         # the terms of one name were summed exactly; each sum is rounded once
+        for ref, value in [(None, intercept), *coeffs.items()]:
+            if abs(value) > sys.float_info.max:
+                raise ParseError("sum of terms beyond the float range", *positions[ref])
         c[i] = float(intercept)
         for ref, coef in coeffs.items():
             if ref in endo_index:
@@ -567,8 +575,6 @@ def _parse_normal(p: _Parser, size: int):
     cov = np.array(cov, dtype=float)
     if mean.shape != (size,) or cov.shape != (size, size):
         p.fail(f"Normal parameters do not match the {size} declared coordinate(s)")
-    if problem := covariance_root(cov)[1]:
-        p.fail(f"covariance is {problem}")
     return mean, cov
 
 
@@ -595,6 +601,7 @@ def _parse_linear_rhs(p: _Parser):
                 positions.setdefault(name_tok.value, (name_tok.line, name_tok.col))
             else:
                 intercept += value
+                positions.setdefault(None, (tok.line, tok.col))
         else:
             p.fail(f"expected a linear term, found {tok.value!r}")
         if p.at_op("+"):

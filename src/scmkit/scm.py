@@ -276,10 +276,12 @@ def _check_finite(m: FiniteScm):
 
 def _array(what: str, a, shape: tuple):
     """``a`` as a read-only float array of ``shape``; an array of another
-    size raises ``ScmError`` naming both shapes."""
+    size, or with an infinite or NaN entry, raises ``ScmError``."""
     a = np.array(a, dtype=float)
     if a.size != math.prod(shape):
         raise _invalid(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise _invalid(f"{what} has a non-finite entry")
     a = a.reshape(shape)
     a.setflags(write=False)
     return a
@@ -289,8 +291,9 @@ def _array(what: str, a, shape: tuple):
 class GaussianBlock:
     """A named group of jointly Gaussian exogenous coordinates; blocks are
     mutually independent, arbitrary covariance is allowed within a block.
-    A mean or covariance of the wrong size, or a covariance that is not
-    symmetric positive semi-definite, raises ``ScmError``."""
+    A mean or covariance of the wrong size or with a non-finite entry, or a
+    covariance that is not symmetric positive semi-definite, raises
+    ``ScmError``."""
 
     name: str
     coords: tuple
@@ -319,7 +322,8 @@ class LinearScm(_Frozen):
     Intercepts ``c`` extend the textbook definition so that the family is
     closed under perfect intervention (an intervened mechanism is a constant).
     A repeated or colliding name, or ``B``, ``Gamma`` or ``c`` of the wrong
-    size, raises ``ScmError``; each block checks its own parameters.
+    size or with a non-finite entry, raises ``ScmError``; each block checks
+    its own parameters.
     """
 
     def __init__(self, endogenous, blocks, B, Gamma, c=None):

@@ -897,6 +897,25 @@ def random_mixed_graph(rng: random.Random, n: int, directed_p=0.25, bidirected_p
     return MixedGraph(nodes, directed, bidirected)
 
 
+def dense_blocks(rng: random.Random, sizes, directed_p=0.5, bidirected_p=0.15):
+    """Blocks of ``sizes`` nodes, b0_0 .. b0_(k-1), b1_0 and so on: each block
+    is a directed cycle plus each other ordered pair, self-loops included,
+    with probability ``directed_p``, so it is one strongly connected
+    component; one edge joins each block to the next and never back.  Each
+    unordered pair carries a bidirected edge with probability
+    ``bidirected_p``."""
+    blocks = [[f"b{k}_{i}" for i in range(size)] for k, size in enumerate(sizes)]
+    directed = []
+    for block in blocks:
+        directed += [(u, block[(i + 1) % len(block)]) for i, u in enumerate(block)]
+        directed += [(u, v) for u in block for v in block if rng.random() < directed_p]
+    for here, there in zip(blocks, blocks[1:]):
+        directed.append((rng.choice(here), rng.choice(there)))
+    nodes = [v for block in blocks for v in block]
+    bidirected = [(u, v) for u, v in itertools.combinations(nodes, 2) if rng.random() < bidirected_p]
+    return MixedGraph(nodes, directed, bidirected)
+
+
 # --- random model generation ---------------------------------------------------
 
 def random_finite_scm(rng: random.Random, max_endo=4, max_exo=2, max_card=3,

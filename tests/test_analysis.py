@@ -30,6 +30,7 @@ from scmkit import (
     canonicalize,
     counterfactual_distribution,
     counterfactually_equivalent,
+    enumerate_loops,
     fiber,
     functional_graph,
     gaussian_condition,
@@ -447,6 +448,26 @@ class TestStructuralAndAllSubsets:
                 for subset in itertools.combinations(names, r)
             )
             assert by_loops == brute
+
+    def test_all_subsets_scans_no_singleton_without_a_self_loop(self, monkeypatch):
+        scanned = []
+        scan = analysis.uniquely_solvable_wrt
+        monkeypatch.setattr(analysis, "uniquely_solvable_wrt",
+                            lambda m, subset: scanned.append(frozenset(subset)) or scan(m, subset))
+        rng = random.Random(19)
+        models = [zoo.random_finite_scm(rng, max_endo=3, self_arg_p=0.3) for _ in range(25)]
+        models += [zoo.cycle4_scm(), LinearScm(("X", "Y"), zoo.std_blocks("E1"), [[1.0, 0.0], [1.0, 0.0]], [[1.0], [0.0]])]
+        complete = 0
+        for m in models:
+            scanned.clear()
+            verdict = uniquely_solvable_all_subsets(m)
+            g = functional_graph(m)
+            wanted = {loop for loop in enumerate_loops(g) if len(loop) > 1 or (*loop, *loop) in g.directed}
+            assert set(scanned) <= wanted and len(scanned) == len(set(scanned)), m
+            if verdict:
+                assert set(scanned) == wanted, m
+                complete += 1
+        assert 0 < complete < len(models)
 
     def test_all_subsets_cap_names_its_knob(self):
         m = zoo.cycle4_scm()

@@ -131,6 +131,16 @@ class TestDistCommands:
         assert run(["dist", corpus("ex_interventions.scm"), "--do", "X3=1"]) == 2
         assert "NotSolvable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, where", [
+        (["noise E : Normal(1e999, 1)", "eq X = E"], "3:18"),
+        (["noise E : Normal(0, 1)", "noise F : Normal(0, 1)", "eq X = E", "eq Y = 1e999*X + F"], "6:8"),
+    ])
+    def test_a_number_beyond_the_float_range_is_a_parse_error(self, capsys, tmp_path, lines, where):
+        path = tmp_path / "big.scm"
+        path.write_text("\n".join(["model linear", "var X Y" if len(lines) > 2 else "var X", *lines]) + "\n")
+        assert run(["dist", str(path)]) == 2
+        assert capsys.readouterr().err == f"scmkit: error: {where}: number beyond the float range\n"
+
     def test_gaussian_distribution(self, capsys):
         assert run(["dist", corpus("ex_lingauss.scm")]) == 0
         obj = json.loads(capsys.readouterr().out)

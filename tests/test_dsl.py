@@ -209,6 +209,37 @@ class TestLinearParsing:
         with pytest.raises(ParseError, match="positive semi-definite"):
             parse(text)
 
+    def test_a_covariance_error_is_reported_at_the_normal_token(self):
+        text = "model linear\nvar X\nnoise E1 E2 : Normal(mean=[0, 0], cov=[[1, 0], [1, 1]])\neq X = 1*E1\n"
+        with pytest.raises(ParseError, match="block E1\\+E2 covariance is not symmetric") as caught:
+            parse(text)
+        assert (caught.value.line, caught.value.col) == (3, 15)
+
+    def test_one_covariance_root_per_block(self, monkeypatch):
+        # covariance_root runs one eigh; the block's check is the only one
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        model = parse((Path(__file__).parent / "corpus" / "ex_lingauss.scm").read_text())
+        assert len(model.blocks) == 2 and len(calls) == 2
+
+    @pytest.mark.parametrize("line, where", [
+        ("noise E : Normal(1e999, 1)", "3:18"),
+        ("noise E : Normal(0, -1e999)", "3:22"),
+        ("noise E : Normal(mean=[0], cov=[[1e400]])", "3:34"),
+        ("eq X = 1e999*E", "4:8"),
+        ("eq X = E - 1e999", "4:12"),
+        ("eq X = E + 1" + "0" * 400, "4:12"),
+        ("eq X = 1e308*E + 1e308*E", "4:14"),
+        ("eq X = E + 1e308 + 1e308", "4:12"),
+    ])
+    def test_a_number_beyond_the_float_range(self, line, where):
+        # an inf mean once gave a law with mean 0, an inf coefficient a NaN law
+        lines = ["model linear", "var X", "noise E : Normal(0, 1)", "eq X = E"]
+        lines[2 if line.startswith("noise") else 3] = line
+        with pytest.raises(ParseError, match=f"^{where}: (number|sum of terms) beyond the float range$"):
+            parse("\n".join(lines) + "\n")
+
     def test_mean_cov_shape_mismatch(self):
         text = "model linear\nvar X\nnoise E1 E2 : Normal(0, 1)\neq X = 1*E1\n"
         with pytest.raises(ParseError, match="single-coordinate"):

@@ -267,6 +267,38 @@ class TestLoops:
         expected = {frozenset([n]) for n in g.nodes} | {frozenset(g.nodes)}
         assert loops == expected
 
+    @staticmethod
+    def mismatches(graphs) -> list:
+        return [g for g in graphs if enumerate_loops(g) != brute_force_loops(g)]
+
+    def test_all_three_node_graphs_match_brute_force(self):
+        # 2^6 directed and 2^3 bidirected edge sets, each with every set of self-loops
+        nodes = ["a", "b", "c"]
+        arcs = [(u, v) for u in nodes for v in nodes if u != v]
+        pairs = list(itertools.combinations(nodes, 2))
+        graphs = [
+            MixedGraph(nodes, [e for k, e in enumerate(arcs) if bits >> k & 1]
+                       + [(v, v) for k, v in enumerate(nodes) if loops >> k & 1],
+                       [e for k, e in enumerate(pairs) if bits >> 6 + k & 1])
+            for bits in range(512)
+            for loops in range(8)
+        ]
+        assert len(set(graphs)) == 4096
+        assert self.mismatches(graphs) == []
+
+    def test_random_mixed_graphs_match_brute_force(self):
+        rng = random.Random(27)
+        graphs = [zoo.random_mixed_graph(rng, n, directed_p=p) for n in range(4, 10) for p in (0.2, 0.4) for _ in range(4)]
+        assert sum(len(g.components()) < len(g.nodes) for g in graphs) > len(graphs) // 2
+        assert self.mismatches(graphs) == []
+
+    def test_dense_blocks_match_brute_force(self):
+        rng = random.Random(28)
+        sizes = [(3, 3), (4, 5), (6, 6), (2, 3, 4), (4, 4, 4), (3, 4, 5)]
+        graphs = [zoo.dense_blocks(rng, size) for size in sizes for _ in range(2)]
+        assert [len(g.components()) for g in graphs] == [len(size) for size in sizes for _ in range(2)]
+        assert self.mismatches(graphs) == []
+
     def test_bound(self):
         g = MixedGraph([f"n{i}" for i in range(17)])
         with pytest.raises(ScmError, match=r"17 nodes, over the cap max_nodes=16$"):

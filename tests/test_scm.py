@@ -91,6 +91,19 @@ class TestValidate:
         with pytest.raises(ScmError, match=f"^invalid model: {message}$"):
             build(zoo.std_blocks("E"))
 
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    @pytest.mark.parametrize("build, what", [
+        (lambda b, x: LinearScm(("X",), b, [[x]], [[1.0]]), "B"),
+        (lambda b, x: LinearScm(("X",), b, [[0.0]], [[x]]), "Gamma"),
+        (lambda b, x: LinearScm(("X",), b, [[0.0]], [[1.0]], [x]), "c"),
+        (lambda b, x: GaussianBlock("W", ("E1", "E2"), [0.0, x], [[1.0, 0.0], [0.0, 1.0]]), "block W mean"),
+        (lambda b, x: GaussianBlock("W", ("E1", "E2"), [0.0, 0.0], [[1.0, x], [x, 1.0]]), "block W covariance"),
+    ])
+    def test_a_non_finite_linear_entry(self, build, what, bad):
+        # an inf mean once gave mean 0, and a NaN covariance read "not symmetric"
+        with pytest.raises(ScmError, match=f"^invalid model: {what} has a non-finite entry$"):
+            build(zoo.std_blocks("E"), bad)
+
     def test_an_output_outside_the_domain_is_legal(self):
         # x = 7 holds for no x in {0, 1}: the model builds, and has no solution at E = 1
         dom = FiniteDomain((0, 1))
