@@ -37,6 +37,7 @@ from .errors import (
     NotUniquelySolvable,
     ScmError,
     UnknownNameError,
+    UnsupportedModelError,
 )
 from .graph import enumerate_loops, strong_components
 from .scm import (
@@ -50,6 +51,7 @@ from .scm import (
     augmented_graph,
     functional_graph,
     functional_parents,
+    is_finite,
 )
 
 __all__ = [
@@ -559,8 +561,8 @@ def fiber(m: FiniteScm, subset, e: Mapping[str, object], ctx: Mapping[str, objec
 
     Tuples follow the endogenous declaration order restricted to ``subset``.
     """
-    if not isinstance(m, FiniteScm):
-        raise ScmError("fibers are defined for finite SCMs")
+    if not is_finite(m):
+        raise UnsupportedModelError("fibers are defined for finite SCMs")
     subset = _subset_names(m, subset)
     ctx = dict(ctx or {})
     for name, value in list(e.items()) + list(ctx.items()):
@@ -740,24 +742,18 @@ def _linear_solvable(m: LinearScm, subset):
 def solvable_wrt(m, subset) -> SolvabilityResult:
     """Is the subsystem on ``subset`` solvable: does every positive-probability
     input admit at least one solution?"""
-    if isinstance(m, FiniteScm):
-        return _finite_scan(m, subset, need_unique=False)
-    if isinstance(m, LinearScm):
-        return _linear_solvable(m, subset)
-    raise ScmError(f"not an SCM: {m!r}")
+    return _finite_scan(m, subset, need_unique=False) if is_finite(m) else _linear_solvable(m, subset)
 
 
 def uniquely_solvable_wrt(m, subset) -> SolvabilityResult:
     """Is the subsystem on ``subset`` uniquely solvable: is every fiber over a
     positive-probability input a singleton?"""
-    if isinstance(m, FiniteScm):
+    if is_finite(m):
         return _finite_scan(m, subset, need_unique=True)
-    if isinstance(m, LinearScm):
-        subset, _, _, inv, _ = _linear_subsystem(m, subset)
-        if inv is not None:
-            return SolvabilityResult(True, subset)
-        return SolvabilityResult(False, subset, witness={"singular": "I - B_OO"})
-    raise ScmError(f"not an SCM: {m!r}")
+    subset, _, _, inv, _ = _linear_subsystem(m, subset)
+    if inv is not None:
+        return SolvabilityResult(True, subset)
+    return SolvabilityResult(False, subset, witness={"singular": "I - B_OO"})
 
 
 def structurally_uniquely_solvable(m) -> bool:
@@ -790,7 +786,7 @@ def uniquely_solvable_all_subsets(m, max_nodes: int = 16) -> bool:
 def solve_map(m, subset) -> SolveMap:
     """The mapping g assigning to each input of the subsystem its unique
     solution; requires unique solvability with respect to ``subset``."""
-    if isinstance(m, LinearScm):
+    if not is_finite(m):
         subset_t, idx, rest, inv, _ = _linear_subsystem(m, subset)
         if inv is None:
             raise NotUniquelySolvable(subset_t, {"singular": "I - B_OO"})
@@ -804,9 +800,6 @@ def solve_map(m, subset) -> SolveMap:
             exo_args=m.coord_names,
             A=x[:, :len(rest)], G=x[:, len(rest):-1], d=x[:, -1],
         )
-    if not isinstance(m, FiniteScm):
-        raise ScmError(f"not an SCM: {m!r}")
-
     subset_t = _subset_names(m, subset)
     res = _finite_scan(m, subset_t, need_unique=True)
     if not res:
@@ -852,20 +845,18 @@ def observational_distribution(m):
     variables, one exact pass over the components of the model, whose focal
     sets must all be singletons (``_finite_law``).  Linear SCMs: the
     closed-form Gaussian."""
-    if isinstance(m, FiniteScm):
+    if is_finite(m):
         den, law = _finite_law(m, unique=True)
         return DiscreteDistribution._from_counts(m.endogenous_names, m.endogenous, den,
                                                  {cell: n for (cell,), n in law.items()})
-    if isinstance(m, LinearScm):
-        try:
-            sm = solve_map(m, m.endogenous_names)
-        except NotUniquelySolvable:
-            res = _linear_solvable(m, m.endogenous_names)
-            if not res:
-                raise NotSolvable(m.endogenous_names, res.witness) from None
-            raise NotUniquelySolvable(m.endogenous_names, {"singular": "I - B"}) from None
-        return _solution_law(m, sm, sm.targets)
-    raise ScmError(f"not an SCM: {m!r}")
+    try:
+        sm = solve_map(m, m.endogenous_names)
+    except NotUniquelySolvable:
+        res = _linear_solvable(m, m.endogenous_names)
+        if not res:
+            raise NotSolvable(m.endogenous_names, res.witness) from None
+        raise NotUniquelySolvable(m.endogenous_names, {"singular": "I - B"}) from None
+    return _solution_law(m, sm, sm.targets)
 
 
 def _solution_law(m: LinearScm, sm: SolveMap, names) -> GaussianDistribution:
@@ -891,8 +882,8 @@ def observational_polytope(m: FiniteScm, max_selectors: int = 10**6) -> Selector
     Cost: one Γ-law pass plus one memo entry per family, at most 2**cells;
     ``max_selectors`` caps the partial vectors held.  ``NotSolvable`` names
     the first noise value, over the noises that are read, with no solution."""
-    if not isinstance(m, FiniteScm):
-        raise ScmError("the selector polytope is defined for finite SCMs")
+    if not is_finite(m):
+        raise UnsupportedModelError("the selector polytope is defined for finite SCMs")
     endo = m.endogenous_names
     den, law = _finite_law(m, unique=False)
     rank = [{x: r for r, x in enumerate(m.endogenous[v].values)} for v in endo]
@@ -950,13 +941,14 @@ def counterfactual_distribution(m, factual_do, observed, cf_do, query):
     """
     from .transform import intervene, twin
 
+    finite = is_finite(m)
     query = tuple([query] if isinstance(query, str) else query)
     _coordinates(tuple(v + "'" for v in m.endogenous_names), query)  # before any solve
     iv = dict(factual_do)
     iv.update((k + "'", v) for k, v in dict(cf_do).items())
     dist = observational_distribution(intervene(twin(m), iv))
     if observed:
-        dist = dist.condition(observed) if isinstance(dist, DiscreteDistribution) else gaussian_condition(dist, observed)
+        dist = dist.condition(observed) if finite else gaussian_condition(dist, observed)
     return dist.marginal(query)
 
 

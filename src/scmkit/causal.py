@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graph import MixedGraph, intervene_graph
-from .scm import FiniteScm, LinearScm, functional_graph, functional_parents
+from .scm import LinearScm, functional_graph, functional_parents, is_finite
 from .transform import marginalize, twin
 
 __all__ = [
@@ -97,16 +97,18 @@ class EquivalenceReport:
 
 def _margin_and_check(m1, m2, margin) -> tuple:
     """The margin, sorted and checked against both models, and the
-    per-intervention check of their family."""
+    per-intervention check of their family; models of two families raise
+    before the margin is read."""
+    finite = is_finite(m1)
+    if finite != is_finite(m2):
+        raise DomainMismatchError("cannot compare models from different families")
     margin = tuple(sorted(set([margin]) if isinstance(margin, str) else set(margin)))
     for m in (m1, m2):
         missing = set(margin) - set(m.endogenous_names)
         if missing:
             raise DomainMismatchError(f"margin variables {sorted(missing)} missing from a model")
-    if isinstance(m1, LinearScm) and isinstance(m2, LinearScm):
+    if not finite:
         return margin, _linear_equivalent
-    if not (isinstance(m1, FiniteScm) and isinstance(m2, FiniteScm)):
-        raise DomainMismatchError("cannot compare models from different families")
     for v in margin:
         if m1.endogenous[v] != m2.endogenous[v]:
             raise DomainMismatchError(f"margin variable {v} has different domains")
@@ -230,7 +232,7 @@ def _interventions(m, margin):
     alone, which stand for all their values (linear)."""
     for size in range(len(margin) + 1):
         for targets in itertools.combinations(margin, size):
-            if isinstance(m, LinearScm):
+            if not is_finite(m):
                 yield targets
             else:
                 values = itertools.product(*(m.endogenous[t].values for t in targets))
@@ -297,7 +299,7 @@ def is_direct_cause(m, i: str, j: str):
         raise ScmError(f"unknown variable in ({i}, {j})")
     if i not in functional_parents(m, j):
         return False, None
-    if isinstance(m, LinearScm):
+    if not is_finite(m):
         return True, None
     args = set(m.mechanisms[j].args)
     others = [v for v in m.endogenous_names if v not in (i, j)]
@@ -316,6 +318,7 @@ def is_direct_cause(m, i: str, j: str):
 def direct_causal_graph(m) -> MixedGraph:
     """Directed graph of the direct causes; always a subgraph of the directed
     part of the functional graph."""
+    is_finite(m)  # a non-model raises before the first read
     edges = []
     for i in m.endogenous_names:
         for j in m.endogenous_names:
@@ -329,6 +332,7 @@ def direct_causal_graph(m) -> MixedGraph:
 
 def direct_causal_graph_wrt(m, context) -> MixedGraph:
     """Direct causal graph after marginalizing everything outside ``context``."""
+    is_finite(m)  # a non-model raises before the first read
     context = _subset_names(m, context)
     latent = [v for v in m.endogenous_names if v not in context]
     try:

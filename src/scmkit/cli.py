@@ -16,9 +16,12 @@ import traceback
 from . import analysis, causal, dsl, markov, transform
 from .errors import ParseError, ScmError
 from .graph import MixedGraph, d_separated, sigma_separated
-from .scm import FiniteScm, augmented_graph, functional_graph
+from .scm import augmented_graph, functional_graph, is_finite
 
 __all__ = ["main", "run"]
+
+# the parser's message for a number a linear model cannot hold
+_BEYOND_FLOAT = "number beyond the float range"
 
 
 def _read(path: str) -> str:
@@ -34,7 +37,7 @@ def _load_model(path: str):
 
 
 def _parse_assignments(m, text: str) -> dict:
-    out = {}
+    finite, out = is_finite(m), {}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -45,13 +48,17 @@ def _parse_assignments(m, text: str) -> dict:
         name, raw = name.strip(), raw.strip()
         try:
             value = dsl.parse_value_literal(raw)
-        except ParseError:
+        except ParseError as exc:
+            if str(exc).endswith(_BEYOND_FLOAT):
+                raise ScmError(f"{part}: {_BEYOND_FLOAT}") from None
             raise ScmError(f"malformed value {raw!r} in {part}; expected an integer, p/q or decimal") from None
-        if isinstance(m, FiniteScm):
+        if finite:
             if name not in m.endogenous:
                 raise ScmError(f"unknown variable {name!r}")
             if value not in m.endogenous[name]:
                 raise ScmError(f"value {value!r} outside the domain of {name}")
+        elif abs(value) > sys.float_info.max:
+            raise ScmError(f"{part}: {_BEYOND_FLOAT}")
         else:
             value = float(value)
         out[name] = value

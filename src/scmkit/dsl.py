@@ -27,6 +27,7 @@ from .scm import (
     GaussianBlock,
     LinearScm,
     TabularMechanism,
+    is_finite,
 )
 
 __all__ = ["ModelSource", "parse", "parse_source", "serialize", "parse_value_literal"]
@@ -651,7 +652,7 @@ def _coef_str(value: float) -> str:
 
 def serialize(m) -> str:
     """Canonical textual form; see the module docstring for guarantees."""
-    if isinstance(m, FiniteScm):
+    if is_finite(m):
         _require_numeric_domains(m)
         lines = ["model finite"]
         for name in sorted(m.endogenous):
@@ -668,50 +669,43 @@ def serialize(m) -> str:
             expr = m.expressions.get(name) or _table_expression(m, name)
             lines.append(f"eq {name} = {expr}")
         return "\n".join(lines) + "\n"
-    if isinstance(m, LinearScm):
-        lines = ["model linear"]
-        lines.append("var " + " ".join(sorted(m.endogenous)))
-        for b in sorted(m.blocks, key=lambda b: b.name):
-            if len(b.coords) == 1:
-                lines.append(
-                    f"noise {b.coords[0]} : Normal({_coef_str(b.mean[0])}, {_coef_str(b.cov[0, 0])})"
-                )
+    lines = ["model linear", "var " + " ".join(sorted(m.endogenous))]
+    for b in sorted(m.blocks, key=lambda b: b.name):
+        if len(b.coords) == 1:
+            lines.append(f"noise {b.coords[0]} : Normal({_coef_str(b.mean[0])}, {_coef_str(b.cov[0, 0])})")
+        else:
+            mean = ", ".join(_coef_str(v) for v in b.mean)
+            cov = ", ".join("[" + ", ".join(_coef_str(v) for v in row) + "]" for row in b.cov)
+            lines.append(f"noise {' '.join(b.coords)} : Normal(mean=[{mean}], cov=[{cov}])")
+    coord_order = []
+    for b in sorted(m.blocks, key=lambda b: b.name):
+        coord_order.extend(b.coords)
+    for name in sorted(m.endogenous):
+        i = m.endo_index(name)
+        terms = []
+        for other in sorted(m.endogenous):
+            coef = m.B[i, m.endo_index(other)]
+            if coef != 0.0:
+                terms.append((coef, other))
+        coords = m.coord_names
+        for coord in coord_order:
+            coef = m.Gamma[i, coords.index(coord)]
+            if coef != 0.0:
+                terms.append((coef, coord))
+        if m.c[i] != 0.0:
+            terms.append((m.c[i], None))
+        if not terms:
+            lines.append(f"eq {name} = 0")
+            continue
+        parts = []
+        for idx, (coef, target) in enumerate(terms):
+            body = _coef_str(abs(coef)) if target is None else f"{_coef_str(abs(coef))}*{target}"
+            if idx == 0:
+                parts.append(("-" if coef < 0 else "") + body)
             else:
-                mean = ", ".join(_coef_str(v) for v in b.mean)
-                cov = ", ".join("[" + ", ".join(_coef_str(v) for v in row) + "]" for row in b.cov)
-                lines.append(
-                    f"noise {' '.join(b.coords)} : Normal(mean=[{mean}], cov=[{cov}])"
-                )
-        coord_order = []
-        for b in sorted(m.blocks, key=lambda b: b.name):
-            coord_order.extend(b.coords)
-        for name in sorted(m.endogenous):
-            i = m.endo_index(name)
-            terms = []
-            for other in sorted(m.endogenous):
-                coef = m.B[i, m.endo_index(other)]
-                if coef != 0.0:
-                    terms.append((coef, other))
-            coords = m.coord_names
-            for coord in coord_order:
-                coef = m.Gamma[i, coords.index(coord)]
-                if coef != 0.0:
-                    terms.append((coef, coord))
-            if m.c[i] != 0.0:
-                terms.append((m.c[i], None))
-            if not terms:
-                lines.append(f"eq {name} = 0")
-                continue
-            parts = []
-            for idx, (coef, target) in enumerate(terms):
-                body = _coef_str(abs(coef)) if target is None else f"{_coef_str(abs(coef))}*{target}"
-                if idx == 0:
-                    parts.append(("-" if coef < 0 else "") + body)
-                else:
-                    parts.append(("- " if coef < 0 else "+ ") + body)
-            lines.append(f"eq {name} = " + " ".join(parts))
-        return "\n".join(lines) + "\n"
-    raise ScmError(f"not an SCM: {m!r}")
+                parts.append(("- " if coef < 0 else "+ ") + body)
+        lines.append(f"eq {name} = " + " ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 def parse_value_literal(text: str):

@@ -27,7 +27,7 @@ from .analysis import (
 from .config import negligible, np
 from .errors import ScmError, SolvabilityError, UnknownNameError
 from .graph import _open_sinks
-from .scm import LinearScm, functional_graph
+from .scm import functional_graph, is_finite
 
 __all__ = ["MarkovReport", "conditional_independent", "verify_markov"]
 
@@ -260,7 +260,7 @@ def _premise(m, graph, kind: str) -> str:
                 comp, res.witness,
                 f"not uniquely solvable w.r.t. the strongly connected component {sorted(comp)}",
             )
-    return "linear" if kind == "d" and isinstance(m, LinearScm) else "scc_unique"
+    return "linear" if kind == "d" and not is_finite(m) else "scc_unique"
 
 
 def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_subsets: bool = False) -> MarkovReport:
@@ -339,7 +339,7 @@ def verify_markov(m, kind: str = "sigma", max_conditioning: int = None, full_sub
     for a, b in pairs:
         partners.setdefault(a, set()).update(b)
     opened = {a: _open_sinks(graph, frozenset(a), frozenset(b), sets, kind == "sigma") for a, b in partners.items()}
-    bulk = not full_subsets and isinstance(dist, DiscreteDistribution)
+    bulk = not full_subsets and is_finite(m)
     if bulk:
         # every pair of the singleton table over every set, by one kernel
         # call: one list per pair, in the order of the table

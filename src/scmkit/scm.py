@@ -2,6 +2,7 @@
 directly on mechanisms: equivalence, functional parents, graph extraction and
 canonicalization.  A model is checked when it is built: its constructor
 raises ``ScmError`` at the first violated invariant of Definition 2.1.
+``is_finite`` is the one place that tells the two families apart.
 
 Finite models are exact throughout (``fractions.Fraction`` probabilities,
 tabular mechanisms).  Linear models are real-valued with independent Gaussian
@@ -21,7 +22,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .config import covariance_root, np, unit_eigenvectors
-from .errors import DomainMismatchError, ScmError, UnknownNameError
+from .errors import DomainMismatchError, ScmError, UnknownNameError, UnsupportedModelError
 from .graph import MixedGraph
 
 __all__ = [
@@ -408,6 +409,17 @@ class LinearScm(_Frozen):
         return json.dumps(self.to_json_obj())
 
 
+def is_finite(m) -> bool:
+    """True for a ``FiniteScm`` and False for a ``LinearScm``: the one place
+    that tells the two families apart, called by every model operation before
+    it reads the model.  Anything else raises the one "not an SCM" error."""
+    if isinstance(m, FiniteScm):
+        return True
+    if isinstance(m, LinearScm):
+        return False
+    raise ScmError(f"not an SCM: {m!r}")
+
+
 # --- relation-level machinery for finite SCMs ----------------------------
 
 _OUTSIDE = object()  # a mechanism value outside its variable's domain
@@ -488,27 +500,17 @@ def functional_parents(m, k: str) -> frozenset:
     Cost: finite, one pass over the rows of the mechanism's table per
     argument; linear, one row of B and Gamma.  Kept per model.
     """
-    if isinstance(m, FiniteScm):
-        return _finite_parents(m, k)
-    if isinstance(m, LinearScm):
-        return _linear_parents(m, k)
-    raise ScmError(f"not an SCM: {m!r}")
+    return _finite_parents(m, k) if is_finite(m) else _linear_parents(m, k)
 
 
 def augmented_graph(m) -> MixedGraph:
     """Directed graph on endogenous plus exogenous indices (blocks, for the
     linear family) with an edge v -> k iff v is a functional parent of k."""
+    finite = is_finite(m)
     if "augmented_graph" in m._cache:
         return m._cache["augmented_graph"]
-    if isinstance(m, FiniteScm):
-        exo_nodes = list(m.exogenous_names)
-    else:
-        exo_nodes = list(m.block_names)
-    nodes = list(m.endogenous_names) + exo_nodes
-    edges = []
-    for k in m.endogenous_names:
-        for v in sorted(functional_parents(m, k)):
-            edges.append((v, k))
+    nodes = list(m.endogenous_names) + list(m.exogenous_names if finite else m.block_names)
+    edges = [(v, k) for k in m.endogenous_names for v in sorted(functional_parents(m, k))]
     g = MixedGraph(nodes, edges, ())
     m._cache["augmented_graph"] = g
     return g
@@ -518,6 +520,7 @@ def functional_graph(m) -> MixedGraph:
     """Directed mixed graph on the endogenous indices: directed edges from the
     augmented graph, bidirected edges between variables sharing an exogenous
     functional parent."""
+    is_finite(m)  # a non-model raises before the cache lookup
     if "functional_graph" in m._cache:
         return m._cache["functional_graph"]
     endo = set(m.endogenous_names)
@@ -556,8 +559,8 @@ def mechanisms_equivalent(m1: FiniteScm, m2: FiniteScm) -> bool:
     all endogenous values.  One pass per k over the rows of the joint
     coordinates (both sides' arguments and k), comparing the readings
     ``row[k] == table[key]``, each side's key read off the row by position."""
-    if not isinstance(m1, FiniteScm) or not isinstance(m2, FiniteScm):
-        raise ScmError("mechanisms_equivalent is defined for finite SCMs")
+    if not all([is_finite(m1), is_finite(m2)]):  # a non-model on either side raises first
+        raise UnsupportedModelError("mechanisms_equivalent is defined for finite SCMs")
     _check_shared_signature(m1, m2)
     for k in m1.endogenous_names:
         f1, f2 = m1.mechanisms[k], m2.mechanisms[k]
@@ -647,8 +650,4 @@ def canonicalize(m):
     """An equivalent SCM whose declared mechanism arguments are exactly the
     functional parents (for the linear family: rows normalized so that the
     diagonal of B is 0 except at genuine self-loops, where it is 1)."""
-    if isinstance(m, FiniteScm):
-        return _canonicalize_finite(m)
-    if isinstance(m, LinearScm):
-        return _canonicalize_linear(m)
-    raise ScmError(f"not an SCM: {m!r}")
+    return _canonicalize_finite(m) if is_finite(m) else _canonicalize_linear(m)

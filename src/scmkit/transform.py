@@ -9,27 +9,22 @@ from typing import Mapping
 from .analysis import solve_map
 from .config import np, snap
 from .errors import ScmError, UnknownNameError
-from .scm import FiniteScm, LinearScm, TabularMechanism
+from .scm import FiniteScm, LinearScm, TabularMechanism, is_finite
 
 __all__ = ["intervene", "twin", "marginalize", "extend"]
 
 PRIME = "'"
 
 
-def _check_family(m):
-    if not isinstance(m, (FiniteScm, LinearScm)):
-        raise ScmError(f"not an SCM: {m!r}")
-
-
 def intervene(m, assignment: Mapping[str, object]):
     """Perfect intervention do(targets, values): replace each target's
     mechanism by the constant value; everything else is untouched."""
-    _check_family(m)
+    finite = is_finite(m)
     assignment = dict(assignment)
     unknown = set(assignment) - set(m.endogenous_names)
     if unknown:
         raise UnknownNameError(f"unknown intervention target(s): {sorted(unknown)}")
-    if isinstance(m, FiniteScm):
+    if finite:
         mechanisms = dict(m.mechanisms)
         expressions = dict(m.expressions)
         for name, value in assignment.items():
@@ -56,8 +51,7 @@ def _primed(name: str) -> str:
 def twin(m):
     """Two copies of the endogenous system driven by one shared noise
     realization; the copy of variable X is named X'."""
-    _check_family(m)
-    if isinstance(m, FiniteScm):
+    if is_finite(m):
         collisions = [i for i in m.endogenous_names if _primed(i) in m.endogenous or _primed(i) in m.exogenous]
         if collisions:
             raise ScmError(f"twin naming collision for {collisions}")
@@ -92,12 +86,12 @@ def marginalize(m, latent):
     Requires unique solvability with respect to ``latent``; raises
     NotUniquelySolvable with a witness otherwise.
     """
-    _check_family(m)
+    finite = is_finite(m)
     latent = set([latent]) if isinstance(latent, str) else set(latent)
     if not latent:
         return m.replace()
-    if isinstance(m, FiniteScm):
-        sm = solve_map(m, latent)  # raises NotUniquelySolvable on failure
+    sm = solve_map(m, latent)  # raises NotUniquelySolvable on failure
+    if finite:
         keep = [i for i in m.endogenous_names if i not in latent]
         mechanisms = {}
         for o in keep:
@@ -119,7 +113,6 @@ def marginalize(m, latent):
         endogenous = {i: m.endogenous[i] for i in keep}
         expressions = {i: x for i, x in m.expressions.items() if i in keep and mechanisms[i] is m.mechanisms[i]}
         return FiniteScm(endogenous, m.exogenous, m.measure, mechanisms, expressions)
-    sm = solve_map(m, latent)
     oi = [m.endo_index(i) for i in sm.endo_args]
     li = [m.endo_index(i) for i in sm.targets]
     bol = m.B[np.ix_(oi, li)]
@@ -135,8 +128,7 @@ def extend(m):
     """Make every exogenous variable visible as an endogenous copy feeding the
     original mechanisms; the copy of noise E is named E'.  Marginalizing the
     copies away recovers the original model."""
-    _check_family(m)
-    if isinstance(m, FiniteScm):
+    if is_finite(m):
         collisions = [j for j in m.exogenous_names if _primed(j) in m.endogenous or _primed(j) in m.exogenous]
         if collisions:
             raise ScmError(f"extension naming collision for {collisions}")

@@ -210,6 +210,13 @@ class TestMalformedValues:
         assert err == (f"scmkit: error: malformed value {raw!r} in X1={raw}; "
                        "expected an integer, p/q or decimal\n")
 
+    @pytest.mark.parametrize("raw", ["1" + "0" * 400, "1e999"], ids=["integer", "decimal"])
+    def test_a_linear_value_beyond_the_float_range_is_one_error_line(self, capsys, raw):
+        assert run(["dist", corpus("ex_lingauss.scm"), "--do", f"X1={raw}"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"scmkit: error: X1={raw}: number beyond the float range\n"
+
 
 class TestSepCommand:
     def test_graph_json_input(self, tmp_path, capsys):

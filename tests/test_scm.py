@@ -19,6 +19,7 @@ from scmkit import (
     MixedGraph,
     ScmError,
     TabularMechanism,
+    UnsupportedModelError,
     augmented_graph,
     canonicalize,
     functional_graph,
@@ -116,25 +117,66 @@ class TestValidate:
 
 class TestNotAModel:
     @pytest.mark.parametrize("call", [
+        lambda x: scmkit.mechanisms_equivalent(x, x),
+        lambda x: scmkit.functional_parents(x, "X"),
+        lambda x: scmkit.augmented_graph(x),
+        lambda x: scmkit.functional_graph(x),
+        lambda x: scmkit.canonicalize(x),
+        lambda x: scmkit.fiber(x, ["X"], {}),
         lambda x: scmkit.solvable_wrt(x, ["X"]),
         lambda x: scmkit.uniquely_solvable_wrt(x, ["X"]),
+        lambda x: scmkit.structurally_uniquely_solvable(x),
+        lambda x: scmkit.uniquely_solvable_all_subsets(x),
         lambda x: scmkit.solve_map(x, ["X"]),
         lambda x: scmkit.observational_distribution(x),
-        lambda x: scmkit.functional_parents(x, "X"),
-        lambda x: scmkit.canonicalize(x),
+        lambda x: scmkit.observational_polytope(x),
+        lambda x: scmkit.interventional_distribution(x, {}),
+        lambda x: scmkit.counterfactual_distribution(x, {}, {}, {}, ["X'"]),
+        lambda x: scmkit.observationally_equivalent(x, x, ["X"]),
+        lambda x: scmkit.interventionally_equivalent(x, x, ["X"]),
+        lambda x: scmkit.counterfactually_equivalent(x, x, ["X"]),
+        lambda x: scmkit.is_direct_cause(x, "X", "Y"),
+        lambda x: scmkit.is_indirect_cause(x, "X", "Y"),
+        lambda x: scmkit.direct_causal_graph(x),
+        lambda x: scmkit.direct_causal_graph_wrt(x, ["X"]),
+        lambda x: scmkit.verify_markov(x),
         lambda x: scmkit.serialize(x),
         lambda x: scmkit.intervene(x, {}),
         lambda x: scmkit.twin(x),
         lambda x: scmkit.marginalize(x, []),
         lambda x: scmkit.marginalize(x, ["X"]),
         lambda x: scmkit.extend(x),
-    ], ids=["solvable_wrt", "uniquely_solvable_wrt", "solve_map", "observational_distribution",
-            "functional_parents", "canonicalize", "serialize", "intervene", "twin",
+    ], ids=["mechanisms_equivalent", "functional_parents", "augmented_graph", "functional_graph",
+            "canonicalize", "fiber", "solvable_wrt", "uniquely_solvable_wrt",
+            "structurally_uniquely_solvable", "uniquely_solvable_all_subsets", "solve_map",
+            "observational_distribution", "observational_polytope", "interventional_distribution",
+            "counterfactual_distribution", "observationally_equivalent", "interventionally_equivalent",
+            "counterfactually_equivalent", "is_direct_cause", "is_indirect_cause", "direct_causal_graph",
+            "direct_causal_graph_wrt", "verify_markov", "serialize", "intervene", "twin",
             "marginalize_none", "marginalize_some", "extend"])
     @pytest.mark.parametrize("x", [object(), MixedGraph(["X"], [("X", "X")])], ids=["object", "graph"])
     def test_every_family_operation_rejects_a_non_model(self, call, x):
         with pytest.raises(ScmError, match="^not an SCM: "):
             call(x)
+
+    def test_models_of_two_families_do_not_compare(self):
+        corpus = Path(__file__).parent / "corpus"
+        m, lm = (parse((corpus / name).read_text()) for name in ("ex_chain.scm", "ex_lingauss.scm"))
+        for equivalent in (scmkit.observationally_equivalent, scmkit.interventionally_equivalent,
+                           scmkit.counterfactually_equivalent):
+            for pair in ((m, lm), (lm, m)):
+                with pytest.raises(DomainMismatchError, match="^cannot compare models from different families$"):
+                    equivalent(*pair, ["X1"])
+
+    def test_finite_only_operations_reject_a_linear_model(self):
+        lm = parse((Path(__file__).parent / "corpus" / "ex_lingauss.scm").read_text())
+        for call, message in (
+            (lambda: scmkit.fiber(lm, ["X1"], {}), "fibers are defined for finite SCMs"),
+            (lambda: scmkit.observational_polytope(lm), "the selector polytope is defined for finite SCMs"),
+            (lambda: scmkit.mechanisms_equivalent(lm, lm), "mechanisms_equivalent is defined for finite SCMs"),
+        ):
+            with pytest.raises(UnsupportedModelError, match=f"^{message}$"):
+                call()
 
 
 class TestTabularMechanism:
